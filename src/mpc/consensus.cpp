@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "crypto/fixed_point.h"
-#include "mpc/consensus_batch.h"
 #include "mpc/dgk_compare.h"
 #include "mpc/lane_pool.h"
 #include "net/party_runner.h"
@@ -133,12 +132,10 @@ std::vector<ConsensusProtocol::QueryResult> ConsensusProtocol::run_batch_seeded(
   }
   if (votes_per_instance.empty()) return out;
 
-  const std::size_t n_users = config_.num_users;
+  // Lane q's plan, noise and seed are EXACTLY those of a one-lane
+  // run_query_seeded(votes[q], derive_party_seed(base_seed, q)) — the basis
+  // of mode equivalence (see mpc/consensus_batch.h).
   const std::size_t q_total = votes_per_instance.size();
-
-  // Lane q's plan, noise and seeds are EXACTLY those of a sequential
-  // run_query_seeded(votes[q], derive_party_seed(base_seed, q)) — the
-  // basis of mode equivalence (see mpc/consensus_batch.h).
   std::vector<QueryPlan> plans;
   std::vector<NoisePlan> noises;
   std::vector<std::uint64_t> lane_seeds;
@@ -149,100 +146,11 @@ std::vector<ConsensusProtocol::QueryResult> ConsensusProtocol::run_batch_seeded(
     lane_seeds.push_back(derive_party_seed(base_seed, q));
     plans.push_back(make_plan(votes_per_instance[q]));
     DeterministicRng noise_rng(
-        derive_party_seed(lane_seeds[q], 2 + n_users));
+        derive_party_seed(lane_seeds[q], 2 + config_.num_users));
     noises.push_back(draw_noise(noise_rng));
   }
-  const ConsensusQueryParams& params = plans.front().params;
-  const auto party_lane_seeds = [&](std::size_t party_index) {
-    std::vector<std::uint64_t> seeds(q_total);
-    for (std::size_t q = 0; q < q_total; ++q) {
-      seeds[q] = derive_party_seed(lane_seeds[q], party_index);
-    }
-    return seeds;
-  };
-
-  // Lane q's precompute streams are EXACTLY the ones a sequential pooled
-  // run of query q would register: party_precompute(party, lane_seeds[q]).
-  const auto party_lane_pre = [&](const std::string& party) {
-    std::vector<PartyPrecompute> pres;
-    if (config_.precompute == nullptr) return pres;
-    pres.reserve(q_total);
-    for (std::size_t q = 0; q < q_total; ++q) {
-      pres.push_back(party_precompute(party, lane_seeds[q]));
-    }
-    return pres;
-  };
-
-  LanePool& pool = LanePool::shared();
-  ConsensusS1BatchProgram s1(params, paillier_.s1, paillier_.s2.pk, dgk_.pk,
-                             party_lane_seeds(0), &pool,
-                             party_lane_pre("S1"));
-  ConsensusS2BatchProgram s2(params, paillier_.s2, paillier_.s1.pk, dgk_,
-                             party_lane_seeds(1), &pool,
-                             party_lane_pre("S2"));
-  std::vector<ConsensusUserBatchProgram> users;
-  users.reserve(n_users);
-  for (std::size_t u = 0; u < n_users; ++u) {
-    std::vector<ConsensusUserBatchProgram::Inputs> lane_inputs;
-    lane_inputs.reserve(q_total);
-    for (std::size_t q = 0; q < q_total; ++q) {
-      lane_inputs.push_back(ConsensusUserProgram::Inputs{
-          std::move(plans[q].votes_fixed[u]),
-          plans[q].t_a[u],
-          plans[q].t_b[u],
-          noises[q].z1a[u],
-          noises[q].z1b[u],
-          noises[q].z2a[u],
-          noises[q].z2b[u],
-      });
-    }
-    users.emplace_back(params, std::move(lane_inputs), paillier_.s1.pk,
-                       paillier_.s2.pk, party_lane_seeds(2 + u), &pool,
-                       party_lane_pre("user:" + std::to_string(u)));
-  }
-
-  std::vector<std::optional<std::size_t>> s1_labels, s2_labels;
-  std::vector<Party> parties;
-  parties.push_back({"S1", [&](Channel& chan) { s1_labels = s1.run(chan); }});
-  parties.push_back({"S2", [&](Channel& chan) { s2_labels = s2.run(chan); }});
-  for (std::size_t u = 0; u < n_users; ++u) {
-    parties.push_back({"user:" + std::to_string(u),
-                       [&users, u](Channel& chan) { users[u].run(chan); }});
-  }
-
-  PartyRunOptions options;
-  switch (transport) {
-    case ConsensusTransport::kInProcess:
-      options.transport = PartyTransport::kDeterministic;
-      break;
-    case ConsensusTransport::kThreaded:
-      options.transport = PartyTransport::kThreaded;
-      break;
-    case ConsensusTransport::kTcp:
-      options.transport = PartyTransport::kTcp;
-      break;
-  }
-  options.stats = &stats_;
-  options.trace = trace_;
-  options.metrics = metrics_;
-  const obs::ObserverScope driver_scope(trace_, metrics_, "driver");
-  const obs::Span batch_span("Consensus Batch");
-  const PartyRunReport report = run_parties(parties, options);
-
-  if (s1_labels != s2_labels) {
-    throw std::logic_error("consensus: server results disagree");
-  }
-  if (report.undelivered != 0) {
-    throw std::logic_error("protocol finished with undelivered messages");
-  }
-  for (const std::optional<std::size_t>& label : s1_labels) {
-    if (label.has_value()) {
-      out.push_back({static_cast<int>(*label)});
-    } else {
-      out.push_back({std::nullopt});
-    }
-  }
-  return out;
+  return run_lanes(std::move(plans), noises, lane_seeds, transport,
+                   "Consensus Batch");
 }
 
 ConsensusProtocol::QueryResult ConsensusProtocol::run_query_with_noise(
@@ -325,33 +233,32 @@ ConsensusProtocol::QueryPlan ConsensusProtocol::make_plan(
   return plan;
 }
 
+std::size_t ConsensusProtocol::party_index(const std::string& party) const {
+  if (party == "S1") return 0;
+  if (party == "S2") return 1;
+  for (std::size_t u = 0; u < config_.num_users; ++u) {
+    if (party == "user:" + std::to_string(u)) return 2 + u;
+  }
+  throw std::invalid_argument("consensus: unknown party '" + party + "'");
+}
+
+ConsensusUserBatchProgram::Inputs ConsensusProtocol::user_inputs(
+    QueryPlan& plan, const NoisePlan& noise, std::size_t u) {
+  return {std::move(plan.votes_fixed[u]),
+          plan.t_a[u],
+          plan.t_b[u],
+          noise.z1a[u],
+          noise.z1b[u],
+          noise.z2a[u],
+          noise.z2b[u]};
+}
+
 PartyPrecompute ConsensusProtocol::party_precompute(const std::string& party,
                                                     std::uint64_t seed) const {
   PartyPrecompute pre;
   PrecomputeService* svc = config_.precompute;
   if (svc == nullptr) return pre;
-  std::size_t index = 0;
-  bool is_server = false;
-  if (party == "S1") {
-    index = 0;
-    is_server = true;
-  } else if (party == "S2") {
-    index = 1;
-    is_server = true;
-  } else {
-    bool found = false;
-    for (std::size_t u = 0; u < config_.num_users; ++u) {
-      if (party == "user:" + std::to_string(u)) {
-        index = 2 + u;
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
-      throw std::invalid_argument("party_precompute: unknown party '" +
-                                  party + "'");
-    }
-  }
+  const std::size_t index = party_index(party);
   const std::uint64_t party_seed = derive_party_seed(seed, index);
   // Users only ever encrypt under the key the receiving server CANNOT
   // decrypt; servers encrypt under both (own re-encryptions, peer-bound
@@ -361,7 +268,7 @@ PartyPrecompute ConsensusProtocol::party_precompute(const std::string& party,
       &svc->paillier_powers(paillier_.s1.pk, derive_party_seed(party_seed, 0));
   pre.powers_pk2 =
       &svc->paillier_powers(paillier_.s2.pk, derive_party_seed(party_seed, 1));
-  if (is_server) {
+  if (index < 2) {
     pre.dgk_powers =
         &svc->dgk_powers(dgk_.pk, derive_party_seed(party_seed, 2));
   }
@@ -372,6 +279,7 @@ std::optional<int> ConsensusProtocol::run_party_seeded(
     const std::string& party,
     const std::vector<std::vector<double>>& user_votes, std::uint64_t seed,
     Channel& chan) const {
+  const std::size_t index = party_index(party);
   QueryPlan plan = make_plan(user_votes);
   // Same noise-stream derivation as run_query_seeded: every process hands
   // the users identical noise slices, so a multi-process run replays the
@@ -379,45 +287,34 @@ std::optional<int> ConsensusProtocol::run_party_seeded(
   DeterministicRng noise_rng(derive_party_seed(seed, 2 + config_.num_users));
   const NoisePlan noise = draw_noise(noise_rng);
 
-  const PartyPrecompute pre =
-      config_.precompute != nullptr ? party_precompute(party, seed)
-                                    : PartyPrecompute{};
-  const PartyPrecompute* pre_ptr = pre.empty() ? nullptr : &pre;
-  if (party == "S1") {
-    DeterministicRng rng(derive_party_seed(seed, 0));
-    ConsensusS1Program s1(plan.params, paillier_.s1, paillier_.s2.pk, dgk_.pk,
-                          rng, pre_ptr);
-    const std::optional<std::size_t> label = s1.run(chan);
-    if (!label.has_value()) return std::nullopt;
-    return static_cast<int>(*label);
+  // This party's one-lane program, with exactly the Rng stream and
+  // precompute handles the all-party harness would give it.  No LanePool:
+  // one lane never fans out.
+  const std::vector<std::uint64_t> lane_seed = {
+      derive_party_seed(seed, index)};
+  std::vector<PartyPrecompute> pre;
+  if (config_.precompute != nullptr) {
+    pre.push_back(party_precompute(party, seed));
   }
-  if (party == "S2") {
-    DeterministicRng rng(derive_party_seed(seed, 1));
-    ConsensusS2Program s2(plan.params, paillier_.s2, paillier_.s1.pk, dgk_,
-                          rng, pre_ptr);
-    const std::optional<std::size_t> label = s2.run(chan);
-    if (!label.has_value()) return std::nullopt;
-    return static_cast<int>(*label);
-  }
-  for (std::size_t u = 0; u < config_.num_users; ++u) {
-    if (party != "user:" + std::to_string(u)) continue;
-    DeterministicRng rng(derive_party_seed(seed, 2 + u));
-    ConsensusUserProgram user(plan.params,
-                              ConsensusUserProgram::Inputs{
-                                  std::move(plan.votes_fixed[u]),
-                                  plan.t_a[u],
-                                  plan.t_b[u],
-                                  noise.z1a[u],
-                                  noise.z1b[u],
-                                  noise.z2a[u],
-                                  noise.z2b[u],
-                              },
-                              paillier_.s1.pk, paillier_.s2.pk, rng, pre_ptr);
+  std::optional<std::size_t> label;
+  if (index == 0) {
+    ConsensusS1BatchProgram s1(plan.params, paillier_.s1, paillier_.s2.pk,
+                               dgk_.pk, lane_seed, nullptr, std::move(pre));
+    label = s1.run(chan).front();
+  } else if (index == 1) {
+    ConsensusS2BatchProgram s2(plan.params, paillier_.s2, paillier_.s1.pk,
+                               dgk_, lane_seed, nullptr, std::move(pre));
+    label = s2.run(chan).front();
+  } else {
+    std::vector<ConsensusUserBatchProgram::Inputs> inputs;
+    inputs.push_back(user_inputs(plan, noise, index - 2));
+    ConsensusUserBatchProgram user(plan.params, std::move(inputs),
+                                   paillier_.s1.pk, paillier_.s2.pk, lane_seed,
+                                   nullptr, std::move(pre));
     user.run(chan);
-    return std::nullopt;
   }
-  throw std::invalid_argument("run_party_seeded: unknown party '" + party +
-                              "'");
+  if (!label.has_value()) return std::nullopt;
+  return static_cast<int>(*label);
 }
 
 std::optional<int> ConsensusProtocol::run_party_session(
@@ -435,66 +332,71 @@ std::optional<int> ConsensusProtocol::run_party_session(
 ConsensusProtocol::QueryResult ConsensusProtocol::run_internal(
     const std::vector<std::vector<double>>& user_votes, const NoisePlan& noise,
     std::uint64_t seed, ConsensusTransport transport) {
+  std::vector<QueryPlan> plans;
+  plans.push_back(make_plan(user_votes));
+  return run_lanes(std::move(plans), {noise}, {seed}, transport,
+                   "Consensus Query")
+      .front();
+}
+
+std::vector<ConsensusProtocol::QueryResult> ConsensusProtocol::run_lanes(
+    std::vector<QueryPlan> plans, const std::vector<NoisePlan>& noises,
+    const std::vector<std::uint64_t>& lane_seeds, ConsensusTransport transport,
+    const char* span_name) {
   const std::size_t n_users = config_.num_users;
-  QueryPlan plan = make_plan(user_votes);
-  std::vector<std::vector<std::int64_t>>& votes_fixed = plan.votes_fixed;
-  const ConsensusQueryParams& params = plan.params;
-  const std::vector<std::int64_t>& t_a = plan.t_a;
-  const std::vector<std::int64_t>& t_b = plan.t_b;
+  const std::size_t q_total = lane_seeds.size();
+  const ConsensusQueryParams& params = plans.front().params;
 
-  // Every party gets its own Rng derived from the query seed (S1 = 0,
-  // S2 = 1, user u = 2 + u) — the basis of cross-transport byte-identity.
-  std::vector<DeterministicRng> rngs;
-  rngs.reserve(2 + n_users);
-  for (std::size_t i = 0; i < 2 + n_users; ++i) {
-    rngs.emplace_back(derive_party_seed(seed, i));
-  }
-
-  // Per-party precompute handles (empty = fresh mode); held by value here
-  // so the program references stay valid for the whole run.
-  std::vector<PartyPrecompute> pres(2 + n_users);
-  if (config_.precompute != nullptr) {
-    pres[0] = party_precompute("S1", seed);
-    pres[1] = party_precompute("S2", seed);
-    for (std::size_t u = 0; u < n_users; ++u) {
-      pres[2 + u] = party_precompute("user:" + std::to_string(u), seed);
+  // Every party gets its own Rng per lane, derived from the lane seed
+  // (S1 = 0, S2 = 1, user u = 2 + u) — the basis of cross-transport
+  // byte-identity.
+  const auto party_lane_seeds = [&](std::size_t party) {
+    std::vector<std::uint64_t> seeds(q_total);
+    for (std::size_t q = 0; q < q_total; ++q) {
+      seeds[q] = derive_party_seed(lane_seeds[q], party);
     }
-  }
-  const auto pre_ptr = [&](std::size_t i) {
-    return pres[i].empty() ? nullptr : &pres[i];
+    return seeds;
+  };
+  // Lane q's precompute streams are EXACTLY the ones a one-lane pooled run
+  // of lane_seeds[q] would register.
+  const auto party_lane_pre = [&](const std::string& party) {
+    std::vector<PartyPrecompute> pres;
+    if (config_.precompute == nullptr) return pres;
+    pres.reserve(q_total);
+    for (std::size_t q = 0; q < q_total; ++q) {
+      pres.push_back(party_precompute(party, lane_seeds[q]));
+    }
+    return pres;
   };
 
-  ConsensusS1Program s1(params, paillier_.s1, paillier_.s2.pk, dgk_.pk,
-                        rngs[0], pre_ptr(0));
-  ConsensusS2Program s2(params, paillier_.s2, paillier_.s1.pk, dgk_, rngs[1],
-                        pre_ptr(1));
-  std::vector<ConsensusUserProgram> users;
+  // One lane never fans out, so a single query leaves the pool unstarted.
+  LanePool* pool = q_total > 1 ? &LanePool::shared() : nullptr;
+  ConsensusS1BatchProgram s1(params, paillier_.s1, paillier_.s2.pk, dgk_.pk,
+                             party_lane_seeds(0), pool, party_lane_pre("S1"));
+  ConsensusS2BatchProgram s2(params, paillier_.s2, paillier_.s1.pk, dgk_,
+                             party_lane_seeds(1), pool, party_lane_pre("S2"));
+  std::vector<ConsensusUserBatchProgram> users;
   users.reserve(n_users);
   for (std::size_t u = 0; u < n_users; ++u) {
-    users.emplace_back(params,
-                       ConsensusUserProgram::Inputs{
-                           std::move(votes_fixed[u]),
-                           t_a[u],
-                           t_b[u],
-                           noise.z1a[u],
-                           noise.z1b[u],
-                           noise.z2a[u],
-                           noise.z2b[u],
-                       },
-                       paillier_.s1.pk, paillier_.s2.pk, rngs[2 + u],
-                       pre_ptr(2 + u));
+    std::vector<ConsensusUserBatchProgram::Inputs> lane_inputs;
+    lane_inputs.reserve(q_total);
+    for (std::size_t q = 0; q < q_total; ++q) {
+      lane_inputs.push_back(user_inputs(plans[q], noises[q], u));
+    }
+    users.emplace_back(params, std::move(lane_inputs), paillier_.s1.pk,
+                       paillier_.s2.pk, party_lane_seeds(2 + u), pool,
+                       party_lane_pre("user:" + std::to_string(u)));
   }
 
-  std::optional<std::size_t> s1_label, s2_label;
+  std::vector<std::optional<std::size_t>> s1_labels, s2_labels;
   std::vector<Party> parties;
-  parties.push_back({"S1", [&](Channel& chan) { s1_label = s1.run(chan); }});
-  parties.push_back({"S2", [&](Channel& chan) { s2_label = s2.run(chan); }});
+  parties.push_back({"S1", [&](Channel& chan) { s1_labels = s1.run(chan); }});
+  parties.push_back({"S2", [&](Channel& chan) { s2_labels = s2.run(chan); }});
   for (std::size_t u = 0; u < n_users; ++u) {
     parties.push_back({"user:" + std::to_string(u),
                        [&users, u](Channel& chan) { users[u].run(chan); }});
   }
 
-  const bool deterministic = transport == ConsensusTransport::kInProcess;
   PartyRunOptions options;
   switch (transport) {
     case ConsensusTransport::kInProcess:
@@ -508,24 +410,34 @@ ConsensusProtocol::QueryResult ConsensusProtocol::run_internal(
       break;
   }
   options.stats = &stats_;
-  options.record_transcript = capture_transcript_ && deterministic;
+  options.record_transcript =
+      capture_transcript_ && transport == ConsensusTransport::kInProcess;
   options.trace = trace_;
   options.metrics = metrics_;
-  // The driver's own span brackets the whole query, so a trace shows each
-  // party's step spans nested inside one "Consensus Query" envelope.
+  // One harness span brackets the whole run, so a trace shows each party's
+  // step spans nested inside one "Consensus Query" (or "Consensus Batch")
+  // envelope.
   const obs::ObserverScope driver_scope(trace_, metrics_, "driver");
-  const obs::Span query_span("Consensus Query");
+  const obs::Span run_span(span_name);
   const PartyRunReport report = run_parties(parties, options);
   if (options.record_transcript) last_transcript_ = report.transcript;
 
-  if (s1_label != s2_label) {
+  if (s1_labels != s2_labels) {
     throw std::logic_error("consensus: server results disagree");
   }
   if (report.undelivered != 0) {
     throw std::logic_error("protocol finished with undelivered messages");
   }
-  if (!s1_label.has_value()) return {std::nullopt};
-  return {static_cast<int>(*s1_label)};
+  std::vector<QueryResult> out;
+  out.reserve(q_total);
+  for (const std::optional<std::size_t>& label : s1_labels) {
+    if (label.has_value()) {
+      out.push_back({static_cast<int>(*label)});
+    } else {
+      out.push_back({std::nullopt});
+    }
+  }
+  return out;
 }
 
 }  // namespace pcl

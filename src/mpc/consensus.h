@@ -20,12 +20,13 @@
 // Nothing else is revealed: not the vote counts, not the ranking of losing
 // labels, not the true (pre-noise) argmax.
 //
-// The per-party protocol logic lives in mpc/consensus_party.h; this class
-// is the query harness: it owns the key material, prepares each party's
-// inputs, derives each party a private Rng from one query seed, and runs
-// the programs over the chosen transport.  With the same seed, the
-// deterministic in-process transport and the threaded transport produce
-// byte-identical per-step traffic.
+// The per-party protocol logic lives in mpc/consensus_batch.h, whose
+// lane-batched programs run every query: a single query is the one-lane
+// case.  This class is the query harness: it owns the key material,
+// prepares each party's inputs, derives each party a private Rng from one
+// query seed, and runs the programs over the chosen transport.  With the
+// same seed, the deterministic in-process transport and the threaded
+// transport produce byte-identical per-step traffic.
 //
 // Noise placement (see DESIGN.md): every user adds an independent
 // N(0, sigma^2 / (2|U|)) component to each of its two share streams, so the
@@ -41,7 +42,7 @@
 #include "crypto/dgk.h"
 #include "crypto/precompute_service.h"
 #include "mpc/blind_permute.h"
-#include "mpc/consensus_party.h"
+#include "mpc/consensus_batch.h"
 #include "net/transport.h"
 
 namespace pcl {
@@ -54,12 +55,12 @@ namespace pcl {
 /// baton scheduler (the reference shape).
 enum class ConsensusTransport { kInProcess, kThreaded, kTcp };
 
-/// How run_batch_seeded executes its queries: one full Alg. 5 run per
-/// query (kSequential), or every query as a concurrent LANE of one
+/// How run_batch_seeded executes its queries: a separate one-lane Alg. 5
+/// run per query (kSequential), or every query as a concurrent LANE of one
 /// protocol execution whose message slots carry all lanes' payloads in a
 /// single coalesced frame (kLaneBatched; mpc/consensus_batch.h).  Both
 /// modes release identical labels for the same base seed — lane q replays
-/// the exact Rng streams of a sequential run of query q.
+/// the exact Rng streams of a one-lane run of query q.
 enum class BatchMode { kSequential, kLaneBatched };
 
 struct ConsensusConfig {
@@ -236,8 +237,8 @@ class ConsensusProtocol {
   /// Everything derived from the vote vectors before any party runs:
   /// validated fixed-point votes, the per-user threshold offsets, and the
   /// query params every program shares.  One definition serves both the
-  /// all-party harness (run_internal) and the single-party deployment
-  /// entry point (run_party_seeded), so they cannot drift.
+  /// all-party harness (run_lanes) and the single-party deployment entry
+  /// point (run_party_seeded), so they cannot drift.
   struct QueryPlan {
     ConsensusQueryParams params;
     std::vector<std::vector<std::int64_t>> votes_fixed;
@@ -248,10 +249,25 @@ class ConsensusProtocol {
   [[nodiscard]] NoisePlan draw_noise(Rng& rng) const;
   [[nodiscard]] NoisePlan injected_noise(
       double threshold_noise, std::span<const double> release_noise) const;
+  /// `party`'s index in the derive_party_seed order: S1 = 0, S2 = 1,
+  /// user u = 2 + u.  Throws std::invalid_argument for a party this query
+  /// does not have.
+  [[nodiscard]] std::size_t party_index(const std::string& party) const;
+  /// User u's inputs for one lane; moves the votes out of `plan`.
+  [[nodiscard]] static ConsensusUserBatchProgram::Inputs user_inputs(
+      QueryPlan& plan, const NoisePlan& noise, std::size_t u);
+  /// One query as the one-lane case of run_lanes.
   [[nodiscard]] QueryResult run_internal(
       const std::vector<std::vector<double>>& user_votes,
       const NoisePlan& noise, std::uint64_t seed,
       ConsensusTransport transport);
+  /// Runs lane q — plans[q], noises[q], lane seed lane_seeds[q] — as a lane
+  /// of ONE Alg. 5 execution of every party over `transport`, under a
+  /// harness span named `span_name`.
+  [[nodiscard]] std::vector<QueryResult> run_lanes(
+      std::vector<QueryPlan> plans, const std::vector<NoisePlan>& noises,
+      const std::vector<std::uint64_t>& lane_seeds,
+      ConsensusTransport transport, const char* span_name);
 
   ConsensusConfig config_;
   ServerPaillierKeys paillier_;

@@ -1,6 +1,6 @@
 // Channel — the per-party view of a transport.
 //
-// A protocol party program (see mpc/consensus_party.h and the role functions
+// A protocol party program (see mpc/consensus_batch.h and the role functions
 // in mpc/dgk_compare.h, mpc/secure_sum.h, mpc/blind_permute.h) is written
 // once against this interface: it knows its own name, sends to and receives
 // from named peers, and labels its traffic with the current protocol step so

@@ -128,7 +128,6 @@ void EventLoop::advance_wheel_locked(std::vector<Callback>& due) {
 void EventLoop::run() {
   {
     const std::lock_guard<std::mutex> lock(mu_);
-    stop_ = false;
     next_tick_ns_ = obs::monotonic_time_ns() + kTickMs * 1'000'000ull;
   }
   std::vector<struct pollfd> polled;

@@ -62,9 +62,10 @@ class EventLoop {
   /// Enqueues `task` to run on the loop thread before the next poll.
   void post(Callback task);
 
-  /// Runs the reactor until stop(); call from exactly one thread.
+  /// Runs the reactor until stop(); call from exactly one thread, once.
   void run();
-  /// Requests run() to return after the current dispatch; any thread.
+  /// Requests run() to return after the current dispatch; any thread.  A
+  /// stop() that lands before run() starts makes run() return at once.
   void stop();
 
  private:

@@ -1,6 +1,6 @@
 // SessionChannel — a party's Channel for ONE session over shared sockets.
 //
-// Party programs (mpc/consensus_party.h) are written once against Channel;
+// Party programs (mpc/consensus_batch.h) are written once against Channel;
 // this implementation lets the identical program run as session s of a
 // multiplexing daemon: sends stamp the session id into the versioned frame
 // header and go out over the connection mapped for the peer (worker thread,

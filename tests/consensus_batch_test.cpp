@@ -8,11 +8,17 @@
 //     per-step bytes;
 //   - batching changes WHERE crypto ops are attributed ("lane:<q>" spans),
 //     never HOW MANY run: per-query op totals match the sequential run
-//     exactly, and the schedule-derived counts pin to closed-form values.
+//     exactly, and the schedule-derived counts pin to closed-form values;
+//   - a single query is the Q = 1 case: no lane envelope, no lane span;
+//   - at Q > 1 each frame is the lanes' sequential sub-messages plus the
+//     envelope (8-byte lane count, 8-byte length prefix per lane), even
+//     after step-5 drop-out leaves one live lane.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include <atomic>
@@ -21,6 +27,7 @@
 
 #include "mpc/consensus.h"
 #include "mpc/lane_pool.h"
+#include "net/party_runner.h"
 #include "obs/trace.h"
 
 namespace pcl {
@@ -222,6 +229,108 @@ TEST(ConsensusBatch, OpCountsMatchSequentialAndPinToSchedule) {
     EXPECT_EQ(batch_metrics.counters_for(slot).get(obs::Op::kDgkCompare),
               batched[q].has_value() ? 13u : 7u)
         << slot;
+  }
+}
+
+TEST(ConsensusBatch, OneLaneBatchIsTheSingleQuery) {
+  // Q = 1 frames carry no envelope and open no "lane:<q>" span, so a
+  // one-lane batch has exactly the single query's traffic rows and
+  // per-(step, op) counts — for a released query and for a ⊥.
+  DeterministicRng keygen(7);
+  ConsensusProtocol protocol(small_config(), keygen);
+  const std::uint64_t base_seed = 4242;
+  const auto batch = mixed_batch();
+  for (const std::size_t pick : {std::size_t{0}, std::size_t{1}}) {
+    const std::vector<std::vector<double>>& votes = batch[pick];
+    obs::MetricsRegistry batch_metrics, query_metrics;
+    protocol.stats().clear();
+    protocol.set_observer(nullptr, &batch_metrics);
+    const auto batched = labels_of(protocol.run_batch_seeded(
+        {votes}, base_seed, ConsensusTransport::kInProcess,
+        BatchMode::kLaneBatched));
+    const auto batch_traffic = protocol.stats().traffic_entries();
+
+    protocol.stats().clear();
+    protocol.set_observer(nullptr, &query_metrics);
+    const auto single =
+        protocol.run_query_seeded(votes, derive_party_seed(base_seed, 0));
+    protocol.set_observer(nullptr, nullptr);
+
+    ASSERT_EQ(batched.size(), 1u);
+    EXPECT_EQ(batched.front(), single.label) << "query " << pick;
+    EXPECT_EQ(batched.front().has_value(), pick == 0) << "query " << pick;
+    EXPECT_EQ(batch_traffic, protocol.stats().traffic_entries())
+        << "query " << pick;
+    EXPECT_EQ(batch_metrics.entries(), query_metrics.entries())
+        << "query " << pick;
+    for (const obs::MetricsRegistry::Entry& e : batch_metrics.entries()) {
+      EXPECT_NE(e.step.rfind("lane:", 0), 0u) << e.step;
+    }
+  }
+}
+
+/// Per-step {bytes, messages} of everything the protocol has sent so far.
+std::map<std::string, TrafficStats::LinkTotals> per_step(
+    const TrafficStats& stats) {
+  std::map<std::string, TrafficStats::LinkTotals> out;
+  for (const TrafficStats::Entry& e : stats.traffic_entries()) {
+    out[e.step].bytes += e.bytes;
+    out[e.step].messages += e.messages;
+  }
+  return out;
+}
+
+TEST(ConsensusBatch, EnvelopeSurvivesDropOutToOneLane) {
+  // Q = 2, lane 1 ends in ⊥ at step 5.  Steps 2-5 frames carry both lanes'
+  // sequential sub-messages plus 8 + 2 * 8 envelope bytes; steps 6-9 frames
+  // carry lane 0 alone and still 8 + 8 envelope bytes.
+  DeterministicRng keygen(7);
+  ConsensusProtocol protocol(small_config(), keygen);
+  const std::uint64_t base_seed = 20200706;
+  const auto all = mixed_batch();
+  const std::vector<std::vector<std::vector<double>>> batch = {all[0],
+                                                               all[1]};
+
+  protocol.stats().clear();
+  const auto labels = labels_of(protocol.run_batch_seeded(
+      batch, base_seed, ConsensusTransport::kInProcess,
+      BatchMode::kLaneBatched));
+  ASSERT_TRUE(labels[0].has_value());
+  ASSERT_FALSE(labels[1].has_value());
+  auto batched = per_step(protocol.stats());
+
+  std::vector<std::map<std::string, TrafficStats::LinkTotals>> lanes;
+  for (std::size_t q = 0; q < batch.size(); ++q) {
+    protocol.stats().clear();
+    (void)protocol.run_query_seeded(batch[q],
+                                    derive_party_seed(base_seed, q));
+    lanes.push_back(per_step(protocol.stats()));
+  }
+
+  const std::vector<std::string> both = {
+      "Secure Sum (2)", "Blind-and-Permute (3)", "Secure Comparison (4)",
+      "Threshold Checking (5)"};
+  const std::vector<std::string> survivor = {
+      "Secure Sum (6)", "Blind-and-Permute (7)", "Secure Comparison (8)",
+      "Restoration (9)"};
+  EXPECT_EQ(batched.size(), both.size() + survivor.size());
+  for (const std::string& step : both) {
+    const std::size_t messages = batched[step].messages;
+    ASSERT_GT(messages, 0u) << step;
+    EXPECT_EQ(messages, lanes[0][step].messages) << step;
+    EXPECT_EQ(messages, lanes[1][step].messages) << step;
+    EXPECT_EQ(batched[step].bytes, lanes[0][step].bytes +
+                                       lanes[1][step].bytes +
+                                       (8 + 2 * 8) * messages)
+        << step;
+  }
+  for (const std::string& step : survivor) {
+    const std::size_t messages = batched[step].messages;
+    ASSERT_GT(messages, 0u) << step;
+    EXPECT_EQ(messages, lanes[0][step].messages) << step;
+    EXPECT_EQ(lanes[1].count(step), 0u) << step;
+    EXPECT_EQ(batched[step].bytes, lanes[0][step].bytes + (8 + 8) * messages)
+        << step;
   }
 }
 

@@ -222,6 +222,25 @@ TEST(EventLoop, FdReadabilityDispatchesOnTheLoopThread) {
   close(fds[1]);
 }
 
+TEST(EventLoop, StopBeforeRunIsNotLost) {
+  // Owners tear a server down right after start(), sometimes before the
+  // loop thread has entered run(); that early stop() must still end it.
+  EventLoop loop;
+  loop.stop();
+  std::atomic<bool> returned{false};
+  std::thread runner([&] {
+    loop.run();
+    returned = true;
+  });
+  for (int i = 0; i < 200 && !returned; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  const bool stopped = returned.load();
+  if (!stopped) loop.stop();  // release the runner so the test can join
+  runner.join();
+  EXPECT_TRUE(stopped) << "run() lost a stop() made before it started";
+}
+
 // ---------------------------------------------------------------------------
 // SessionMux routing: per-session inboxes, orphan parking, bounded
 // backpressure with blame-local failure.

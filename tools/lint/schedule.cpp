@@ -392,9 +392,6 @@ std::vector<ProgramSchedule> builtin_programs() {
     return p;
   };
   return {
-      prog("consensus", {{"S1", "ConsensusS1Program::run"},
-                         {"S2", "ConsensusS2Program::run"},
-                         {"user", "ConsensusUserProgram::run"}}),
       prog("consensus_batch", {{"S1", "ConsensusS1BatchProgram::run"},
                                {"S2", "ConsensusS2BatchProgram::run"},
                                {"user", "ConsensusUserBatchProgram::run"}}),

@@ -60,12 +60,12 @@ struct ScheduleEvent {
 
 struct PartySchedule {
   std::string party;     // "S1" | "S2" | "user"
-  std::string function;  // qualified name, e.g. "ConsensusS1Program::run"
+  std::string function;  // qualified name, e.g. "ConsensusS1BatchProgram::run"
   std::vector<ScheduleEvent> events;
 };
 
 struct ProgramSchedule {
-  std::string name;  // "consensus", "dgk_compare", ...
+  std::string name;  // "consensus_batch", "dgk_compare", ...
   std::vector<PartySchedule> parties;
 };
 
@@ -97,7 +97,7 @@ class ScheduleExtractor {
   std::set<std::string> visiting_;
 };
 
-/// The five party programs and their entry functions, used by
+/// The four party programs and their entry functions, used by
 /// --dump-schedule when no manifest exists yet.
 std::vector<ProgramSchedule> builtin_programs();
 

@@ -1,7 +1,7 @@
 // pc_party — one consensus party per OS process, over real TCP.
 //
 // The protocol code this daemon runs is exactly the party-program layer the
-// in-process tests exercise (mpc/consensus_party.h via
+// in-process tests exercise (the one-lane case of mpc/consensus_batch.h, via
 // ConsensusProtocol::run_party_seeded); only the Channel underneath changes.
 // Two modes:
 //
