@@ -1,8 +1,9 @@
 // EventLoop — a poll(2) reactor with a hashed timer wheel.
 //
-// The session server (session_server.h) multiplexes every connection of a
-// daemon — the S1<->S2 trunk, one socket per user, and the client's control
-// connection — through ONE of these: the loop thread owns the read side of
+// Every protocol connection in the tree is read through one of these: a
+// session daemon (session_server.h) runs one for its S1<->S2 trunk, user
+// sockets and control connection, the session client runs one, and so does
+// each TcpChannel (tcp_channel.h).  The loop thread owns the read side of
 // every socket (nonblocking recv into per-connection FrameAssemblers, see
 // session_mux.h) and never blocks on any single peer, so a stalled session
 // cannot starve its neighbors of inbound frames.  Write sides are NOT owned

@@ -84,9 +84,11 @@ std::int64_t SessionChannel::await_public() {
     throw std::logic_error(
         "await_public: the bulletin host has nothing to await");
   }
-  return mux_.await_bulletin(routes_.session,
-                             conn_for(routes_.bulletin_host, "await_public"),
-                             bulletin_cursor_++, routes_.recv_deadline);
+  const std::int64_t value = mux_.await_bulletin(
+      routes_.session, conn_for(routes_.bulletin_host, "await_public"),
+      bulletin_cursor_, routes_.recv_deadline);
+  ++bulletin_cursor_;  // only once the entry is read: a timeout retries it
+  return value;
 }
 
 }  // namespace pcl

@@ -1,12 +1,13 @@
 // SessionChannel — a party's Channel for ONE session over shared sockets.
 //
 // Party programs (mpc/consensus_batch.h) are written once against Channel;
-// this implementation lets the identical program run as session s of a
-// multiplexing daemon: sends stamp the session id into the versioned frame
-// header and go out over the connection mapped for the peer (worker thread,
-// per-socket write mutex); receives block on the mux's (session, conn)
-// inbox, where the reactor thread deposits inbound frames.  Bulletin
-// semantics match TcpChannel exactly, per session: the host posts to its
+// this implementation is how they run over TCP.  In a multiplexing daemon a
+// program runs as session s; a TcpChannel (tcp_channel.h) runs its one
+// program as session 0, whose frames keep the legacy header.  Sends stamp
+// the session id into the frame header and go out over the connection
+// mapped for the peer (caller's thread, per-socket write mutex); receives
+// block on the mux's (session, conn) inbox, where the reactor thread
+// deposits inbound frames.  Bulletins, per session: the host posts to its
 // listeners fire-and-forget and reads its own log; listeners read the
 // ordered per-connection log through a private cursor.
 //

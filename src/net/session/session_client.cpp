@@ -40,21 +40,12 @@ void SessionClient::connect() {
   const auto dial = [this](const std::string& server,
                            const std::string& hello_name,
                            const std::string& label) {
-    const auto it = config_.endpoints.find(server);
-    if (it == config_.endpoints.end()) {
-      throw ChannelError("session client: no endpoint for '" + server + "'");
-    }
-    TcpSocket socket = TcpSocket::dial(it->second, config_.timeouts.connect);
-    Frame hello;
-    hello.kind = FrameKind::kHello;
-    hello.payload.assign(hello_name.begin(), hello_name.end());
-    socket.write_frame(hello, config_.timeouts.send);
-    auto shared = std::make_shared<SharedSocket>(std::move(socket));
-    sockets_.push_back(shared);
-    attach_connection(loop_, mux_, label, shared,
+    attach_connection(loop_, mux_, label,
+                      std::make_shared<SharedSocket>(
+                          dial_peer(endpoint_of(config_.endpoints, server),
+                                    hello_name, config_.timeouts)),
                       [this](const std::string& who, const std::string& why) {
-                        mux_.fail_connection(
-                            who, "connection to '" + who + "' died: " + why);
+                        mux_.fail_connection(who, why);
                       });
   };
   for (const std::string server : {"S1", "S2"}) {
@@ -217,8 +208,7 @@ void SessionClient::close() {
   closed_ = true;
   loop_.stop();
   if (loop_thread_.joinable()) loop_thread_.join();
-  for (auto& socket : sockets_) socket->close();
-  sockets_.clear();
+  mux_.close_sockets();
 }
 
 }  // namespace pcl

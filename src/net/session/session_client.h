@@ -108,7 +108,6 @@ class SessionClient {
   /// (session_manager.h) needs aligned queues across daemons.
   std::mutex open_mu_;
   std::thread loop_thread_;
-  std::vector<std::shared_ptr<SharedSocket>> sockets_;
   obs::MetricsRegistry metrics_;
   bool connected_ = false;
   bool closed_ = false;

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <exception>
 #include <system_error>
 #include <utility>
 
@@ -14,32 +15,20 @@
 
 namespace pcl {
 
-// ---------------------------------------------------------------------------
-// FrameAssembler
+namespace {
 
-void FrameAssembler::feed(const std::uint8_t* data, std::size_t n) {
-  // Compact lazily: only when the consumed prefix dominates the buffer, so
-  // steady-state feeds append without shifting.
-  if (pos_ > 4096 && pos_ * 2 > buf_.size()) {
-    buf_.erase(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(pos_));
-    pos_ = 0;
+/// The value a bulletin frame carries; FramingError unless the payload is
+/// exactly one i64.
+[[nodiscard]] std::int64_t bulletin_value(std::vector<std::uint8_t> payload) {
+  MessageReader reader(std::move(payload));
+  const std::int64_t value = reader.read_i64();
+  if (!reader.exhausted()) {
+    throw FramingError("bulletin frame carries trailing bytes");
   }
-  buf_.insert(buf_.end(), data, data + n);
+  return value;
 }
 
-std::optional<Frame> FrameAssembler::next() {
-  const std::size_t have = buf_.size() - pos_;
-  if (have < 1) return std::nullopt;
-  const std::size_t head = frame_header_size(buf_[pos_]);
-  if (have < head) return std::nullopt;
-  const std::size_t body = frame_body_size(buf_.data() + pos_);
-  if (have < head + body) return std::nullopt;
-  const std::vector<std::uint8_t> exact(
-      buf_.begin() + static_cast<std::ptrdiff_t>(pos_),
-      buf_.begin() + static_cast<std::ptrdiff_t>(pos_ + head + body));
-  pos_ += head + body;
-  return decode_frame(exact);
-}
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // SharedSocket
@@ -102,24 +91,33 @@ void SessionMux::unregister_session(std::uint32_t session) {
   sessions_.erase(session);
 }
 
+void SessionMux::deliver_locked(SessionBox& box, const std::string& conn,
+                                Frame frame) {
+  Inbox& inbox = box.by_conn[conn];
+  if (frame.kind == FrameKind::kBulletin) {
+    inbox.bulletins.push_back(bulletin_value(std::move(frame.payload)));
+  } else if (frame.kind != FrameKind::kMessage) {  // ACCEPT / REJECT / CLOSE
+    inbox.control.push_back(std::move(frame));
+  } else if (inbox.messages.size() < limits_.inbox_cap) {
+    inbox.messages.push_back(std::move(frame.payload));
+  } else {
+    const std::string text = "session " + std::to_string(frame.session) +
+                             ": inbox for '" + conn + "' overflowed its " +
+                             std::to_string(limits_.inbox_cap) +
+                             "-message cap";
+    box.rethrow = [text] { throw ChannelBusy(text); };  // waiters rethrow
+  }
+}
+
 void SessionMux::replay_orphans_locked(std::uint32_t session,
                                        SessionBox& box) {
   auto keep = orphans_.begin();
   for (auto it = orphans_.begin(); it != orphans_.end(); ++it) {
-    if (it->second.session != session) {
+    if (it->second.session == session) {
+      deliver_locked(box, it->first, std::move(it->second));
+    } else {
       if (keep != it) *keep = std::move(*it);
       ++keep;
-      continue;
-    }
-    Inbox& inbox = box.by_conn[it->first];
-    Frame& frame = it->second;
-    if (frame.kind == FrameKind::kMessage) {
-      inbox.messages.push_back(std::move(frame.payload));
-    } else if (frame.kind == FrameKind::kBulletin) {
-      MessageReader reader(std::move(frame.payload));
-      inbox.bulletins.push_back(reader.read_i64());
-    } else {
-      inbox.control.push_back(std::move(frame));
     }
   }
   orphans_.erase(keep, orphans_.end());
@@ -127,68 +125,62 @@ void SessionMux::replay_orphans_locked(std::uint32_t session,
 }
 
 void SessionMux::route(const std::string& conn, Frame frame) {
-  std::function<void()> busy_rethrow;
-  ControlHandler open_handler;
-  Frame open_frame;
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    if (frame.kind == FrameKind::kSessionOpen) {
-      if (!control_handler_) {
-        throw FramingError("session mux: SESSION_OPEN on '" + conn +
-                           "' but no admission handler is installed");
-      }
-      open_handler = control_handler_;
-      open_frame = std::move(frame);
-    } else {
-      SessionBox* box = find_locked(frame.session);
-      if (box == nullptr) {
-        // Park for a session that has not opened here yet (the trunk can
-        // legally race the client's SESSION_OPEN).  Bounded: beyond the
-        // cap the OLDEST orphan goes — it belongs to the longest-dead or
-        // most-backlogged session, never to the frame that just arrived.
-        if (orphans_.size() >= limits_.orphan_cap) {
-          orphans_.pop_front();
-          ++orphans_dropped_;
-        }
-        orphans_.emplace_back(conn, std::move(frame));
-      } else if (frame.kind == FrameKind::kMessage) {
-        Inbox& inbox = box->by_conn[conn];
-        if (inbox.messages.size() >= limits_.inbox_cap) {
-          const std::uint32_t id = frame.session;
-          const std::string text =
-              "session " + std::to_string(id) + ": inbox for '" + conn +
-              "' overflowed its " + std::to_string(limits_.inbox_cap) +
-              "-message cap";
-          box->rethrow = [text] { throw ChannelBusy(text); };
-          busy_rethrow = box->rethrow;
-        } else {
-          inbox.messages.push_back(std::move(frame.payload));
-        }
-      } else if (frame.kind == FrameKind::kBulletin) {
-        MessageReader reader(std::move(frame.payload));
-        box->by_conn[conn].bulletins.push_back(reader.read_i64());
-        if (!reader.exhausted()) {
-          throw FramingError("bulletin frame carries trailing bytes");
-        }
-      } else {  // ACCEPT / REJECT / CLOSE
-        box->by_conn[conn].control.push_back(std::move(frame));
-      }
-      cv_.notify_all();
-    }
+  if (frame.kind == FrameKind::kHello) {
+    throw FramingError("session mux: HELLO from '" + conn +
+                       "' after the handshake");
   }
-  if (open_handler) open_handler(conn, std::move(open_frame));
-  (void)busy_rethrow;  // waiters were woken; they rethrow on wake
+  // Checked before the frame is queued or parked, so a bad bulletin fails
+  // the connection that sent it, not the session that opens later.
+  if (frame.kind == FrameKind::kBulletin) (void)bulletin_value(frame.payload);
+  if (frame.kind == FrameKind::kSessionOpen) {
+    ControlHandler open_handler;
+    {
+      const std::lock_guard<std::mutex> lock(mu_);
+      open_handler = control_handler_;
+    }
+    if (!open_handler) {
+      throw FramingError("session mux: SESSION_OPEN on '" + conn +
+                         "' but no admission handler is installed");
+    }
+    open_handler(conn, std::move(frame));
+    return;
+  }
+  const std::lock_guard<std::mutex> lock(mu_);
+  if (SessionBox* box = find_locked(frame.session)) {
+    deliver_locked(*box, conn, std::move(frame));
+    cv_.notify_all();
+    return;
+  }
+  // Park for a session that has not opened here yet (the trunk can legally
+  // race the client's SESSION_OPEN).  Bounded: beyond the cap the OLDEST
+  // orphan goes — it belongs to the longest-dead or most-backlogged
+  // session, never to the frame that just arrived.
+  if (orphans_.size() >= limits_.orphan_cap) {
+    orphans_.pop_front();
+    ++orphans_dropped_;
+  }
+  orphans_.emplace_back(conn, std::move(frame));
+}
+
+void SessionMux::close_sockets() {
+  const std::lock_guard<std::mutex> lock(mu_);
+  for (auto& [label, socket] : connections_) socket->close();
+}
+
+void SessionMux::close_connection(const std::string& conn,
+                                  std::function<void()> rethrow) {
+  const std::lock_guard<std::mutex> lock(mu_);
+  closed_.emplace(conn, std::move(rethrow));
+  cv_.notify_all();
 }
 
 void SessionMux::fail_connection(const std::string& conn,
-                                 const std::string& what) {
+                                 const std::string& why) {
+  const std::string text = "connection to '" + conn + "' died: " + why;
   const std::lock_guard<std::mutex> lock(mu_);
   for (auto& [id, box] : sessions_) {
-    if (box.rethrow) continue;
-    const std::string text = what;
-    box.rethrow = [text] { throw ChannelClosed(text); };
+    if (!box.rethrow) box.rethrow = [text] { throw ChannelClosed(text); };
   }
-  (void)conn;  // v1: every session spans every connection of its daemon
   cv_.notify_all();
 }
 
@@ -201,7 +193,7 @@ void SessionMux::fail_session(std::uint32_t session,
 }
 
 template <typename T, typename Ready>
-T SessionMux::wait_for(std::uint32_t session,
+T SessionMux::wait_for(std::uint32_t session, const std::string& conn,
                        std::chrono::milliseconds deadline, const char* what,
                        Ready ready) {
   const std::uint64_t deadline_ns =
@@ -217,6 +209,8 @@ T SessionMux::wait_for(std::uint32_t session,
     if (box->rethrow) box->rethrow();
     std::optional<T> got = ready(*box);
     if (got.has_value()) return *std::move(got);
+    const auto closed = closed_.find(conn);
+    if (closed != closed_.end()) closed->second();
     const std::uint64_t now = obs::monotonic_time_ns();
     if (now >= deadline_ns) {
       throw ChannelTimeout("session " + std::to_string(session) + ": " +
@@ -231,7 +225,7 @@ std::vector<std::uint8_t> SessionMux::recv_message(
     std::uint32_t session, const std::string& conn,
     std::chrono::milliseconds deadline) {
   return wait_for<std::vector<std::uint8_t>>(
-      session, deadline, "recv", [&conn](SessionBox& box) {
+      session, conn, deadline, "recv", [&conn](SessionBox& box) {
         auto it = box.by_conn.find(conn);
         std::optional<std::vector<std::uint8_t>> got;
         if (it != box.by_conn.end() && !it->second.messages.empty()) {
@@ -247,7 +241,8 @@ std::int64_t SessionMux::await_bulletin(std::uint32_t session,
                                         std::size_t index,
                                         std::chrono::milliseconds deadline) {
   return wait_for<std::int64_t>(
-      session, deadline, "await_public", [&conn, index](SessionBox& box) {
+      session, conn, deadline, "await_public",
+      [&conn, index](SessionBox& box) {
         auto it = box.by_conn.find(conn);
         std::optional<std::int64_t> got;
         if (it != box.by_conn.end() && index < it->second.bulletins.size()) {
@@ -259,7 +254,7 @@ std::int64_t SessionMux::await_bulletin(std::uint32_t session,
 
 Frame SessionMux::recv_control(std::uint32_t session, const std::string& conn,
                                std::chrono::milliseconds deadline) {
-  return wait_for<Frame>(session, deadline, "control frame",
+  return wait_for<Frame>(session, conn, deadline, "control frame",
                          [&conn](SessionBox& box) {
                            auto it = box.by_conn.find(conn);
                            std::optional<Frame> got;
@@ -270,6 +265,17 @@ Frame SessionMux::recv_control(std::uint32_t session, const std::string& conn,
                            }
                            return got;
                          });
+}
+
+std::size_t SessionMux::pending_messages(std::uint32_t session) const {
+  const std::lock_guard<std::mutex> lock(mu_);
+  const auto it = sessions_.find(session);
+  std::size_t total = 0;
+  if (it == sessions_.end()) return total;
+  for (const auto& [conn, inbox] : it->second.by_conn) {
+    total += inbox.messages.size();
+  }
+  return total;
 }
 
 std::size_t SessionMux::orphans_parked() const {
@@ -290,6 +296,7 @@ void attach_connection(
   const int fd = socket->fd();
   auto assembler = std::make_shared<FrameAssembler>();
   loop.add_fd(fd, [&loop, &mux, label, socket, assembler, on_down, fd] {
+    std::string why;  // set once the connection is down
     std::uint8_t buf[16384];
     for (;;) {
       const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
@@ -297,29 +304,34 @@ void attach_connection(
         assembler->feed(buf, static_cast<std::size_t>(n));
         continue;
       }
-      std::string down;
+      if (n < 0 && errno == EINTR) continue;
       if (n == 0) {
-        down = "'" + label + "' closed the connection";
-      } else if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        break;  // drained for now
-      } else if (errno == EINTR) {
-        continue;
-      } else {
-        down = "recv from '" + label +
-               "' failed: " + std::generic_category().message(errno);
+        why = "'" + label + "' closed the connection";
+      } else if (errno != EAGAIN && errno != EWOULDBLOCK) {
+        why = "recv from '" + label +
+              "' failed: " + std::generic_category().message(errno);
       }
-      loop.remove_fd(fd);
-      if (on_down) on_down(label, down);
-      return;
+      break;  // drained for now, or down
     }
+    // Route before reporting the connection down: a peer's last frames
+    // often arrive in the same read as its FIN.  A hang-up is recorded, not
+    // thrown, so it costs no stack unwinding.
+    std::function<void()> rethrow;
     try {
       while (std::optional<Frame> frame = assembler->next()) {
         mux.route(label, *std::move(frame));
       }
+      if (!why.empty()) rethrow = [why] { throw ChannelClosed(why); };
     } catch (const ChannelError& e) {
-      loop.remove_fd(fd);
-      if (on_down) on_down(label, e.what());
+      why = e.what();
+      rethrow = [error = std::current_exception()] {
+        std::rethrow_exception(error);
+      };
     }
+    if (!rethrow) return;
+    loop.remove_fd(fd);
+    mux.close_connection(label, std::move(rethrow));
+    if (on_down) on_down(label, why);
   });
 }
 

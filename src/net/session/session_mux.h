@@ -1,22 +1,25 @@
 // SessionMux — session-tagged frame routing over shared connections.
 //
-// In serve mode one TCP connection carries MANY concurrent sessions: the
+// One TCP connection can carry MANY concurrent sessions: in serve mode the
 // S1<->S2 trunk multiplexes every session's server-to-server traffic, and
 // each persistent user connection multiplexes that user's frames for every
-// session it participates in.  The mux is the meeting point between the
-// reactor (event_loop.h), which feeds it raw bytes per connection, and the
-// per-session worker threads, which block on typed receive calls:
+// session it participates in; a TcpChannel (tcp_channel.h) runs one session,
+// id 0.  The mux is the meeting point between the reactor (event_loop.h),
+// which feeds it raw bytes per connection, and the worker threads, which
+// block on typed receive calls:
 //
-//   reactor thread:  feed(conn, bytes) -> FrameAssembler -> route(frame)
+//   reactor thread:  recv -> FrameAssembler -> route(conn, frame)
 //   worker threads:  recv_message / await_bulletin / recv_control
 //
-// Routing preserves PR 4's bulletin-parking semantics PER SESSION: within a
-// (session, connection) inbox, protocol messages queue in arrival order,
-// bulletin values append to an ordered log read through the consumer's own
-// cursor, and neither kind can displace the other.  Session-control frames
-// (OPEN/ACCEPT/REJECT/CLOSE) ride the same sockets; OPENs go to the
-// registered control handler (the server's admission path), the rest queue
-// per (session, connection) for recv_control.
+// Early frames park here and nowhere else.  Within a (session, connection)
+// inbox, protocol messages queue in arrival order, bulletin values append
+// to an ordered log read through the consumer's own cursor, and neither
+// kind can displace the other.  Session-control frames (OPEN/ACCEPT/REJECT/
+// CLOSE) ride the same sockets; OPENs go to the registered control handler
+// (the server's admission path), the rest queue per (session, connection)
+// for recv_control.  A connection that goes down fails the receives from it
+// once its queue is drained; failing sessions that wait on OTHER
+// connections is the owner's policy (the daemons' fail_connection).
 //
 // Backpressure is bounded and BLAME-LOCAL: each (session, connection) inbox
 // holds at most `inbox_cap` messages; overflowing one fails THAT session
@@ -41,23 +44,6 @@
 #include "net/tcp_transport.h"
 
 namespace pcl {
-
-/// Incremental frame decoder for the reactor's nonblocking reads: feed()
-/// whatever recv returned, then drain next() until it comes back empty.
-/// Applies the exact validation of decode_frame at the same byte offsets.
-class FrameAssembler {
- public:
-  void feed(const std::uint8_t* data, std::size_t n);
-  /// Next complete frame, or nullopt if more bytes are needed.  Throws
-  /// FramingError on a malformed header, poisoning the connection — the
-  /// caller must tear it down (byte streams do not resynchronize).
-  [[nodiscard]] std::optional<Frame> next();
-  [[nodiscard]] std::size_t buffered() const { return buf_.size() - pos_; }
-
- private:
-  std::vector<std::uint8_t> buf_;
-  std::size_t pos_ = 0;  ///< consumed prefix, compacted between feeds
-};
 
 /// Write side of a connection shared by many sessions.  Workers write whole
 /// frames under the per-socket mutex, so frames from concurrent sessions
@@ -100,6 +86,9 @@ class SessionMux {
   void add_connection(const std::string& label,
                       std::shared_ptr<SharedSocket> socket);
   [[nodiscard]] SharedSocket& connection(const std::string& label);
+  /// Closes every registered socket (owner teardown, once the reactor that
+  /// reads them has stopped); later writes fail typed.
+  void close_sockets();
 
   /// Creates the session's inboxes and replays any parked orphans for it.
   void register_session(std::uint32_t session);
@@ -108,19 +97,28 @@ class SessionMux {
 
   /// Routes one inbound frame (reactor thread).  kSessionOpen goes to the
   /// control handler; ACCEPT/REJECT/CLOSE queue for recv_control; messages
-  /// and bulletins land in the (frame.session, conn) inbox.
+  /// and bulletins land in the (frame.session, conn) inbox.  Throws
+  /// FramingError for a HELLO and for a bulletin payload that is not
+  /// exactly one i64, before anything is queued or parked.
   void route(const std::string& conn, Frame frame);
 
-  /// Fails every inbox of every session reachable over `conn` (the
-  /// connection died); `what` becomes the ChannelClosed text.
-  void fail_connection(const std::string& conn, const std::string& what);
+  /// Marks `conn` down for every session (attach_connection calls this on
+  /// EOF, a socket error or a framing error): receives from it return what
+  /// it already queued, then throw the typed error `rethrow` produces.
+  void close_connection(const std::string& conn,
+                        std::function<void()> rethrow);
+
+  /// Fails every session with ChannelClosed because `conn` died of `why`:
+  /// the daemons' policy, as each of their sessions spans every connection.
+  void fail_connection(const std::string& conn, const std::string& why);
 
   /// Marks one session failed; all its blocked receivers (and all future
   /// calls) throw the typed error `rethrow` produces.
   void fail_session(std::uint32_t session, std::function<void()> rethrow);
 
   /// Blocking typed receives (worker threads).  Each throws ChannelTimeout
-  /// at the deadline and the session's typed error if it was failed.
+  /// at the deadline, the session's typed error if it was failed, and the
+  /// connection's once `conn` is closed and has nothing queued.
   [[nodiscard]] std::vector<std::uint8_t> recv_message(
       std::uint32_t session, const std::string& conn,
       std::chrono::milliseconds deadline);
@@ -134,6 +132,8 @@ class SessionMux {
                                    const std::string& conn,
                                    std::chrono::milliseconds deadline);
 
+  /// Messages routed to `session` but never received (bulletins excluded).
+  [[nodiscard]] std::size_t pending_messages(std::uint32_t session) const;
   [[nodiscard]] std::size_t orphans_parked() const;
   [[nodiscard]] std::size_t orphans_dropped() const;
 
@@ -149,13 +149,18 @@ class SessionMux {
   };
 
   [[nodiscard]] SessionBox* find_locked(std::uint32_t session);
+  /// Queues a message, bulletin or control frame in box's `conn` inbox; a
+  /// message past inbox_cap fails the session with ChannelBusy instead.
+  void deliver_locked(SessionBox& box, const std::string& conn, Frame frame);
   void replay_orphans_locked(std::uint32_t session, SessionBox& box);
 
   /// Waits on cv_ until `ready` (called under mu_) returns non-nullopt,
-  /// the session fails, or the deadline passes.
+  /// the session fails, `conn` is closed with nothing ready, or the
+  /// deadline passes.
   template <typename T, typename Ready>
-  T wait_for(std::uint32_t session, std::chrono::milliseconds deadline,
-             const char* what, Ready ready);
+  T wait_for(std::uint32_t session, const std::string& conn,
+             std::chrono::milliseconds deadline, const char* what,
+             Ready ready);
 
   SessionLimits limits_;
   mutable std::mutex mu_;
@@ -163,6 +168,8 @@ class SessionMux {
   ControlHandler control_handler_;
   std::map<std::string, std::shared_ptr<SharedSocket>> connections_;
   std::map<std::uint32_t, SessionBox> sessions_;
+  /// conn -> its error, once it is down
+  std::map<std::string, std::function<void()>> closed_;
   std::deque<std::pair<std::string, Frame>> orphans_;  ///< (conn, frame)
   std::size_t orphans_dropped_ = 0;
 };
@@ -172,9 +179,11 @@ class EventLoop;
 /// Wires one connection into a reactor: calls mux.add_connection(label,
 /// socket), registers the fd with `loop`, drains it nonblockingly through a
 /// FrameAssembler on readability, and routes every complete frame into the
-/// mux.  On EOF, a socket error, or a framing error it removes the fd and
-/// invokes `on_down(label, what)` on the loop thread — the byte stream
-/// cannot resynchronize, so the connection is done either way.
+/// mux — including the frames that arrive in the same read as EOF.  On EOF,
+/// a socket error, or a framing error it removes the fd, closes the
+/// connection in the mux, and invokes `on_down(label, what)` (may be null)
+/// on the loop thread — the byte stream cannot resynchronize, so the
+/// connection is done either way.
 void attach_connection(
     EventLoop& loop, SessionMux& mux, const std::string& label,
     std::shared_ptr<SharedSocket> socket,

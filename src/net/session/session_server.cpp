@@ -110,20 +110,12 @@ void SessionServer::start(TcpListener listener) {
     expected.insert(std::move(user));
   }
   expected.insert("ctl");
-  std::map<std::string, std::shared_ptr<SharedSocket>> conns;
+  std::map<std::string, TcpSocket> conns;
   if (config_.role == "S2") {
     // Dial the trunk first: S1 is already accepting, and arriving there
     // before any user guarantees S1 sees the trunk inside its accept set.
-    const auto it = config_.endpoints.find("S1");
-    if (it == config_.endpoints.end()) {
-      throw ChannelError("session server: no endpoint for trunk target S1");
-    }
-    TcpSocket trunk = TcpSocket::dial(it->second, config_.timeouts.connect);
-    Frame hello;
-    hello.kind = FrameKind::kHello;
-    hello.payload.assign(config_.role.begin(), config_.role.end());
-    trunk.write_frame(hello, config_.timeouts.send);
-    conns.emplace("S1", std::make_shared<SharedSocket>(std::move(trunk)));
+    conns.emplace("S1", dial_peer(endpoint_of(config_.endpoints, "S1"),
+                                  config_.role, config_.timeouts));
   } else if (config_.role == "S1") {
     expected.insert("S2");
   } else {
@@ -131,45 +123,24 @@ void SessionServer::start(TcpListener listener) {
                        config_.role + "'");
   }
   if (!listener.valid()) {
-    const auto it = config_.endpoints.find(config_.role);
-    if (it == config_.endpoints.end()) {
-      throw ChannelError("session server: no endpoint entry for '" +
-                         config_.role + "'");
-    }
-    listener = TcpListener::bind(it->second.host, it->second.port);
+    const TcpEndpoint& own = endpoint_of(config_.endpoints, config_.role);
+    listener = TcpListener::bind(own.host, own.port);
   }
-  while (!expected.empty()) {
-    TcpSocket socket = listener.accept(config_.timeouts.accept);
-    std::optional<Frame> hello = socket.read_frame(config_.timeouts.accept);
-    if (!hello.has_value()) {
-      throw ChannelClosed("peer closed the connection during handshake");
-    }
-    if (hello->kind != FrameKind::kHello) {
-      throw FramingError("expected HELLO, got frame kind " +
-                         std::to_string(static_cast<int>(hello->kind)));
-    }
-    std::string name(hello->payload.begin(), hello->payload.end());
-    if (expected.erase(name) == 0) {
-      throw ChannelError("unexpected peer '" + name + "' dialed '" +
-                         config_.role + "'");
-    }
-    conns.emplace(std::move(name),
-                  std::make_shared<SharedSocket>(std::move(socket)));
-  }
+  conns.merge(accept_peers(listener, std::move(expected), config_.role,
+                           config_.timeouts));
   listener.close();
   mux_.set_control_handler(
       [this](const std::string& conn, Frame frame) {
         handle_open(conn, std::move(frame));
       });
   for (auto& [label, socket] : conns) {
-    sockets_.push_back(socket);
-    attach_connection(loop_, mux_, label, socket,
+    attach_connection(loop_, mux_, label,
+                      std::make_shared<SharedSocket>(std::move(socket)),
                       [this](const std::string& who, const std::string& why) {
                         // A dead connection strands every session (v1: each
                         // session spans every connection); fail them all,
                         // typed, so their programs unwind promptly.
-                        mux_.fail_connection(
-                            who, "connection to '" + who + "' died: " + why);
+                        mux_.fail_connection(who, why);
                       });
   }
   loop_thread_ = std::thread([this] { loop_.run(); });
@@ -236,8 +207,7 @@ void SessionServer::drain_and_stop() {
   manager_.await_idle();
   loop_.stop();
   if (loop_thread_.joinable()) loop_thread_.join();
-  for (auto& socket : sockets_) socket->close();
-  sockets_.clear();
+  mux_.close_sockets();
 }
 
 std::string SessionServer::sessions_json() const {

@@ -103,7 +103,6 @@ class SessionServer {
   SessionMux mux_;
   SessionManager manager_;
   std::thread loop_thread_;
-  std::vector<std::shared_ptr<SharedSocket>> sockets_;
   bool started_ = false;
   bool stopped_ = false;
 };

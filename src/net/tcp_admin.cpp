@@ -69,7 +69,7 @@ void AdminServer::serve(TcpListener listener) {
       break;  // listener died; nothing to serve on
     }
     try {
-      const std::optional<Frame> request = client.read_frame(kIoDeadline);
+      const std::optional<Frame> request = recv_frame(client, kIoDeadline);
       if (!request.has_value() || request->kind != FrameKind::kMessage) {
         continue;
       }
@@ -98,7 +98,7 @@ std::string admin_request(const TcpEndpoint& endpoint,
                           std::chrono::milliseconds budget) {
   TcpSocket socket = TcpSocket::dial(endpoint, budget);
   socket.write_frame(command_frame(command, ""), kIoDeadline);
-  const std::optional<Frame> response = socket.read_frame(budget);
+  const std::optional<Frame> response = recv_frame(socket, budget);
   if (!response.has_value()) {
     throw ChannelClosed("admin server closed before responding");
   }

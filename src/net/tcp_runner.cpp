@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "net/errors.h"
-#include "net/tcp_transport.h"
+#include "net/tcp_channel.h"
 #include "obs/flight.h"
 
 namespace pcl {

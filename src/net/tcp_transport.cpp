@@ -25,10 +25,6 @@ namespace pcl {
 
 namespace {
 
-// Matches the other transports' fallback label (net/channel.cpp) so an
-// untagged send buckets identically everywhere.
-const std::string kUnsetStep = "(unset)";
-
 [[nodiscard]] std::string errno_text(int err) {
   return std::generic_category().message(err);
 }
@@ -94,8 +90,8 @@ void put_u32le(std::vector<std::uint8_t>& out, std::uint32_t v) {
 }
 
 /// Kind byte split into the base kind and the versioned-header flag; the
-/// first checkpoint for both the buffer decoder and the socket read path
-/// (the kind byte alone decides how many more header bytes follow).
+/// first checkpoint of every decode (the kind byte alone decides how many
+/// more header bytes follow).
 struct KindInfo {
   FrameKind kind;
   bool versioned;
@@ -125,7 +121,7 @@ struct FrameHeader {
 };
 
 /// Validates the header bytes after the kind byte (8 legacy / 12 versioned);
-/// the single length checkpoint both read paths go through.
+/// the single length checkpoint every decode goes through.
 [[nodiscard]] FrameHeader check_header_rest(KindInfo info,
                                             const std::uint8_t* rest) {
   FrameHeader header;
@@ -215,6 +211,15 @@ std::string format_endpoint_map(const EndpointMap& map) {
   return out;
 }
 
+const TcpEndpoint& endpoint_of(const EndpointMap& endpoints,
+                               const std::string& name) {
+  const auto it = endpoints.find(name);
+  if (it == endpoints.end()) {
+    throw ChannelError("endpoint map has no entry for '" + name + "'");
+  }
+  return it->second;
+}
+
 // ---------------------------------------------------------------------------
 // Frame codec
 
@@ -246,31 +251,19 @@ std::vector<std::uint8_t> encode_frame(const Frame& frame) {
 }
 
 Frame decode_frame(const std::vector<std::uint8_t>& bytes) {
-  if (bytes.empty()) {
-    throw FramingError("frame: truncated header (0 bytes)");
+  FrameAssembler assembler;
+  assembler.feed(bytes.data(), bytes.size());
+  std::optional<Frame> frame = assembler.next();
+  if (!frame.has_value()) {
+    throw FramingError("frame: truncated (" + std::to_string(bytes.size()) +
+                       " bytes, " + std::to_string(assembler.needed()) +
+                       " more needed)");
   }
-  const KindInfo info = check_kind(bytes[0]);
-  const std::size_t head = header_bytes(info);
-  if (bytes.size() < head) {
-    throw FramingError("frame: truncated header (" +
-                       std::to_string(bytes.size()) + " of " +
-                       std::to_string(head) + " bytes)");
+  if (assembler.buffered() != 0) {
+    throw FramingError("frame: " + std::to_string(assembler.buffered()) +
+                       " trailing bytes");
   }
-  const FrameHeader header = check_header_rest(info, bytes.data() + 1);
-  const std::size_t total = head + header.step_len + header.payload_len;
-  if (bytes.size() != total) {
-    throw FramingError("frame: body size mismatch (have " +
-                       std::to_string(bytes.size()) + " bytes, header claims " +
-                       std::to_string(total) + ")");
-  }
-  Frame frame;
-  frame.kind = header.kind;
-  frame.session = header.session;
-  const std::uint8_t* body = bytes.data() + head;
-  frame.step.assign(body, body + header.step_len);
-  frame.payload.assign(body + header.step_len,
-                       body + header.step_len + header.payload_len);
-  return frame;
+  return *std::move(frame);
 }
 
 std::size_t frame_header_size(std::uint8_t kind_byte) {
@@ -281,6 +274,46 @@ std::size_t frame_body_size(const std::uint8_t* header) {
   const KindInfo info = check_kind(header[0]);
   const FrameHeader h = check_header_rest(info, header + 1);
   return static_cast<std::size_t>(h.step_len) + h.payload_len;
+}
+
+void FrameAssembler::feed(const std::uint8_t* data, std::size_t n) {
+  // Compact lazily: only when the consumed prefix dominates the buffer, so
+  // steady-state feeds append without shifting.
+  if (pos_ > 4096 && pos_ * 2 > buf_.size()) {
+    buf_.erase(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(pos_));
+    pos_ = 0;
+  }
+  buf_.insert(buf_.end(), data, data + n);
+}
+
+std::size_t FrameAssembler::frame_size() const {
+  const std::size_t have = buffered();
+  if (have == 0) return 1;
+  const std::size_t head = frame_header_size(buf_[pos_]);
+  if (have < head) return head;
+  return head + frame_body_size(buf_.data() + pos_);
+}
+
+std::size_t FrameAssembler::needed() const {
+  const std::size_t size = frame_size();
+  return size > buffered() ? size - buffered() : 0;
+}
+
+std::optional<Frame> FrameAssembler::next() {
+  const std::size_t size = frame_size();
+  if (buffered() < size) return std::nullopt;
+  const std::uint8_t* p = buf_.data() + pos_;
+  const KindInfo info = check_kind(p[0]);
+  const FrameHeader header = check_header_rest(info, p + 1);
+  const std::uint8_t* step = p + header_bytes(info);
+  const std::uint8_t* payload = step + header.step_len;
+  Frame frame;
+  frame.kind = header.kind;
+  frame.session = header.session;
+  frame.step.assign(step, payload);
+  frame.payload.assign(payload, payload + header.payload_len);
+  pos_ += size;
+  return frame;
 }
 
 std::chrono::milliseconds dial_backoff(std::size_t attempt,
@@ -394,68 +427,42 @@ void TcpSocket::send_all(const std::vector<std::uint8_t>& bytes,
   }
 }
 
-bool TcpSocket::recv_exact(std::uint8_t* out, std::size_t n,
-                           std::uint64_t deadline_ns, bool eof_ok) {
-  std::size_t got = 0;
-  while (got < n) {
-    const ssize_t r = ::recv(fd_, out + got, n - got, 0);
-    if (r > 0) {
-      got += static_cast<std::size_t>(r);
-      continue;
-    }
-    if (r == 0) {
-      if (got == 0 && eof_ok) return false;
-      throw ChannelClosed("recv: peer closed the connection " +
-                          std::string(got == 0 ? "" : "mid-frame ") +
-                          "(got " + std::to_string(got) + " of " +
-                          std::to_string(n) + " bytes)");
-    }
-    if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      if (!poll_fd(fd_, POLLIN, deadline_ns)) {
-        throw ChannelTimeout("recv timed out");
-      }
-      continue;
-    }
-    if (errno == EINTR) continue;
-    if (errno == ECONNRESET) {
-      throw ChannelClosed("recv failed: connection reset by peer");
-    }
-    throw ChannelError("recv failed: " + errno_text(errno));
-  }
-  return true;
-}
-
 void TcpSocket::write_frame(const Frame& frame,
                             std::chrono::milliseconds deadline) {
   send_all(encode_frame(frame), deadline);
 }
 
-std::optional<Frame> TcpSocket::read_frame(std::chrono::milliseconds deadline) {
+std::optional<Frame> recv_frame(const TcpSocket& socket,
+                                std::chrono::milliseconds deadline) {
   const std::uint64_t deadline_ns = deadline_ns_from(deadline);
-  // The kind byte decides the header length (legacy vs versioned), so it is
-  // read alone first; the rest of the header follows in one recv.
-  std::uint8_t raw[kSessionFrameHeaderBytes];
-  if (!recv_exact(raw, 1, deadline_ns, /*eof_ok=*/true)) {
-    return std::nullopt;  // clean EOF at a frame boundary
+  FrameAssembler assembler;
+  std::uint8_t buf[4096];
+  for (;;) {
+    if (std::optional<Frame> frame = assembler.next()) return frame;
+    // Never ask for more than the frame in progress still needs: bytes past
+    // it belong to whoever reads the socket next.
+    const std::size_t want = std::min(assembler.needed(), sizeof(buf));
+    const ssize_t r = ::recv(socket.fd(), buf, want, 0);
+    if (r > 0) {
+      assembler.feed(buf, static_cast<std::size_t>(r));
+      continue;
+    }
+    if (r == 0) {
+      if (assembler.buffered() == 0) return std::nullopt;  // clean EOF
+      throw ChannelClosed("recv: peer closed the connection mid-frame (" +
+                          std::to_string(assembler.buffered()) +
+                          " bytes of an unfinished frame)");
+    }
+    if (errno == EAGAIN || errno == EWOULDBLOCK) {
+      if (!poll_fd(socket.fd(), POLLIN, deadline_ns)) {
+        throw ChannelTimeout("recv timed out after " +
+                             std::to_string(deadline.count()) + "ms");
+      }
+      continue;
+    }
+    if (errno == EINTR) continue;
+    throw ChannelClosed("recv failed: " + errno_text(errno));
   }
-  const KindInfo info = check_kind(raw[0]);
-  (void)recv_exact(raw + 1, header_bytes(info) - 1, deadline_ns,
-                   /*eof_ok=*/false);
-  const FrameHeader header = check_header_rest(info, raw + 1);
-  Frame frame;
-  frame.kind = header.kind;
-  frame.session = header.session;
-  frame.step.resize(header.step_len);
-  if (header.step_len != 0) {
-    (void)recv_exact(reinterpret_cast<std::uint8_t*>(frame.step.data()),
-                     header.step_len, deadline_ns, /*eof_ok=*/false);
-  }
-  frame.payload.resize(header.payload_len);
-  if (header.payload_len != 0) {
-    (void)recv_exact(frame.payload.data(), header.payload_len, deadline_ns,
-                     /*eof_ok=*/false);
-  }
-  return frame;
 }
 
 // ---------------------------------------------------------------------------
@@ -509,7 +516,7 @@ TcpListener TcpListener::bind(const std::string& host, std::uint16_t port) {
                        " failed: " + errno_text(err));
   }
   // Backlog must cover a whole topology dialing at once before this party
-  // reaches its accept loop (pre-bound listeners, see TcpChannel::connect).
+  // reaches its accept loop (pre-bound listeners, see accept_peers).
   if (::listen(fd, 128) < 0) {
     const int err = errno;
     ::close(fd);
@@ -544,222 +551,41 @@ TcpSocket TcpListener::accept(std::chrono::milliseconds deadline) {
 }
 
 // ---------------------------------------------------------------------------
-// Wiring
+// Handshake
 
-TcpPartyWiring consensus_tcp_wiring(const std::string& self,
-                                    std::size_t num_users,
-                                    EndpointMap endpoints,
-                                    TcpTimeouts timeouts) {
-  std::vector<std::string> users;
-  users.reserve(num_users);
-  for (std::size_t u = 0; u < num_users; ++u) {
-    users.push_back("user:" + std::to_string(u));
-  }
-  TcpPartyWiring wiring;
-  wiring.self = self;
-  wiring.endpoints = std::move(endpoints);
-  wiring.bulletin_host = "S1";
-  wiring.timeouts = timeouts;
-  if (self == "S1") {
-    wiring.accept = users;
-    wiring.accept.insert(wiring.accept.begin(), "S2");
-    wiring.bulletin_listeners = users;
-  } else if (self == "S2") {
-    wiring.dial = {"S1"};
-    wiring.accept = users;
-  } else if (std::find(users.begin(), users.end(), self) != users.end()) {
-    wiring.dial = {"S1", "S2"};
-  } else {
-    throw ChannelError("consensus wiring: unknown party '" + self +
-                       "' for " + std::to_string(num_users) + " users");
-  }
-  return wiring;
+TcpSocket dial_peer(const TcpEndpoint& endpoint, const std::string& self,
+                    const TcpTimeouts& timeouts) {
+  TcpSocket socket = TcpSocket::dial(endpoint, timeouts.connect);
+  Frame hello;
+  hello.kind = FrameKind::kHello;
+  hello.payload.assign(self.begin(), self.end());
+  socket.write_frame(hello, timeouts.send);
+  return socket;
 }
 
-// ---------------------------------------------------------------------------
-// TcpChannel
-
-TcpChannel::TcpChannel(TcpPartyWiring wiring, TrafficStats* stats)
-    : wiring_(std::move(wiring)), stats_(stats) {}
-
-TcpChannel::~TcpChannel() { close(); }
-
-void TcpChannel::close() { sockets_.clear(); }
-
-void TcpChannel::connect() {
-  TcpListener listener;
-  if (!wiring_.accept.empty()) {
-    const auto it = wiring_.endpoints.find(wiring_.self);
-    if (it == wiring_.endpoints.end()) {
-      throw ChannelError("'" + wiring_.self +
-                         "' accepts connections but has no endpoint entry");
+std::map<std::string, TcpSocket> accept_peers(TcpListener& listener,
+                                              std::set<std::string> expected,
+                                              const std::string& self,
+                                              const TcpTimeouts& timeouts) {
+  std::map<std::string, TcpSocket> peers;
+  while (!expected.empty()) {
+    TcpSocket socket = listener.accept(timeouts.accept);
+    const std::optional<Frame> hello = recv_frame(socket, timeouts.accept);
+    if (!hello.has_value()) {
+      throw ChannelClosed("peer closed the connection during handshake");
     }
-    listener = TcpListener::bind(it->second.host, it->second.port);
-  }
-  connect(std::move(listener));
-}
-
-void TcpChannel::connect(TcpListener listener) {
-  // Dial first: every dial target's listener is either pre-bound by an
-  // orchestrator or being bound by a peer whose own dial set never includes
-  // us (the dial/accept split is acyclic), so dialing cannot deadlock and
-  // dial() retries absorb process start skew.
-  for (const std::string& peer : wiring_.dial) {
-    const auto it = wiring_.endpoints.find(peer);
-    if (it == wiring_.endpoints.end()) {
-      throw ChannelError("no endpoint for dial target '" + peer + "'");
+    if (hello->kind != FrameKind::kHello) {
+      throw FramingError("expected HELLO, got frame kind " +
+                         std::to_string(static_cast<int>(hello->kind)));
     }
-    TcpSocket socket = TcpSocket::dial(it->second, wiring_.timeouts.connect);
-    Frame hello;
-    hello.kind = FrameKind::kHello;
-    hello.payload.assign(wiring_.self.begin(), wiring_.self.end());
-    socket.write_frame(hello, wiring_.timeouts.send);
-    sockets_.emplace(peer, std::move(socket));
-  }
-  if (!wiring_.accept.empty()) {
-    if (!listener.valid()) {
-      throw ChannelError("'" + wiring_.self +
-                         "' expects inbound connections but has no listener");
-    }
-    std::set<std::string> expected(wiring_.accept.begin(),
-                                   wiring_.accept.end());
-    while (!expected.empty()) {
-      TcpSocket socket = listener.accept(wiring_.timeouts.accept);
-      std::optional<Frame> hello =
-          socket.read_frame(wiring_.timeouts.accept);
-      if (!hello.has_value()) {
-        throw ChannelClosed("peer closed the connection during handshake");
-      }
-      if (hello->kind != FrameKind::kHello) {
-        throw FramingError("expected HELLO, got frame kind " +
-                           std::to_string(static_cast<int>(hello->kind)));
-      }
-      std::string name(hello->payload.begin(), hello->payload.end());
-      if (expected.erase(name) == 0) {
-        throw ChannelError("unexpected peer '" + name + "' dialed '" +
-                           wiring_.self + "'");
-      }
-      sockets_.emplace(std::move(name), std::move(socket));
-    }
-  }
-  listener.close();
-}
-
-TcpSocket& TcpChannel::socket_for(const std::string& peer, const char* what) {
-  const auto it = sockets_.find(peer);
-  if (it == sockets_.end() || !it->second.valid()) {
-    throw ChannelError(std::string(what) + ": '" + wiring_.self +
-                       "' has no link to '" + peer + "'");
-  }
-  return it->second;
-}
-
-void TcpChannel::send(const std::string& to, MessageWriter message) {
-  TcpSocket& socket = socket_for(to, "send");
-  const std::string& label = step_.empty() ? kUnsetStep : step_;
-  // Record the payload size only, not framing overhead: the exact bytes
-  // the in-process transports record, preserving cross-transport identity.
-  if (stats_ != nullptr) {
-    stats_->record_send(label, wiring_.self, to, message.size());
-  }
-  bytes_sent_ += message.size();
-  Frame frame;
-  frame.kind = FrameKind::kMessage;
-  frame.step = label;
-  frame.payload = std::move(message).take();
-  socket.write_frame(frame, wiring_.timeouts.send);
-}
-
-Frame TcpChannel::read_until(const std::string& peer, FrameKind kind,
-                             std::chrono::milliseconds deadline) {
-  TcpSocket& socket = socket_for(peer, "recv");
-  for (;;) {
-    std::optional<Frame> frame = socket.read_frame(deadline);
-    if (!frame.has_value()) {
-      throw ChannelClosed("'" + peer + "' closed the connection while '" +
-                          wiring_.self + "' was waiting for it");
-    }
-    if (frame->kind == kind) return *std::move(frame);
-    // Frames of the other kinds are parked, never dropped: a bulletin can
-    // overtake protocol messages on the same socket and vice versa.
-    if (frame->kind == FrameKind::kBulletin) {
-      MessageReader reader(std::move(frame->payload));
-      bulletin_values_.push_back(reader.read_i64());
-      if (!reader.exhausted()) {
-        throw FramingError("bulletin frame carries trailing bytes");
-      }
-    } else if (frame->kind == FrameKind::kMessage) {
-      inbox_[peer].push_back(std::move(frame->payload));
-    } else {
-      throw FramingError("unexpected HELLO after handshake from '" + peer +
+    std::string name(hello->payload.begin(), hello->payload.end());
+    if (expected.erase(name) == 0) {
+      throw ChannelError("unexpected peer '" + name + "' dialed '" + self +
                          "'");
     }
+    peers.emplace(std::move(name), std::move(socket));
   }
-}
-
-MessageReader TcpChannel::recv(const std::string& from) {
-  auto inbox = inbox_.find(from);
-  if (inbox != inbox_.end() && !inbox->second.empty()) {
-    std::vector<std::uint8_t> payload = std::move(inbox->second.front());
-    inbox->second.pop_front();
-    return MessageReader(std::move(payload));
-  }
-  Frame frame = read_until(from, FrameKind::kMessage,
-                           recv_deadline_.value_or(wiring_.timeouts.recv));
-  return MessageReader(std::move(frame.payload));
-}
-
-void TcpChannel::add_step_time(const std::string& step,
-                               std::chrono::nanoseconds elapsed) {
-  if (stats_ != nullptr) stats_->add_time(step, elapsed);
-}
-
-void TcpChannel::post_public(std::int64_t value) {
-  if (wiring_.self != wiring_.bulletin_host) {
-    throw std::logic_error("post_public: only the bulletin host ('" +
-                           wiring_.bulletin_host + "') posts; '" +
-                           wiring_.self + "' tried to");
-  }
-  bulletin_values_.push_back(value);
-  MessageWriter writer;
-  writer.write_i64(value);
-  Frame frame;
-  frame.kind = FrameKind::kBulletin;
-  frame.step = step_.empty() ? kUnsetStep : step_;
-  frame.payload = std::move(writer).take();
-  for (const std::string& peer : wiring_.bulletin_listeners) {
-    try {
-      socket_for(peer, "post_public")
-          .write_frame(frame, wiring_.timeouts.send);
-    } catch (const ChannelError&) {
-      // Bulletin pushes are fire-and-forget: a listener that already
-      // finished (or died) must not wedge the verdict for everyone else.
-    }
-  }
-}
-
-std::int64_t TcpChannel::await_public() {
-  if (bulletin_cursor_ < bulletin_values_.size()) {
-    return bulletin_values_[bulletin_cursor_++];
-  }
-  if (wiring_.self == wiring_.bulletin_host) {
-    throw std::logic_error(
-        "await_public: the bulletin host has nothing to await");
-  }
-  Frame frame = read_until(wiring_.bulletin_host, FrameKind::kBulletin,
-                           recv_deadline_.value_or(wiring_.timeouts.recv));
-  MessageReader reader(std::move(frame.payload));
-  bulletin_values_.push_back(reader.read_i64());
-  if (!reader.exhausted()) {
-    throw FramingError("bulletin frame carries trailing bytes");
-  }
-  return bulletin_values_[bulletin_cursor_++];
-}
-
-std::size_t TcpChannel::pending_messages() const {
-  std::size_t total = 0;
-  for (const auto& [peer, queue] : inbox_) total += queue.size();
-  return total;
+  return peers;
 }
 
 }  // namespace pcl

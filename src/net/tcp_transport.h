@@ -1,29 +1,29 @@
-// Real POSIX TCP transport — the deployment-shaped Channel.
+// Real POSIX TCP transport — the frame codec, sockets and handshake that
+// every TCP connection in the tree goes through.
 //
 // The in-process transports (Network, BlockingNetwork) model the paper's
-// two-server topology inside one address space; this file carries the same
-// party programs across genuine process boundaries.  The pieces:
+// two-server topology inside one address space; these pieces carry the
+// same party programs across genuine process boundaries:
 //
 //   * Frame codec — every unit on the wire is a length-prefixed frame
 //     [kind u8 | step_len u32 | payload_len u32 | step | payload] carrying
 //     the Channel step tag alongside the serialized MessageWriter payload.
 //     Frames are validated before allocation (FramingError on violation).
+//     FrameAssembler is the one decoder of inbound TCP bytes: the reactor
+//     (src/net/session/) feeds it nonblocking reads, and recv_frame() drives
+//     it for the few blocking reads (the handshake and the admin channel).
 //   * TcpSocket / TcpListener — thin RAII wrappers: dial with bounded
-//     retry + exponential backoff, poll-based send/recv with per-call
-//     deadlines (ChannelTimeout), clean-EOF detection (ChannelClosed).
-//   * TcpChannel — the Channel implementation.  A party dials the peers
-//     named in its wiring, accepts the rest (each connection opens with a
-//     HELLO frame naming the dialer), then sends/recvs protocol messages
-//     over the per-peer sockets.  The step-5 public verdict is realized as
-//     a bulletin push: the bulletin host broadcasts a BULLETIN frame to its
-//     bulletin listeners; everyone else's await_public() reads it from the
-//     host's socket.  Traffic accounting records payload bytes only — the
-//     exact bytes the other transports record — so per-step TrafficStats
-//     stay byte-identical across all three transports for the same seed.
+//     retry + exponential backoff, poll-based sends and accepts with
+//     per-call deadlines (ChannelTimeout).
+//   * Handshake — dial_peer() / accept_peers(): each connection opens with
+//     a HELLO frame naming the dialer, so the acceptor knows which peer a
+//     socket carries.  TcpChannel (tcp_channel.h) and the serving daemons
+//     (session_server.h / session_client.h) all connect through this pair.
 //
-// Construction sites are restricted by lint rule PC006: only src/net/tcp*
-// and tools/pc_party may instantiate the TCP transport; everything else
-// goes through run_parties(PartyTransport::kTcp) or the pc_party daemon.
+// Construction sites are restricted by lint rule PC006: only src/net/tcp*,
+// src/net/session/ and tools/pc_party may instantiate the TCP transport;
+// everything else goes through run_parties(PartyTransport::kTcp) or the
+// pc_party daemon.
 //
 // Endpoint maps are text: one "name host:port" per line, '#' comments.
 // Hosts are numeric IPv4 (or the literal "localhost"); see PROTOCOL.md
@@ -32,16 +32,13 @@
 
 #include <chrono>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
-#include "net/channel.h"
 #include "net/errors.h"
-#include "net/message.h"
-#include "net/transport.h"
 
 namespace pcl {
 
@@ -64,6 +61,10 @@ using EndpointMap = std::map<std::string, TcpEndpoint>;
 
 /// Inverse of parse_endpoint_map (stable, sorted by name).
 [[nodiscard]] std::string format_endpoint_map(const EndpointMap& map);
+
+/// endpoints[name]; ChannelError naming the party when it has no entry.
+[[nodiscard]] const TcpEndpoint& endpoint_of(const EndpointMap& endpoints,
+                                             const std::string& name);
 
 // ---------------------------------------------------------------------------
 // Frame codec
@@ -118,17 +119,41 @@ inline constexpr std::uint8_t kSessionFlag = 0x80;
 /// header for session-0 protocol frames and the versioned header otherwise.
 [[nodiscard]] std::vector<std::uint8_t> encode_frame(const Frame& frame);
 
-/// Parses one complete frame from a buffer; throws FramingError on bad
-/// kind/lengths, truncation, or trailing bytes.  The socket read path
-/// applies identical validation incrementally.
+/// Parses a buffer holding exactly one frame (through a FrameAssembler);
+/// throws FramingError on bad kind/lengths, truncation, or trailing bytes.
 [[nodiscard]] Frame decode_frame(const std::vector<std::uint8_t>& bytes);
 
-/// Incremental-decode support for reactor-style readers (src/net/session/):
-/// the kind byte alone fixes the header length, and the full header fixes
-/// the body length.  Both validate exactly as decode_frame does, so a
-/// reactor rejects a bad frame at the same byte a blocking reader would.
+/// Incremental-decode support: the kind byte alone fixes the header length,
+/// and the full header fixes the body length.  Both validate exactly as
+/// decode_frame does, so a stream is rejected at the byte that breaks it.
 [[nodiscard]] std::size_t frame_header_size(std::uint8_t kind_byte);
 [[nodiscard]] std::size_t frame_body_size(const std::uint8_t* header);
+
+/// Incremental frame decoder for a byte stream, and the only frame decoder
+/// (decode_frame wraps it): feed() whatever recv returned, then drain next()
+/// until it comes back empty.
+class FrameAssembler {
+ public:
+  void feed(const std::uint8_t* data, std::size_t n);
+  /// Next complete frame, or nullopt if more bytes are needed.  Throws
+  /// FramingError on a malformed header, poisoning the stream — the caller
+  /// must tear the connection down (byte streams do not resynchronize).
+  [[nodiscard]] std::optional<Frame> next();
+  /// Bytes still missing before next() can return the frame in progress
+  /// (1 when nothing is buffered, 0 when a frame is complete).  Throws
+  /// FramingError exactly where next() would.
+  [[nodiscard]] std::size_t needed() const;
+  [[nodiscard]] std::size_t buffered() const { return buf_.size() - pos_; }
+
+ private:
+  /// The pending frame's length as far as the buffered bytes tell it: 1
+  /// with nothing buffered, the header length until the header is in, then
+  /// header plus body.
+  [[nodiscard]] std::size_t frame_size() const;
+
+  std::vector<std::uint8_t> buf_;
+  std::size_t pos_ = 0;  ///< consumed prefix, compacted between feeds
+};
 
 /// Jittered exponential dial backoff: attempt `attempt` (0-based) sleeps
 /// base 10ms << attempt, capped at 500ms, scaled by a deterministic jitter
@@ -146,7 +171,7 @@ struct TcpTimeouts {
   std::chrono::milliseconds connect = std::chrono::seconds(10);
   /// Deadline per accepted connection during the handshake.
   std::chrono::milliseconds accept = std::chrono::seconds(10);
-  /// Default per-recv deadline (ChannelTimeout when exceeded).
+  /// Per-recv deadline (ChannelTimeout when exceeded).
   std::chrono::milliseconds recv = std::chrono::seconds(30);
   /// Per-send deadline (a peer that stops draining its socket).
   std::chrono::milliseconds send = std::chrono::seconds(30);
@@ -180,19 +205,19 @@ class TcpSocket {
                 std::chrono::milliseconds deadline);
 
   void write_frame(const Frame& frame, std::chrono::milliseconds deadline);
-  /// Reads one frame; nullopt on clean EOF at a frame boundary,
-  /// ChannelClosed on EOF mid-frame, ChannelTimeout past the deadline,
-  /// FramingError on an invalid header.
-  [[nodiscard]] std::optional<Frame> read_frame(
-      std::chrono::milliseconds deadline);
 
  private:
-  /// Reads exactly n bytes; false on clean EOF before the first byte when
-  /// `eof_ok` (else ChannelClosed).
-  bool recv_exact(std::uint8_t* out, std::size_t n, std::uint64_t deadline_ns,
-                  bool eof_ok);
   int fd_ = -1;
 };
+
+/// Blocking read of one frame through a FrameAssembler, taking from the
+/// socket only the bytes that frame still needs: whatever the peer queued
+/// behind it (a dialer's first protocol frame behind its HELLO) stays in the
+/// socket for the reactor.  nullopt on clean EOF at a frame boundary,
+/// ChannelClosed on EOF mid-frame, ChannelTimeout past the deadline,
+/// FramingError on an invalid header.
+[[nodiscard]] std::optional<Frame> recv_frame(
+    const TcpSocket& socket, std::chrono::milliseconds deadline);
 
 /// RAII listening socket.  bind() with port 0 picks an ephemeral port
 /// (read it back via port()) so parallel test runs never collide; adopt()
@@ -223,100 +248,21 @@ class TcpListener {
 };
 
 // ---------------------------------------------------------------------------
-// Channel
+// Handshake
 
-/// Who a party talks to and how.  The dial/accept split must be acyclic
-/// across the topology (each link has exactly one dialer); for the
-/// consensus topology use consensus_tcp_wiring().
-struct TcpPartyWiring {
-  std::string self;
-  /// Peers this party connects to (each needs an `endpoints` entry).
-  std::vector<std::string> dial;
-  /// Peers expected to dial in (each announces itself with HELLO).
-  std::vector<std::string> accept;
-  EndpointMap endpoints;
-  /// The party whose post_public() realizes the bulletin board.
-  std::string bulletin_host = "S1";
-  /// Peers the host pushes the BULLETIN frame to (host side only).
-  std::vector<std::string> bulletin_listeners;
-  TcpTimeouts timeouts;
-};
+/// Dialer side: connects to `endpoint` within timeouts.connect and announces
+/// itself as `self` in a HELLO frame.
+[[nodiscard]] TcpSocket dial_peer(const TcpEndpoint& endpoint,
+                                  const std::string& self,
+                                  const TcpTimeouts& timeouts);
 
-/// The paper's topology: S1 accepts everyone, S2 dials S1 and accepts the
-/// users, users dial both servers; S1 is the bulletin host pushing the
-/// step-5 verdict to the users.  `endpoints` needs "S1" and "S2" entries.
-[[nodiscard]] TcpPartyWiring consensus_tcp_wiring(const std::string& self,
-                                                  std::size_t num_users,
-                                                  EndpointMap endpoints,
-                                                  TcpTimeouts timeouts = {});
-
-/// Channel over real TCP sockets, one per wired peer.
-///
-/// Frames from a peer can interleave (a BULLETIN may arrive while the party
-/// reads messages, and vice versa), so recv() parks bulletin frames in the
-/// ordered bulletin log and await_public() parks message frames in the
-/// per-peer inbox; neither is ever dropped.  The bulletin is a log, not a
-/// slot: every post appends (the host also appends locally), and
-/// await_public() consumes entries in order through a cursor — lane-batched
-/// runs post one verdict per query.  Not thread-safe: one party program per
-/// channel, as with every other Channel.
-class TcpChannel final : public Channel {
- public:
-  explicit TcpChannel(TcpPartyWiring wiring, TrafficStats* stats = nullptr);
-  ~TcpChannel() override;
-
-  /// Dials, then accepts, per the wiring; binds its own listener from
-  /// endpoints[self] when the accept set is non-empty.
-  void connect();
-  /// Same, but over a caller-supplied (pre-bound or fork-adopted) listener.
-  void connect(TcpListener listener);
-
-  /// Graceful teardown: closes every peer socket.  Idempotent; also run by
-  /// the destructor, so an unwinding party wakes its peers (they see EOF,
-  /// not a dead wait).
-  void close();
-
-  /// Per-recv deadline override (nullopt = wiring.timeouts.recv).
-  void set_recv_deadline(std::optional<std::chrono::milliseconds> deadline) {
-    recv_deadline_ = deadline;
-  }
-
-  /// Messages received but never consumed by the party program (bulletin
-  /// frames excluded).  A finished protocol leaves 0.
-  [[nodiscard]] std::size_t pending_messages() const;
-  /// Total protocol payload bytes sent (frame overhead excluded, matching
-  /// what TrafficStats records).
-  [[nodiscard]] std::size_t bytes_sent() const { return bytes_sent_; }
-
-  [[nodiscard]] const std::string& self() const override {
-    return wiring_.self;
-  }
-  void send(const std::string& to, MessageWriter message) override;
-  [[nodiscard]] MessageReader recv(const std::string& from) override;
-  void set_step(std::string step) override { step_ = std::move(step); }
-  [[nodiscard]] const std::string& step() const override { return step_; }
-  void add_step_time(const std::string& step,
-                     std::chrono::nanoseconds elapsed) override;
-  void post_public(std::int64_t value) override;
-  [[nodiscard]] std::int64_t await_public() override;
-
- private:
-  [[nodiscard]] TcpSocket& socket_for(const std::string& peer,
-                                      const char* what);
-  /// Reads frames from `peer` until one of `kind` arrives; frames of the
-  /// other kind are parked (inbox / bulletin slot) instead of dropped.
-  [[nodiscard]] Frame read_until(const std::string& peer, FrameKind kind,
-                                 std::chrono::milliseconds deadline);
-
-  TcpPartyWiring wiring_;
-  TrafficStats* stats_;
-  std::string step_;
-  std::optional<std::chrono::milliseconds> recv_deadline_;
-  std::map<std::string, TcpSocket> sockets_;
-  std::map<std::string, std::deque<std::vector<std::uint8_t>>> inbox_;
-  std::vector<std::int64_t> bulletin_values_;  // ordered bulletin log
-  std::size_t bulletin_cursor_ = 0;            // next entry await returns
-  std::size_t bytes_sent_ = 0;
-};
+/// Acceptor side: accepts until every name in `expected` has dialed in and
+/// announced itself, each within timeouts.accept, and returns the sockets by
+/// peer name.  A connection that closes first (ChannelClosed), opens with
+/// another kind (FramingError) or names a peer outside `expected`
+/// (ChannelError) fails the handshake.
+[[nodiscard]] std::map<std::string, TcpSocket> accept_peers(
+    TcpListener& listener, std::set<std::string> expected,
+    const std::string& self, const TcpTimeouts& timeouts);
 
 }  // namespace pcl

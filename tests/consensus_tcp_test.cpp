@@ -4,12 +4,15 @@
 // dies or starves mid-protocol.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "mpc/consensus.h"
 #include "net/errors.h"
+#include "net/message.h"
 #include "net/party_runner.h"
 
 namespace pcl {
@@ -111,6 +114,49 @@ TEST(ConsensusTcp, DeadPeerSurfacesChannelClosedNotHang) {
   options.transport = PartyTransport::kTcp;
   options.recv_timeout = std::chrono::milliseconds(2000);
   EXPECT_THROW((void)run_parties(parties, options), ChannelClosed);
+}
+
+TEST(ConsensusTcp, HangupFailsOnlyTheReceivesFromThatPeer) {
+  // "C" sends its last message and exits at once, so its FIN can follow
+  // the message in the same read.  "A" still reads the message; only a
+  // receive from "C" past it fails, and A<->B traffic afterwards is
+  // untouched — as for a user that leaves after step 6 while S1 and S2
+  // run steps 7-9.
+  std::atomic<bool> closed_seen{false};
+  std::atomic<std::uint64_t> from_c{0};
+  std::atomic<std::uint64_t> from_b{0};
+  const auto send_u64 = [](Channel& chan, const std::string& to,
+                           std::uint64_t v) {
+    MessageWriter w;
+    w.write_u64(v);
+    chan.send(to, std::move(w));
+  };
+  const std::vector<Party> parties = {
+      Party{"A",
+            [&](Channel& chan) {
+              from_c = chan.recv("C").read_u64();
+              try {
+                (void)chan.recv("C");
+              } catch (const ChannelClosed&) {
+                closed_seen = true;
+              }
+              send_u64(chan, "B", 1);
+              from_b = chan.recv("B").read_u64();
+            }},
+      Party{"B",
+            [&](Channel& chan) {
+              (void)chan.recv("A");
+              send_u64(chan, "A", 2);
+            }},
+      Party{"C", [&](Channel& chan) { send_u64(chan, "A", 3); }},
+  };
+  PartyRunOptions options;
+  options.transport = PartyTransport::kTcp;
+  options.recv_timeout = std::chrono::milliseconds(5000);
+  EXPECT_NO_THROW((void)run_parties(parties, options));
+  EXPECT_EQ(from_c, 3u);
+  EXPECT_TRUE(closed_seen);
+  EXPECT_EQ(from_b, 2u);
 }
 
 TEST(ConsensusTcp, StarvedPartySurfacesChannelTimeout) {

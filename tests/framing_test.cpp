@@ -126,8 +126,8 @@ TEST(Framing, BlockingRecvDeadlineIsSharedTimeoutType) {
 }
 
 TEST(Framing, CorruptedTcpFrameOverRealSocketThrowsTyped) {
-  // Raw garbage written straight into a socket the channel is reading:
-  // the frame header validation must reject it as FramingError.
+  // Raw garbage written straight into a socket: the assembler-based blocking
+  // reader (recv_frame) must reject the header as FramingError.
   TcpListener listener = TcpListener::bind("127.0.0.1", 0);
   TcpSocket client = TcpSocket::dial({"127.0.0.1", listener.port()},
                                      std::chrono::milliseconds(2000));
@@ -135,7 +135,7 @@ TEST(Framing, CorruptedTcpFrameOverRealSocketThrowsTyped) {
 
   std::vector<std::uint8_t> garbage(kFrameHeaderBytes, 0xee);  // kind 0xee
   client.send_all(garbage, std::chrono::milliseconds(2000));
-  EXPECT_THROW((void)server.read_frame(std::chrono::milliseconds(2000)),
+  EXPECT_THROW((void)recv_frame(server, std::chrono::milliseconds(2000)),
                FramingError);
 }
 
@@ -152,7 +152,7 @@ TEST(Framing, MidFrameEofOverRealSocketThrowsChannelClosed) {
   bytes.resize(bytes.size() - 2);  // cut the frame short...
   client.send_all(bytes, std::chrono::milliseconds(2000));
   client.close();  // ...and hang up mid-frame
-  EXPECT_THROW((void)server.read_frame(std::chrono::milliseconds(2000)),
+  EXPECT_THROW((void)recv_frame(server, std::chrono::milliseconds(2000)),
                ChannelClosed);
 }
 
@@ -163,7 +163,7 @@ TEST(Framing, CleanEofAtFrameBoundaryIsNotAnError) {
   TcpSocket server = listener.accept(std::chrono::milliseconds(2000));
   client.close();
   EXPECT_FALSE(
-      server.read_frame(std::chrono::milliseconds(2000)).has_value());
+      recv_frame(server, std::chrono::milliseconds(2000)).has_value());
 }
 
 }  // namespace

@@ -158,6 +158,25 @@ TEST(FrameAssembler, DecodesAcrossArbitraryChunks) {
   EXPECT_EQ(assembler.buffered(), 0u);
 }
 
+TEST(FrameAssembler, NeededCountsDownToTheFrameBoundary) {
+  // A blocking reader asks for exactly needed() bytes, so it never takes a
+  // byte of the frame behind: 1 for the kind, then the rest of the header,
+  // then the body.
+  const std::vector<std::uint8_t> bytes =
+      encode_frame(make_frame(FrameKind::kMessage, 0, "st", "body"));
+  FrameAssembler assembler;
+  EXPECT_EQ(assembler.needed(), 1u);
+  assembler.feed(bytes.data(), 1);
+  EXPECT_EQ(assembler.needed(), kFrameHeaderBytes - 1);
+  assembler.feed(bytes.data() + 1, kFrameHeaderBytes - 1);
+  EXPECT_EQ(assembler.needed(), 6u);
+  EXPECT_FALSE(assembler.next().has_value());
+  assembler.feed(bytes.data() + kFrameHeaderBytes, 6);
+  EXPECT_EQ(assembler.needed(), 0u);
+  ASSERT_TRUE(assembler.next().has_value());
+  EXPECT_EQ(assembler.needed(), 1u);
+}
+
 TEST(FrameAssembler, MalformedKindPoisonsTheStream) {
   FrameAssembler assembler;
   const std::uint8_t junk = 0x7f;  // out of the known kind range
@@ -327,6 +346,97 @@ TEST(SessionMux, BulletinLogIsPerSessionAndCursorIndexed) {
   EXPECT_EQ(mux.await_bulletin(2, "S1", 1, std::chrono::milliseconds(200)), 8);
   // Re-reading an index is idempotent: the log is a log, not a queue.
   EXPECT_EQ(mux.await_bulletin(2, "S1", 0, std::chrono::milliseconds(200)), 7);
+}
+
+TEST(SessionMux, HelloAfterTheHandshakeIsAFramingError) {
+  // A HELLO only ever opens a connection.  One arriving later is a framing
+  // error for the connection, never a control frame for a session...
+  SessionMux mux;
+  mux.register_session(0);
+  EXPECT_THROW(mux.route("S2", make_frame(FrameKind::kHello, 0, "", "S2")),
+               FramingError);
+  // ...nor an orphan parked on a daemon, which never registers session 0.
+  SessionMux daemon;
+  EXPECT_THROW(
+      daemon.route("S2", make_frame(FrameKind::kHello, 0, "", "S2")),
+      FramingError);
+  EXPECT_EQ(daemon.orphans_parked(), 0u);
+}
+
+TEST(SessionMux, MalformedBulletinIsRejectedBeforeItParks) {
+  // A bulletin payload is exactly one i64.  Short and long ones fail the
+  // connection that sent them, whether or not their session is open yet.
+  SessionMux mux;
+  const Frame short_one = make_frame(FrameKind::kBulletin, 7, "s", "abc");
+  const Frame long_one =
+      make_frame(FrameKind::kBulletin, 7, "s", std::string(9, 'x'));
+  EXPECT_THROW(mux.route("S1", short_one), FramingError);
+  EXPECT_THROW(mux.route("S1", long_one), FramingError);
+  EXPECT_EQ(mux.orphans_parked(), 0u);
+  EXPECT_NO_THROW(mux.register_session(7));
+  // Once the session is open, a bad bulletin leaves its log untouched.
+  EXPECT_THROW(mux.route("S1", long_one), FramingError);
+  MessageWriter writer;
+  writer.write_i64(-3);
+  const std::vector<std::uint8_t> good = std::move(writer).take();
+  mux.route("S1", make_frame(FrameKind::kBulletin, 7, "s",
+                             std::string(good.begin(), good.end())));
+  EXPECT_EQ(mux.await_bulletin(7, "S1", 0, std::chrono::milliseconds(200)),
+            -3);
+}
+
+TEST(SessionMux, ClosedConnectionDrainsItsQueueThenThrowsChannelClosed) {
+  SessionMux mux;
+  mux.register_session(1);
+  mux.route("u0", make_frame(FrameKind::kMessage, 1, "s", "last words"));
+  mux.close_connection(
+      "u0", [] { throw ChannelClosed("'u0' closed the connection"); });
+  const std::vector<std::uint8_t> last =
+      mux.recv_message(1, "u0", std::chrono::milliseconds(200));
+  EXPECT_EQ(std::string(last.begin(), last.end()), "last words");
+  // Past its queue the connection fails at once, not at the deadline.
+  const std::uint64_t t0 = obs::monotonic_time_ns();
+  EXPECT_THROW((void)mux.recv_message(1, "u0", std::chrono::seconds(5)),
+               ChannelClosed);
+  EXPECT_THROW(
+      (void)mux.await_bulletin(1, "u0", 0, std::chrono::seconds(5)),
+      ChannelClosed);
+  EXPECT_LT(obs::monotonic_time_ns() - t0, 1'000'000'000ull);
+  // The session's other connections carry on.
+  mux.route("S2", make_frame(FrameKind::kMessage, 1, "s", "step 7"));
+  const std::vector<std::uint8_t> next =
+      mux.recv_message(1, "S2", std::chrono::milliseconds(200));
+  EXPECT_EQ(std::string(next.begin(), next.end()), "step 7");
+}
+
+TEST(SessionMux, FrameArrivingWithEofIsRoutedBeforeTheConnectionDrops) {
+  // The peer writes its last frame and closes before the reactor first
+  // reads, so the frame and the FIN come back from the same drain.
+  TcpListener listener = TcpListener::bind("127.0.0.1", 0);
+  TcpSocket peer = TcpSocket::dial(TcpEndpoint{"127.0.0.1", listener.port()},
+                                   std::chrono::milliseconds(2000));
+  auto ours = std::make_shared<SharedSocket>(
+      listener.accept(std::chrono::milliseconds(2000)));
+  peer.write_frame(make_frame(FrameKind::kMessage, 1, "s", "last"),
+                   std::chrono::milliseconds(2000));
+  peer.close();
+
+  SessionMux mux;
+  mux.register_session(1);
+  EventLoop loop;
+  std::atomic<bool> down{false};
+  attach_connection(loop, mux, "peer", ours,
+                    [&down](const std::string&, const std::string&) {
+                      down = true;
+                    });
+  std::thread runner([&loop] { loop.run(); });
+  std::vector<std::uint8_t> got;
+  EXPECT_NO_THROW(
+      got = mux.recv_message(1, "peer", std::chrono::milliseconds(1000)));
+  loop.stop();
+  runner.join();
+  EXPECT_EQ(std::string(got.begin(), got.end()), "last");
+  EXPECT_TRUE(down);
 }
 
 TEST(SessionMux, FailSessionWakesBlockedReceiversTyped) {

@@ -91,6 +91,7 @@
 #include "net/session/session_client.h"
 #include "net/session/session_server.h"
 #include "net/tcp_admin.h"
+#include "net/tcp_channel.h"
 #include "net/tcp_transport.h"
 #include "net/transport.h"
 #include "obs/clock.h"
