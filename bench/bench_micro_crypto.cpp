@@ -53,7 +53,8 @@ void BM_BigIntPowMod(benchmark::State& state) {
 BENCHMARK(BM_BigIntPowMod)->Arg(64)->Arg(128)->Arg(256)->Arg(512);
 
 // The pow_mod ablation triple, at the moduli the protocol actually runs
-// (DGK n at 1024, Paillier n^2 at 2048 bits): the division-based
+// (DGK n at 1024, Paillier n^2 at 2048 bits; the cached context also at
+// the paper's 128 and 192 bits): the division-based
 // square-and-multiply BigInt::pow_mod used before the Montgomery routing,
 // the fixed-window Montgomery kernel with a context built per call, and
 // the steady-state path through the process-wide context cache.  The bulk
@@ -110,32 +111,18 @@ void BM_PowModCachedContext(benchmark::State& state) {
     benchmark::DoNotOptimize(ctx->pow(base, exp));
   }
 }
-BENCHMARK(BM_PowModCachedContext)->Arg(512)->Arg(1024)->Arg(2048)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_PowModCachedContext)->Arg(128)->Arg(192)->Arg(512)->Arg(1024)
+    ->Arg(2048)->Unit(benchmark::kMillisecond);
 
-// The modmul ablation triple (DESIGN.md §12): one full modular product
-// a * b mod m per iteration through (1) the generic variable-length 32-bit
-// REDC tier, (2) the fixed-limb 64-bit CIOS kernel with the temporary pool
-// disabled (every op heap-allocates its cell), and (3) the kernel with the
+// The modmul pool ablation (DESIGN.md §12): one full modular product
+// a * b mod m per iteration through the CIOS kernel with the temporary
+// pool disabled (every op heap-allocates its cell), and with the
 // per-thread pool warm — the production configuration.  Same seed across
-// the triple so all three run identical operands; the widths are the
-// protocol's hot moduli (DGK n at 1024/2048, Paillier n² at 2048/4096).
+// the pair so both run identical operands; the widths are the paper's
+// (Paillier n² and DGK n at 128 and 192 bits) and the deployment moduli
+// (DGK n at 1024/2048, Paillier n² at 2048/4096).
 
-void BM_ModMulGenericKernel(benchmark::State& state) {
-  DeterministicRng rng(13);
-  const std::size_t bits = static_cast<std::size_t>(state.range(0));
-  BigInt m = rng.random_bits_exact(bits);
-  if (m.is_even()) m += BigInt(1);
-  const BigInt a = rng.uniform_below(m);
-  const BigInt b = rng.uniform_below(m);
-  const MontgomeryContext ctx(m, MontgomeryContext::KernelPolicy::kGenericOnly);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ctx.mul_mod(a, b));
-  }
-}
-BENCHMARK(BM_ModMulGenericKernel)->Arg(1024)->Arg(2048)->Arg(4096);
-
-void BM_ModMulFixedKernel(benchmark::State& state) {
+void BM_ModMulUnpooled(benchmark::State& state) {
   DeterministicRng rng(13);
   const std::size_t bits = static_cast<std::size_t>(state.range(0));
   BigInt m = rng.random_bits_exact(bits);
@@ -149,9 +136,10 @@ void BM_ModMulFixedKernel(benchmark::State& state) {
   }
   kern::LimbPool::set_enabled(true);
 }
-BENCHMARK(BM_ModMulFixedKernel)->Arg(1024)->Arg(2048)->Arg(4096);
+BENCHMARK(BM_ModMulUnpooled)->Arg(128)->Arg(192)->Arg(1024)->Arg(2048)
+    ->Arg(4096);
 
-void BM_ModMulFixedKernelPooled(benchmark::State& state) {
+void BM_ModMulPooled(benchmark::State& state) {
   DeterministicRng rng(13);
   const std::size_t bits = static_cast<std::size_t>(state.range(0));
   BigInt m = rng.random_bits_exact(bits);
@@ -164,26 +152,8 @@ void BM_ModMulFixedKernelPooled(benchmark::State& state) {
     benchmark::DoNotOptimize(ctx.mul_mod(a, b));
   }
 }
-BENCHMARK(BM_ModMulFixedKernelPooled)->Arg(1024)->Arg(2048)->Arg(4096);
-
-// Exponentiation across kernel tiers, cached-context setup on both sides:
-// isolates the fixed-limb CIOS win on the pow path that dominates every
-// protocol step.  BM_PowModCachedContext above is the same measurement on
-// the auto-dispatched (fixed-kernel) path.
-void BM_PowModGenericKernel(benchmark::State& state) {
-  DeterministicRng rng(12);  // same operands as the PowMod triple
-  const std::size_t bits = static_cast<std::size_t>(state.range(0));
-  BigInt m = rng.random_bits_exact(bits);
-  if (m.is_even()) m += BigInt(1);
-  const BigInt base = rng.uniform_below(m);
-  const BigInt exp = rng.random_bits_exact(bits);
-  const MontgomeryContext ctx(m, MontgomeryContext::KernelPolicy::kGenericOnly);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ctx.pow(base, exp));
-  }
-}
-BENCHMARK(BM_PowModGenericKernel)->Arg(512)->Arg(1024)->Arg(2048)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ModMulPooled)->Arg(128)->Arg(192)->Arg(1024)->Arg(2048)
+    ->Arg(4096);
 
 void BM_PrimeGeneration(benchmark::State& state) {
   DeterministicRng rng(4);

@@ -72,16 +72,14 @@ class BigInt {
   [[nodiscard]] std::string to_string(int base = 10) const;
   /// Big-endian magnitude (no sign); empty for zero.
   [[nodiscard]] std::vector<std::uint8_t> to_bytes() const;
-  /// Low-level kernel access: little-endian 32-bit limbs of the magnitude
-  /// (no trailing zeros; empty for zero).  Used by MontgomeryContext.
-  [[nodiscard]] std::vector<std::uint32_t> to_limbs() const { return limbs_; }
-  /// Copy-free view of the magnitude limbs (valid while the BigInt is
-  /// alive and unmodified).  This is how reduced values cross into the
-  /// fixed-limb kernel tier without a conversion allocation.
+  /// Copy-free view of the magnitude as little-endian 32-bit limbs (no
+  /// trailing zeros; empty for zero), valid while the BigInt is alive and
+  /// unmodified.  This is how reduced values cross into the Montgomery
+  /// kernel without a conversion allocation.
   [[nodiscard]] std::span<const std::uint32_t> limb_span() const {
     return limbs_;
   }
-  /// Inverse of to_limbs (magnitude only; trailing zeros are trimmed).
+  /// Inverse of limb_span (magnitude only; trailing zeros are trimmed).
   [[nodiscard]] static BigInt from_limbs(std::vector<std::uint32_t> limbs);
 
   /// Overwrites the limb storage with zeros (through a volatile pointer so

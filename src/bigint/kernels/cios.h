@@ -1,151 +1,67 @@
-// Fixed-limb CIOS (Coarsely Integrated Operand Scanning) Montgomery kernel.
+// CIOS (Coarsely Integrated Operand Scanning) Montgomery kernel.
 //
-// The generic MontgomeryContext path works on variable-length 32-bit limb
-// vectors: every multiply allocates a product vector, resizes it for REDC,
-// and trims the result.  At the protocol's hot widths the operand size is a
-// compile-time constant, so this kernel specializes the whole pipeline:
-// 64-bit words with unsigned __int128 products, the multiply and the
-// reduction fused into one W-iteration CIOS loop (Koç, Acar, Kaliski,
-// "Analyzing and Comparing Montgomery Multiplication Algorithms"), all
-// temporaries in caller-provided scratch, and loop bounds the compiler can
-// fully unroll/vectorize.
+// One class serves every odd modulus > 1.  Its word count W is fixed at
+// construction from the modulus (W = ceil(bits / 64), from 1 word up) and
+// the Montgomery radix is R = 2^(64*W).  The multiply and the reduction
+// are fused into one W-iteration CIOS loop over 64-bit words with
+// unsigned __int128 products (Koç, Acar, Kaliski, "Analyzing and Comparing
+// Montgomery Multiplication Algorithms"), and every temporary is carved
+// from a LimbPool lease.
 //
-// Width contract: a Cios<W> instance serves moduli whose magnitude occupies
-// exactly 2*W 32-bit limbs (bit length in (64*(W-1), 64*W]).  The
-// Montgomery radix is R = 2^(64*W) — identical to the generic context's
-// R = 2^(32 * limb_count) for these widths, so Montgomery-form values and
-// every result are bit-identical across the two paths.
+// The Montgomery form is private to this class: callers pass ordinary-form
+// values below the modulus and get canonical residues back, so R and the
+// word count never leak into a result.  Each operation adds the number of
+// Montgomery multiplies it performed to *mont_muls; that schedule (window
+// table build, squarings, the final conversion) depends only on the
+// exponent, never on the width.
 //
-// This header is intentionally BigInt-free: it sees only raw little-endian
-// word arrays, keeping the kernels layer below bigint in the include DAG
-// (lint rule PC010).
+// This header is intentionally BigInt-free: values cross as little-endian
+// 32-bit limb spans (the BigInt magnitude format), keeping the kernels
+// layer below bigint in the include DAG (lint rule PC010).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
+#include <vector>
 
 namespace pcl::kern {
 
-template <std::size_t W>
 class Cios {
  public:
-  static constexpr std::size_t kWords = W;
-  /// CIOS scratch requirement, in words, for one mont_mul.
-  static constexpr std::size_t kScratchWords = W + 2;
+  /// `modulus` is the trimmed little-endian limbs of an odd value > 1.
+  /// Precomputes n' = -n^{-1} mod 2^64, R mod n and R^2 mod n by
+  /// shift-and-reduce (no division needed at this layer).
+  explicit Cios(std::span<const std::uint32_t> modulus);
 
-  /// `modulus` is W little-endian 64-bit words; must be odd, with bit
-  /// length > 64*(W-1) (i.e. the top word participates).  Precomputes
-  /// n' = -n^{-1} mod 2^64, R mod n and R^2 mod n by shift-and-reduce
-  /// (no division needed at this layer).
-  explicit Cios(const std::uint64_t* modulus) {
-    for (std::size_t i = 0; i < W; ++i) n_[i] = modulus[i];
-    // Newton iteration on the low word: each step doubles the number of
-    // correct low bits of n^{-1} mod 2^64.
-    std::uint64_t inv = 1;
-    for (int i = 0; i < 6; ++i) inv *= 2u - n_[0] * inv;
-    n0inv_ = ~inv + 1u;  // -inv mod 2^64
+  /// a * b mod n for a, b < n: to_mont(a), then one Montgomery multiply
+  /// by b (two multiplies, no double-width intermediate).
+  [[nodiscard]] std::vector<std::uint32_t> mul_mod(
+      std::span<const std::uint32_t> a, std::span<const std::uint32_t> b,
+      std::uint64_t* mont_muls) const;
 
-    // r1 = R mod n via 64*W doublings of 1 mod n; r2 = R^2 mod n via
-    // another 64*W doublings of r1.  One-time cost, amortized by the
-    // shared-context cache.
-    std::uint64_t acc[W] = {};
-    acc[0] = 1;
-    reduce_once(acc);
-    for (std::size_t i = 0; i < 64 * W; ++i) double_mod(acc);
-    for (std::size_t i = 0; i < W; ++i) r1_[i] = acc[i];
-    for (std::size_t i = 0; i < 64 * W; ++i) double_mod(acc);
-    for (std::size_t i = 0; i < W; ++i) r2_[i] = acc[i];
-  }
-
-  [[nodiscard]] const std::uint64_t* modulus() const { return n_; }
-  [[nodiscard]] const std::uint64_t* r1() const { return r1_; }  // mont(1)
-  [[nodiscard]] const std::uint64_t* r2() const { return r2_; }
-
-  /// out = a * b * R^{-1} mod n (fused CIOS multiply + reduce).
-  /// a, b < n; out may alias a or b; t is kScratchWords of scratch.
-  void mont_mul(std::uint64_t* out, const std::uint64_t* a,
-                const std::uint64_t* b, std::uint64_t* t) const {
-    using u128 = unsigned __int128;
-    for (std::size_t i = 0; i <= W; ++i) t[i] = 0;
-    for (std::size_t i = 0; i < W; ++i) {
-      // One fused pass: t = (t + a*b[i] + m*n) / 2^64, with m chosen from
-      // the would-be low word so the division is exact.  The a*b[i] and
-      // m*n chains keep separate carries (each bounded by 2^64 - 1, so the
-      // per-word sums never overflow the 128-bit accumulators); fusing
-      // them halves the loads/stores of t versus two passes.
-      const std::uint64_t bi = b[i];
-      u128 s1 = static_cast<u128>(a[0]) * bi + t[0];
-      const std::uint64_t m = static_cast<std::uint64_t>(s1) * n0inv_;
-      u128 s2 = static_cast<u128>(m) * n_[0] + static_cast<std::uint64_t>(s1);
-      u128 c1 = s1 >> 64;
-      u128 c2 = s2 >> 64;
-      for (std::size_t j = 1; j < W; ++j) {
-        s1 = static_cast<u128>(a[j]) * bi + t[j] +
-             static_cast<std::uint64_t>(c1);
-        c1 = s1 >> 64;
-        s2 = static_cast<u128>(m) * n_[j] + static_cast<std::uint64_t>(s1) +
-             static_cast<std::uint64_t>(c2);
-        c2 = s2 >> 64;
-        t[j - 1] = static_cast<std::uint64_t>(s2);
-      }
-      // Words W and W+1 of the sum: the invariant t < 2n keeps the new
-      // top word in {0, 1}.
-      const u128 top = static_cast<u128>(t[W]) +
-                       static_cast<std::uint64_t>(c1) +
-                       static_cast<std::uint64_t>(c2);
-      t[W - 1] = static_cast<std::uint64_t>(top);
-      t[W] = static_cast<std::uint64_t>(top >> 64);
-    }
-    // Final subtraction: t in [0, 2n), one conditional subtract folds it
-    // into [0, n).  (Same non-constant-time contract as the generic path.)
-    if (t[W] != 0 || !less_than(t, n_)) {
-      sub(out, t, n_);
-    } else {
-      for (std::size_t i = 0; i < W; ++i) out[i] = t[i];
-    }
-  }
+  /// base^exp mod n for base < n by fixed-window evaluation; the window
+  /// width grows with the exponent length, trading 2^(w-1) precomputed
+  /// powers for bits/w fewer multiplications.
+  [[nodiscard]] std::vector<std::uint32_t> pow(
+      std::span<const std::uint32_t> base, std::span<const std::uint32_t> exp,
+      std::uint64_t* mont_muls) const;
 
  private:
-  /// a < b over W words?
-  [[nodiscard]] static bool less_than(const std::uint64_t* a,
-                                      const std::uint64_t* b) {
-    for (std::size_t i = W; i-- > 0;) {
-      if (a[i] != b[i]) return a[i] < b[i];
-    }
-    return false;
-  }
+  /// out = a * b * R^{-1} mod n (fused CIOS multiply + reduce).
+  /// a, b < n; out may alias a or b; t is W + 2 words of scratch.
+  void mont_mul(std::uint64_t* out, const std::uint64_t* a,
+                const std::uint64_t* b, std::uint64_t* t) const;
+  /// x = x * R mod n.
+  void to_mont(std::uint64_t* x, std::uint64_t* t) const;
+  /// x = x * R^{-1} mod n; `one` is W words of scratch.
+  void from_mont(std::uint64_t* x, std::uint64_t* one,
+                 std::uint64_t* t) const;
 
-  /// out = a - b (requires a >= b, W words; out may alias a).
-  static void sub(std::uint64_t* out, const std::uint64_t* a,
-                  const std::uint64_t* b) {
-    std::uint64_t borrow = 0;
-    for (std::size_t i = 0; i < W; ++i) {
-      const std::uint64_t ai = a[i];
-      const std::uint64_t d = ai - b[i] - borrow;
-      borrow = (ai < b[i] || (borrow != 0 && ai == b[i])) ? 1 : 0;
-      out[i] = d;
-    }
-  }
-
-  void reduce_once(std::uint64_t* a) const {
-    if (!less_than(a, n_)) sub(a, a, n_);
-  }
-
-  /// a = 2*a mod n (a < n).
-  void double_mod(std::uint64_t* a) const {
-    std::uint64_t carry = 0;
-    for (std::size_t i = 0; i < W; ++i) {
-      const std::uint64_t v = a[i];
-      a[i] = (v << 1) | carry;
-      carry = v >> 63;
-    }
-    if (carry != 0 || !less_than(a, n_)) sub(a, a, n_);
-  }
-
-  std::uint64_t n_[W];
-  std::uint64_t n0inv_ = 0;  // -n^{-1} mod 2^64
-  std::uint64_t r1_[W];      // R mod n (Montgomery form of 1)
-  std::uint64_t r2_[W];      // R^2 mod n (to_mont multiplier)
+  std::vector<std::uint64_t> n_;
+  std::uint64_t n0inv_ = 0;       // -n^{-1} mod 2^64
+  std::vector<std::uint64_t> r1_;  // R mod n (Montgomery form of 1)
+  std::vector<std::uint64_t> r2_;  // R^2 mod n (to_mont multiplier)
 };
 
 }  // namespace pcl::kern

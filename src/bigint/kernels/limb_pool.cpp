@@ -50,7 +50,7 @@ LimbPool::~LimbPool() {
 }
 
 std::uint64_t* CellLease::carve(std::size_t words) {
-  if (used_ + words > kCellWords) {
+  if (words > capacity_ - used_) {
     throw std::logic_error("LimbPool cell exhausted (kernel sizing bug)");
   }
   std::uint64_t* out = cell_ + used_;

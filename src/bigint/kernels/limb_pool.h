@@ -1,4 +1,4 @@
-// Pooled fixed-size limb buffers for the fixed-width Montgomery kernels.
+// Pooled limb buffers for the Montgomery kernel.
 //
 // Every hot bigint operation used to pay one or more heap allocations for
 // its temporaries (the double-width product vector in REDC, the window
@@ -8,7 +8,7 @@
 // it on scope exit.  After the first few operations on a thread the free
 // list is warm and the steady state performs zero heap allocations per
 // modular multiply (LimbPool::stats() proves it; bench_micro_crypto's
-// ModMul ablation quantifies it).
+// ModMul pool on/off pair quantifies it).
 //
 // Thread-safety contract: the pool is strictly thread-local — cells never
 // migrate between threads, so acquire/release take no locks.  A cell must
@@ -23,9 +23,10 @@
 
 namespace pcl::kern {
 
-/// Fixed cell size, in 64-bit words.  Sized for the largest temporary any
-/// kernel operation needs: a 2^6-entry window table at the widest supported
-/// modulus (64 words = 4096 bits) plus CIOS scratch and conversion buffers.
+/// Fixed cell size, in 64-bit words.  Sized for a 2^6-entry window table at
+/// a 64-word (4096-bit) modulus plus CIOS scratch and conversion buffers,
+/// which covers every protocol width; an operation that needs more leases
+/// a heap buffer of its own size instead (see CellLease).
 inline constexpr std::size_t kCellWords = 4480;
 
 struct PoolStats {
@@ -51,9 +52,9 @@ class LimbPool {
   void release(std::uint64_t* cell) noexcept;
 
   /// Thread-local ablation switch: when disabled, acquire() always heap-
-  /// allocates and release() frees, modelling the unpooled fixed-limb
-  /// path (bench_micro_crypto's fixed-vs-fixed+pool triple leg).  Cells
-  /// already parked stay parked until re-enabled.
+  /// allocates and release() frees, modelling the unpooled kernel
+  /// (bench_micro_crypto's BM_ModMulUnpooled).  Cells already parked stay
+  /// parked until re-enabled.
   static void set_enabled(bool enabled);
 
   [[nodiscard]] PoolStats stats() const;
@@ -77,22 +78,35 @@ class LimbPool {
   std::uint64_t reuses_ = 0;
 };
 
-/// RAII lease of one pool cell on the current thread.
+/// RAII lease of scratch on the current thread: one pool cell when
+/// `words` fits in kCellWords, otherwise a heap buffer of exactly `words`
+/// words that bypasses the pool (only moduli above 64 words can need one).
 class CellLease {
  public:
-  CellLease() : pool_(&LimbPool::local()), cell_(pool_->acquire()) {}
-  ~CellLease() { pool_->release(cell_); }
+  explicit CellLease(std::size_t words = kCellWords)
+      : pool_(words <= kCellWords ? &LimbPool::local() : nullptr),
+        capacity_(pool_ != nullptr ? kCellWords : words),
+        cell_(pool_ != nullptr ? pool_->acquire()
+                               : new std::uint64_t[words]) {}
+  ~CellLease() {
+    if (pool_ != nullptr) {
+      pool_->release(cell_);
+    } else {
+      delete[] cell_;
+    }
+  }
   CellLease(const CellLease&) = delete;
   CellLease& operator=(const CellLease&) = delete;
 
   [[nodiscard]] std::uint64_t* data() { return cell_; }
-  /// Carves `words` words off the front of the remaining cell space.
-  /// Throws std::logic_error if the cell is exhausted (a kernel sizing bug,
-  /// not a runtime condition).
+  /// Carves `words` words off the front of the remaining lease.  Throws
+  /// std::logic_error if the lease is exhausted (a kernel sizing bug, not
+  /// a runtime condition).
   [[nodiscard]] std::uint64_t* carve(std::size_t words);
 
  private:
-  LimbPool* pool_;
+  LimbPool* pool_;  // null for a heap buffer wider than one cell
+  std::size_t capacity_;
   std::uint64_t* cell_;
   std::size_t used_ = 0;
 };

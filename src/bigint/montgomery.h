@@ -1,47 +1,35 @@
-// Montgomery modular arithmetic, tiered over fixed-limb kernels.
+// Montgomery modular arithmetic over one CIOS kernel.
 //
 // Modular exponentiation dominates the protocol's CPU cost (every DGK bit
 // encryption, zero-test and Paillier operation is a pow_mod).  A
-// MontgomeryContext precomputes the Montgomery constants for an odd modulus
-// and performs multiplication with cheap word-wise reductions instead of a
-// full Knuth division per product.
-//
-// Two kernel tiers sit behind one context (DESIGN.md §12):
-//  - fixed-limb: when the modulus occupies exactly 8/16/32/64/128 32-bit
-//    limbs (256…4096 bits — the DGK n/p and Paillier n²/p²/q² widths), a
-//    compile-time-width CIOS kernel (src/bigint/kernels/) runs the fused
-//    multiply+reduce on 64-bit words with pooled temporaries; results and
-//    per-op Montgomery-multiply counts are bit-identical to the generic
-//    tier (same radix R, same window schedule).
-//  - generic: variable-length 32-bit limb REDC for every other width.
+// MontgomeryContext holds a kern::Cios kernel (src/bigint/kernels/) built
+// for its odd modulus and performs multiplication with cheap word-wise
+// reductions instead of a full Knuth division per product.  The kernel's
+// word count is fixed at construction from the modulus, so every odd
+// modulus > 1, from 1 word up, runs the same code (DESIGN.md §12); the
+// context reduces operands, converts between BigInt and limbs and meters
+// the work.
 //
 // Exponentiation uses fixed-window (2^w) evaluation, and
 // `MontgomeryContext::shared` memoizes contexts in a process-wide LRU
 // cache keyed by modulus: the protocol hits the same four moduli (n, n²,
 // DGK n, p) millions of times, so the per-modulus setup is paid once.
 // BigInt::pow_mod routes every odd-modulus call through this
-// automatically; bench_micro_crypto quantifies the tiers.
+// automatically; bench_micro_crypto measures it.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "bigint/bigint.h"
-#include "bigint/kernels/fixed_mont.h"
+#include "bigint/kernels/cios.h"
 
 namespace pcl {
 
 class MontgomeryContext {
  public:
-  /// Kernel-tier selection at construction.  kGenericOnly exists for the
-  /// bench ablations and the kernel cross-check tests; production call
-  /// sites use the default.
-  enum class KernelPolicy { kAuto, kGenericOnly };
-
   /// Requires an odd modulus > 1; throws std::invalid_argument otherwise.
-  explicit MontgomeryContext(BigInt modulus,
-                             KernelPolicy policy = KernelPolicy::kAuto);
+  explicit MontgomeryContext(BigInt modulus);
 
   /// Process-wide memoized context for `modulus` (mutex-guarded; safe to
   /// call from concurrent lane workers).  Returns the same context for
@@ -60,53 +48,24 @@ class MontgomeryContext {
 
   [[nodiscard]] const BigInt& modulus() const { return modulus_; }
 
-  /// True when this context dispatches to a fixed-limb CIOS kernel.
-  [[nodiscard]] bool has_fixed_kernel() const { return kernel_ != nullptr; }
-  /// "generic", or the kernel identifier ("cios-32" = 32 words = 2048-bit).
-  [[nodiscard]] const char* kernel_name() const;
-  /// The fixed-limb kernel, or null (raw access for benches).
-  [[nodiscard]] const kern::FixedMontKernel* fixed_kernel() const {
-    return kernel_.get();
-  }
-
-  /// Montgomery form: x * R mod m, with R = 2^(32 * limbs(m)).
-  [[nodiscard]] BigInt to_mont(const BigInt& x) const;
-  [[nodiscard]] BigInt from_mont(const BigInt& x_mont) const;
-
-  /// Montgomery product: REDC(a_mont * b_mont).
-  [[nodiscard]] BigInt mul(const BigInt& a_mont, const BigInt& b_mont) const;
-
-  /// Full modular product a * b mod m for ordinary-form operands: one
-  /// to_mont plus one Montgomery multiply, replacing the double-width
-  /// product + Knuth division of `(a * b).mod(m)` on ciphertext hot paths
-  /// (Paillier add/encrypt, DGK add/encrypt/rerandomize).  Negative or
-  /// unreduced operands are reduced first.
+  /// Full modular product a * b mod m: two Montgomery multiplies, replacing
+  /// the double-width product + Knuth division of `(a * b).mod(m)` on
+  /// ciphertext hot paths (Paillier add/encrypt, DGK add/encrypt/
+  /// rerandomize).  Negative or unreduced operands are reduced first.
   [[nodiscard]] BigInt mul_mod(const BigInt& a, const BigInt& b) const;
 
-  /// (base^exp) mod m for non-negative exp; base is in ordinary form.
-  /// Fixed-window evaluation: the window width grows with the exponent
-  /// length, trading 2^(w-1) precomputed odd powers for bits/w fewer
-  /// multiplications.  Counts obs::Op::kBigIntModExp (one per call) so
-  /// callers holding a context directly are metered identically to
-  /// BigInt::pow_mod.
+  /// (base^exp) mod m for non-negative exp.  Counts obs::Op::kBigIntModExp
+  /// (one per call) so callers holding a context directly are metered
+  /// identically to BigInt::pow_mod.
   [[nodiscard]] BigInt pow(const BigInt& base, const BigInt& exp) const;
 
  private:
-  /// REDC on a raw double-width magnitude (little-endian 32-bit limbs);
-  /// generic tier only.
-  [[nodiscard]] BigInt redc(std::vector<std::uint32_t> t) const;
-  [[nodiscard]] BigInt pow_generic(const BigInt& base, const BigInt& exp) const;
   /// Reference to `v` reduced into [0, m), materializing a copy in
   /// `storage` only when reduction is needed.
   [[nodiscard]] const BigInt& reduced(const BigInt& v, BigInt& storage) const;
 
   BigInt modulus_;
-  std::vector<std::uint32_t> modulus_limbs_;  // cached for redc
-  std::size_t limb_count_ = 0;
-  std::uint32_t n_prime_ = 0;  // -m^{-1} mod 2^32
-  BigInt r_mod_;               // R mod m      (Montgomery form of 1)
-  BigInt r2_mod_;              // R^2 mod m    (for to_mont)
-  std::unique_ptr<const kern::FixedMontKernel> kernel_;  // null => generic
+  kern::Cios kernel_;
 };
 
 }  // namespace pcl

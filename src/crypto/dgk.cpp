@@ -20,8 +20,8 @@ BigInt ctx_pow(const std::shared_ptr<const MontgomeryContext>& ctx,
 }
 
 // Modular product through a key-attached context: two Montgomery multiplies
-// (fixed-limb CIOS when the width qualifies) instead of a double-width
-// product followed by Knuth division.  Same fallback rule as ctx_pow.
+// on its CIOS kernel instead of a double-width product followed by Knuth
+// division.  Same fallback rule as ctx_pow.
 BigInt ctx_mul(const std::shared_ptr<const MontgomeryContext>& ctx,
                const BigInt& a, const BigInt& b, const BigInt& m) {
   if (ctx) return ctx->mul_mod(a, b);

@@ -112,8 +112,8 @@ PaillierCiphertext PaillierRandomizerPool::encrypt(const BigInt& m) {
     }
   }
   // c = (1 + m*n) * r^n mod n^2 — the pooled power replaces the pow_mod,
-  // and the key-attached context's mul_mod (fixed-limb CIOS at protocol
-  // widths) replaces the double-width product + division.
+  // and the key-attached context's mul_mod (two CIOS Montgomery
+  // multiplies) replaces the double-width product + division.
   const BigInt g_to_m =
       (BigInt(1) + m.mod(pk_.n()) * pk_.n()).mod(pk_.n_squared());
   const std::shared_ptr<const MontgomeryContext>& ctx = pk_.mont_n_squared();

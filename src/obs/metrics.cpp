@@ -34,10 +34,6 @@ const char* op_name(Op op) {
       return "restoration.reveal";
     case Op::kNoisyMaxRelease:
       return "noisy_max.release";
-    case Op::kBigIntModMulFixed:
-      return "bigint.modmul_fixed";
-    case Op::kBigIntModExpFixed:
-      return "bigint.modexp_fixed";
     case Op::kPoolMiss:
       return "pool.miss";
   }

@@ -49,12 +49,6 @@ enum class Op : unsigned {
   kBlindPermuteRound,  ///< one BnP sequence (S1 role)
   kRestorationReveal,  ///< one Restoration reveal (S1 role)
   kNoisyMaxRelease,    ///< one released noisy-max label (S1 role)
-  // Kernel-variant counters (DESIGN.md §12): counted IN ADDITION to the
-  // corresponding kBigIntModMul/kBigIntModExp, so the base counters stay
-  // comparable across kernel tiers while these expose the share of work
-  // that hit the fixed-limb CIOS path.
-  kBigIntModMulFixed,  ///< Montgomery multiply served by a fixed-limb kernel
-  kBigIntModExpFixed,  ///< modexp served by a fixed-limb kernel
   // Offline/online split (DESIGN.md §15): a precompute pool or stream was
   // asked for material it did not have ready, so the value was generated
   // inline on the online path.  Bytes are unaffected (the fallback replays
@@ -62,7 +56,7 @@ enum class Op : unsigned {
   kPoolMiss,  ///< pool/stream exhausted; fell through to inline generation
 };
 
-inline constexpr std::size_t kNumOps = 18;
+inline constexpr std::size_t kNumOps = 16;
 
 /// Stable machine-readable name ("bigint.modexp", "paillier.encrypt", ...);
 /// these are the keys used by the trace / bench JSON schemas.

@@ -115,7 +115,7 @@ TEST(ConsensusPrecompute, WarmAndColdPooledRunsAreIdentical) {
   EXPECT_GT(cold_metrics.total(obs::Op::kPoolMiss),
             warm_metrics.total(obs::Op::kPoolMiss));
   // Same PROTOCOL-op totals: pooling moves work, never changes it.  The
-  // bigint kernel counters (modexp/modmul and their fixed-limb variants)
+  // bigint kernel counters (modexp/modmul)
   // legitimately differ — the warm run did those exponentiations offline
   // inside warm_streams, before the observer window — which is the whole
   // point of the split.
@@ -124,8 +124,6 @@ TEST(ConsensusPrecompute, WarmAndColdPooledRunsAreIdentical) {
       case obs::Op::kPoolMiss:
       case obs::Op::kBigIntModExp:
       case obs::Op::kBigIntModMul:
-      case obs::Op::kBigIntModExpFixed:
-      case obs::Op::kBigIntModMulFixed:
         continue;
       default:
         break;

@@ -1,12 +1,12 @@
-// Fixed-limb kernel tier (src/bigint/kernels/): cross-checks every CIOS
-// width against the generic variable-length tier, exercises the REDC
-// final-subtraction carries at exact limb boundaries, and pins the pool
-// and op-count contracts that DESIGN.md §12 documents.
-#include "bigint/kernels/fixed_mont.h"
-
+// The Montgomery kernel (src/bigint/kernels/) behind MontgomeryContext:
+// checks mul_mod and pow against the naive (a * b) mod m and
+// square-and-multiply oracles at every class of odd width, exercises the
+// final-subtraction carries at word boundaries, and pins the pool and
+// op-count contracts that DESIGN.md §12 documents.  (Suite FixedMontKernel:
+// the kernel's word count is fixed per modulus at construction.)
 #include <gtest/gtest.h>
 
-#include <array>
+#include <utility>
 #include <vector>
 
 #include "bigint/kernels/limb_pool.h"
@@ -17,12 +17,7 @@
 namespace pcl {
 namespace {
 
-using kern::FixedMontKernel;
 using kern::LimbPool;
-using kern::make_fixed_mont_kernel;
-
-// The supported fixed widths, in bits: 8/16/32/64/128 32-bit limbs.
-constexpr std::size_t kFixedBits[] = {256, 512, 1024, 2048, 4096};
 
 BigInt odd_modulus_exact(std::size_t bits, Rng& rng) {
   BigInt m = rng.random_bits_exact(bits);
@@ -30,83 +25,68 @@ BigInt odd_modulus_exact(std::size_t bits, Rng& rng) {
   return m;
 }
 
-TEST(FixedMontKernel, FactorySelectsExactWidthsOnly) {
-  DeterministicRng rng(11);
-  for (const std::size_t bits : kFixedBits) {
-    const BigInt m = odd_modulus_exact(bits, rng);
-    const auto kernel = make_fixed_mont_kernel(m.to_limbs());
-    ASSERT_NE(kernel, nullptr) << bits << "-bit modulus";
-    EXPECT_EQ(kernel->words() * 64, bits);
+// Plain square-and-multiply, without the Montgomery path.
+BigInt naive_pow(const BigInt& base, const BigInt& exp, const BigInt& m) {
+  BigInt result = BigInt(1).mod(m);
+  BigInt b = base.mod(m);
+  for (std::size_t i = 0; i < exp.bit_length(); ++i) {
+    if (exp.bit(i)) result = (result * b).mod(m);
+    b = (b * b).mod(m);
   }
-  // Off-width (not a supported limb count), even, tiny, and empty all fall
-  // back to the generic tier.
-  const BigInt odd_1056 = odd_modulus_exact(1056, rng);
-  EXPECT_EQ(make_fixed_mont_kernel(odd_1056.to_limbs()), nullptr);
-  BigInt even_1024 = odd_modulus_exact(1024, rng) + BigInt(1);
-  EXPECT_EQ(make_fixed_mont_kernel(even_1024.to_limbs()), nullptr);
-  EXPECT_EQ(make_fixed_mont_kernel(BigInt(12345).to_limbs()), nullptr);
-  EXPECT_EQ(make_fixed_mont_kernel(std::vector<std::uint32_t>{}), nullptr);
+  return result;
 }
 
-TEST(FixedMontKernel, ContextDispatchAndPolicy) {
-  DeterministicRng rng(12);
-  const BigInt m = odd_modulus_exact(1024, rng);
-  const MontgomeryContext auto_ctx(m);
-  EXPECT_TRUE(auto_ctx.has_fixed_kernel());
-  EXPECT_STREQ(auto_ctx.kernel_name(), "cios-16");
-  const MontgomeryContext generic_ctx(
-      m, MontgomeryContext::KernelPolicy::kGenericOnly);
-  EXPECT_FALSE(generic_ctx.has_fixed_kernel());
-  EXPECT_STREQ(generic_ctx.kernel_name(), "generic");
-  // An odd width never gets a kernel regardless of policy.
-  const MontgomeryContext odd_width(odd_modulus_exact(160, rng));
-  EXPECT_FALSE(odd_width.has_fixed_kernel());
-}
-
-TEST(FixedMontKernel, EveryWidthMatchesGenericTier) {
-  // The hard invariant: for every fixed width, mul / mul_mod / pow through
-  // the kernel are bit-identical to the generic 32-bit-limb tier (same
-  // Montgomery radix R, same window schedule).
+TEST(FixedMontKernel, EveryOddWidthMatchesNaiveOracle) {
+  // One kernel serves every odd modulus: 1 word (3 and 2^64 - 59, the
+  // largest 64-bit prime), 2 and 3 words with odd 32-bit limb counts
+  // among them (96..192 bits), the protocol widths (256..4096 bits), a
+  // width off every power of two (1056 bits), 65 words, and 96 words,
+  // whose 6-bit window table outgrows one pool cell.  The exponent
+  // lengths walk every window width from 1 to 6.
   DeterministicRng rng(13);
-  for (const std::size_t bits : kFixedBits) {
-    const BigInt m = odd_modulus_exact(bits, rng);
-    const MontgomeryContext fixed(m);
-    const MontgomeryContext generic(
-        m, MontgomeryContext::KernelPolicy::kGenericOnly);
-    ASSERT_TRUE(fixed.has_fixed_kernel()) << bits;
-    for (int trial = 0; trial < 8; ++trial) {
+  std::vector<BigInt> moduli = {BigInt(3),
+                                (BigInt(1) << 64) - BigInt(59)};
+  for (const std::size_t bits :
+       {96u, 128u, 160u, 192u, 256u, 512u, 1024u, 2048u, 4096u, 1056u, 4160u,
+        6144u}) {
+    moduli.push_back(odd_modulus_exact(bits, rng));
+  }
+  for (const BigInt& m : moduli) {
+    const MontgomeryContext ctx(m);
+    for (const std::size_t exp_bits : {3u, 17u, 70u, 230u, 700u, 800u}) {
       const BigInt a = rng.uniform_below(m);
       const BigInt b = rng.uniform_below(m);
-      const BigInt e = rng.random_bits(1 + (trial * 67) % 512);
-      EXPECT_EQ(fixed.to_mont(a), generic.to_mont(a)) << bits;
-      EXPECT_EQ(fixed.mul(fixed.to_mont(a), fixed.to_mont(b)),
-                generic.mul(generic.to_mont(a), generic.to_mont(b)))
-          << bits;
-      EXPECT_EQ(fixed.mul_mod(a, b), (a * b).mod(m)) << bits;
-      EXPECT_EQ(fixed.pow(a, e), generic.pow(a, e)) << bits;
+      const BigInt e = rng.random_bits_exact(exp_bits);
+      EXPECT_EQ(ctx.mul_mod(a, b), (a * b).mod(m)) << m.bit_length();
+      EXPECT_EQ(ctx.pow(a, e), naive_pow(a, e, m))
+          << m.bit_length() << "-bit modulus, " << exp_bits << "-bit exp";
     }
   }
 }
 
 TEST(FixedMontKernel, RedcFinalSubtractionAtLimbBoundary) {
-  // Moduli chosen to force the REDC final conditional subtraction and the
+  // Moduli chosen to force the final conditional subtraction and the
   // t[W] overflow word: all-ones (2^bits - 1, the largest odd value at the
-  // width) and 2^bits - 3 keep intermediate sums at the carry edge.
+  // width) and 2^bits - 3 keep intermediate sums at the carry edge.  The
+  // widths are every word boundary from 1 to 3 words plus the protocol
+  // widths.
   DeterministicRng rng(14);
-  for (const std::size_t bits : kFixedBits) {
+  for (const std::size_t bits :
+       {64u, 128u, 192u, 256u, 512u, 1024u, 2048u, 4096u}) {
     for (const int delta : {1, 3}) {
       const BigInt m = (BigInt(1) << bits) - BigInt(delta);
       ASSERT_TRUE(m.is_odd());
       ASSERT_EQ(m.bit_length(), bits);
-      const MontgomeryContext fixed(m);
-      ASSERT_TRUE(fixed.has_fixed_kernel()) << bits << " -" << delta;
+      const MontgomeryContext ctx(m);
       // Operands at the top of the range maximize the unreduced product.
       const BigInt top = m - BigInt(1);
-      EXPECT_EQ(fixed.mul_mod(top, top), (top * top).mod(m));
+      EXPECT_EQ(ctx.mul_mod(top, top), (top * top).mod(m));
       for (int trial = 0; trial < 4; ++trial) {
         const BigInt a = rng.uniform_below(m);
-        EXPECT_EQ(fixed.mul_mod(a, top), (a * top).mod(m));
-        EXPECT_EQ(fixed.from_mont(fixed.to_mont(a)), a);
+        EXPECT_EQ(ctx.mul_mod(a, top), (a * top).mod(m));
+        // pow(a, 1) is exactly the round trip into and out of the
+        // Montgomery form.
+        EXPECT_EQ(ctx.pow(a, BigInt(1)), a);
       }
     }
   }
@@ -116,7 +96,6 @@ TEST(FixedMontKernel, UnreducedAndNegativeOperandsReduceFirst) {
   DeterministicRng rng(15);
   const BigInt m = odd_modulus_exact(256, rng);
   const MontgomeryContext ctx(m);
-  ASSERT_TRUE(ctx.has_fixed_kernel());
   const BigInt big = m * BigInt(7) + rng.uniform_below(m);  // base >= modulus
   const BigInt b = rng.uniform_below(m);
   EXPECT_EQ(ctx.mul_mod(big, b), (big * b).mod(m));
@@ -129,7 +108,6 @@ TEST(FixedMontKernel, PowExponentEdgeCases) {
   DeterministicRng rng(16);
   const BigInt m = odd_modulus_exact(512, rng);
   const MontgomeryContext ctx(m);
-  ASSERT_TRUE(ctx.has_fixed_kernel());
   const BigInt a = rng.uniform_below(m);
   EXPECT_EQ(ctx.pow(a, BigInt(0)), BigInt(1));
   EXPECT_EQ(ctx.pow(a, BigInt(1)), a);
@@ -142,37 +120,38 @@ TEST(FixedMontKernel, PowExponentEdgeCases) {
   EXPECT_THROW((void)ctx.pow(a, BigInt(-1)), std::invalid_argument);
 }
 
-TEST(FixedMontKernel, OpCountsAreTierInvariant) {
-  // The fixed tier must mirror the generic multiply schedule exactly:
-  // identical kBigIntModMul totals per operation, with the _fixed variants
-  // counting only the kernel-path share.
+TEST(FixedMontKernel, OpCountsArePinned) {
+  // The multiply schedule depends on the exponent alone, never on the
+  // width.  e = 2^300 - 1 takes 5-bit windows: one to_mont and 30 more
+  // table entries, 59 x 5 squarings, 59 window multiplies and one
+  // from_mont = 386.  mul_mod is one to_mont plus one multiply; e = 0 is
+  // the final from_mont alone.
   DeterministicRng rng(17);
-  const BigInt m = odd_modulus_exact(1024, rng);
-  const BigInt base = rng.uniform_below(m);
-  const BigInt exp = rng.random_bits(300);
-  const MontgomeryContext fixed(m);
-  const MontgomeryContext generic(
-      m, MontgomeryContext::KernelPolicy::kGenericOnly);
-
-  const auto count_ops = [&](const MontgomeryContext& ctx) {
-    obs::MetricsRegistry reg;
-    const obs::ObserverScope scope(nullptr, &reg, "t");
-    (void)ctx.pow(base, exp);
-    (void)ctx.mul_mod(base, base);
-    return std::array<std::uint64_t, 4>{
-        reg.total(obs::Op::kBigIntModMul),
-        reg.total(obs::Op::kBigIntModExp),
-        reg.total(obs::Op::kBigIntModMulFixed),
-        reg.total(obs::Op::kBigIntModExpFixed)};
-  };
-  const auto f = count_ops(fixed);
-  const auto g = count_ops(generic);
-  EXPECT_EQ(f[0], g[0]);  // same modmul schedule
-  EXPECT_EQ(f[1], g[1]);  // one modexp each
-  EXPECT_EQ(f[2], f[0]);  // every multiply went through the kernel...
-  EXPECT_EQ(f[3], f[1]);
-  EXPECT_EQ(g[2], 0u);  // ...and none on the generic context
-  EXPECT_EQ(g[3], 0u);
+  const BigInt e = (BigInt(1) << 300) - BigInt(1);
+  for (const BigInt& m :
+       {BigInt(3), odd_modulus_exact(160, rng), odd_modulus_exact(1024, rng),
+        odd_modulus_exact(4160, rng)}) {
+    const MontgomeryContext ctx(m);
+    const BigInt base = rng.uniform_below(m);
+    const auto count_ops = [](const auto& op) {
+      obs::MetricsRegistry reg;
+      {
+        const obs::ObserverScope scope(nullptr, &reg, "t");
+        op();
+      }
+      return std::pair{reg.total(obs::Op::kBigIntModMul),
+                       reg.total(obs::Op::kBigIntModExp)};
+    };
+    EXPECT_EQ(count_ops([&] { (void)ctx.pow(base, e); }),
+              (std::pair<std::uint64_t, std::uint64_t>{386, 1}))
+        << m.bit_length();
+    EXPECT_EQ(count_ops([&] { (void)ctx.mul_mod(base, base); }),
+              (std::pair<std::uint64_t, std::uint64_t>{2, 0}))
+        << m.bit_length();
+    EXPECT_EQ(count_ops([&] { (void)ctx.pow(base, BigInt(0)); }),
+              (std::pair<std::uint64_t, std::uint64_t>{1, 1}))
+        << m.bit_length();
+  }
 }
 
 TEST(LimbPool, ReusesCellsAndCountsAllocations) {
@@ -197,25 +176,27 @@ TEST(LimbPool, ReusesCellsAndCountsAllocations) {
 TEST(LimbPool, SteadyStateKernelOpsAreAllocationFree) {
   // The pool-level proof of the "zero heap allocations per modmul" claim:
   // after one warmup op, a burst of kernel operations never takes the
-  // fresh-alloc path.
+  // fresh-alloc path.  160 bits is a DGK modulus width of the paper-size
+  // benches, 2048 bits a deployment one.
   DeterministicRng rng(18);
-  const BigInt m = odd_modulus_exact(2048, rng);
-  const MontgomeryContext ctx(m);
-  ASSERT_TRUE(ctx.has_fixed_kernel());
-  const BigInt a = rng.uniform_below(m);
-  const BigInt b = rng.uniform_below(m);
-  (void)ctx.mul_mod(a, b);  // warm the free list
-  LimbPool::local().reset_stats();
-  BigInt acc = a;
-  for (int i = 0; i < 50; ++i) acc = ctx.mul_mod(acc, b);
-  const kern::PoolStats stats = LimbPool::local().stats();
-  EXPECT_GT(stats.acquires, 0u);
-  EXPECT_EQ(stats.fresh_allocs, 0u);
-  EXPECT_EQ(stats.reuses, stats.acquires);
-  // And the arithmetic stayed right.
-  BigInt expected = a;
-  for (int i = 0; i < 50; ++i) expected = (expected * b).mod(m);
-  EXPECT_EQ(acc, expected);
+  for (const std::size_t bits : {160u, 2048u}) {
+    const BigInt m = odd_modulus_exact(bits, rng);
+    const MontgomeryContext ctx(m);
+    const BigInt a = rng.uniform_below(m);
+    const BigInt b = rng.uniform_below(m);
+    (void)ctx.mul_mod(a, b);  // warm the free list
+    LimbPool::local().reset_stats();
+    BigInt acc = a;
+    for (int i = 0; i < 50; ++i) acc = ctx.mul_mod(acc, b);
+    const kern::PoolStats stats = LimbPool::local().stats();
+    EXPECT_GT(stats.acquires, 0u) << bits;
+    EXPECT_EQ(stats.fresh_allocs, 0u) << bits;
+    EXPECT_EQ(stats.reuses, stats.acquires) << bits;
+    // And the arithmetic stayed right.
+    BigInt expected = a;
+    for (int i = 0; i < 50; ++i) expected = (expected * b).mod(m);
+    EXPECT_EQ(acc, expected) << bits;
+  }
 }
 
 TEST(LimbPool, DisableForcesFreshAllocations) {
@@ -241,6 +222,17 @@ TEST(LimbPool, CellLeaseCarveBoundsChecked) {
   EXPECT_EQ(second - first,
             static_cast<std::ptrdiff_t>(kern::kCellWords / 2));
   EXPECT_THROW((void)lease.carve(1), std::logic_error);
+
+  // A lease wider than one cell is a heap buffer of exactly its size that
+  // never touches the pool.
+  LimbPool::local().reset_stats();
+  {
+    kern::CellLease wide(kern::kCellWords + 1);
+    std::uint64_t* all = wide.carve(kern::kCellWords + 1);
+    all[kern::kCellWords] = 1;
+    EXPECT_THROW((void)wide.carve(1), std::logic_error);
+  }
+  EXPECT_EQ(LimbPool::local().stats().acquires, 0u);
 }
 
 TEST(SharedCacheLru, EvictsLeastRecentlyUsedOnly) {

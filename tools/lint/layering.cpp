@@ -24,7 +24,7 @@ int layer_rank(const std::string& rel) {
   const std::string dir = rel.substr(4, slash - 4);
   if (dir == "obs") return 1;
   if (dir == "bigint") {
-    // The fixed-limb kernel tier is a sub-layer UNDER bigint: BigInt-free
+    // The Montgomery kernel is a sub-layer UNDER bigint: BigInt-free
     // (raw limb spans only), so bigint may include kernels but never the
     // reverse.
     return rel.rfind("src/bigint/kernels/", 0) == 0 ? 2 : 3;

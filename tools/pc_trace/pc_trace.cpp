@@ -30,8 +30,10 @@
 // the same bench name: per-op counts and payload bytes, which are seeded
 // and machine-independent.  wall_ms is noise across hosts, so it only
 // participates under --wall.  A regression is a count that grew beyond
-// --tolerance percent (default 0: any growth fails), or a nonzero op that
-// appeared out of nowhere; improvements are reported but pass.
+// --tolerance percent (default 0: any growth fails), a nonzero op that
+// appeared out of nowhere, or an op the reference counts that vanished
+// (absent or 0: its work went uncounted, or the counter was renamed);
+// a count that shrinks but stays nonzero is an improvement and passes.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -534,8 +536,15 @@ int diff_benches(const std::string& old_path, const std::string& new_path,
   const std::map<std::string, double> new_ops = bench_ops(new_doc);
   for (const auto& [op, old_value] : old_ops) {
     const auto it = new_ops.find(op);
-    compare("ops." + op, old_value,
-            it != new_ops.end() ? it->second : 0.0);
+    const double new_value = it != new_ops.end() ? it->second : 0.0;
+    if (old_value > 0 && new_value == 0) {
+      std::fprintf(stderr, "REGRESSION %-28s %14.0f -> %14s (vanished)\n",
+                   ("ops." + op).c_str(), old_value,
+                   it != new_ops.end() ? "0" : "absent");
+      ++regressions;
+      continue;
+    }
+    compare("ops." + op, old_value, new_value);
   }
   for (const auto& [op, new_value] : new_ops) {
     if (old_ops.contains(op) || new_value == 0) continue;
