@@ -187,7 +187,7 @@ void BM_PaillierDecrypt(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PaillierDecrypt)->Arg(64)->Arg(128)->Arg(256)->Arg(512)
-    ->Unit(benchmark::kMicrosecond);
+    ->Arg(1024)->Arg(2048)->Unit(benchmark::kMicrosecond);
 
 void BM_PaillierHomomorphicAdd(benchmark::State& state) {
   DeterministicRng rng(7);

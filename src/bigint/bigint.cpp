@@ -659,12 +659,16 @@ std::vector<std::uint8_t> BigInt::to_bytes() const {
 
 BigInt BigInt::from_bytes(std::span<const std::uint8_t> big_endian,
                           bool negative) {
+  // One pass from the least significant (last) byte: byte i of that order
+  // lands in limb i / 4 at bit 8 * (i % 4).
   BigInt out;
-  for (const std::uint8_t b : big_endian) {
-    out <<= 8;
-    out += BigInt(static_cast<std::uint64_t>(b));
+  out.limbs_.assign((big_endian.size() + 3) / 4, 0);
+  std::size_t i = 0;
+  for (auto it = big_endian.rbegin(); it != big_endian.rend(); ++it, ++i) {
+    out.limbs_[i / 4] |= static_cast<std::uint32_t>(*it) << (8 * (i % 4));
   }
-  if (negative && !out.is_zero()) out.negative_ = true;
+  out.trim();
+  out.negative_ = negative && !out.is_zero();
   return out;
 }
 

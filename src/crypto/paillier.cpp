@@ -117,17 +117,19 @@ PaillierPrivateKey::PaillierPrivateKey(const PaillierPublicKey& pk, BigInt p,
     : pk_(pk), p_(std::move(p)), q_(std::move(q)) {
   // pc_declassify (this whole block): key construction runs once, offline,
   // before the key is used in any adversary-observable exchange, so its
-  // variable-time arithmetic (lcm, invert_mod — both Euclid-family) and
-  // validation branches leak nothing an online attacker can measure.  The
-  // parity checks are structural: p^2 and q^2 are odd for every real key.
+  // variable-time arithmetic (invert_mod is Euclid-family) and validation
+  // branches leak nothing an online attacker can measure.  The parity
+  // checks are structural: p^2 and q^2 are odd for every real key.
   if (pc_declassify(p_ * q_ != pk_.n())) {
     throw std::invalid_argument("Paillier private key does not match modulus");
   }
   p_squared_ = p_ * p_;
   q_squared_ = q_ * q_;
-  lambda_ = pc_declassify(BigInt::lcm(p_ - BigInt(1), q_ - BigInt(1)));
-  mu_ = pc_declassify(BigInt::invert_mod(lambda_, pk_.n()));
-  q_sq_inv_p_ = pc_declassify(BigInt::invert_mod(q_squared_, p_squared_));
+  // With g = n + 1, c^(p-1) = 1 + m*n*(p-1) (mod p^2), so
+  // L_p(c^(p-1) mod p^2) = m*q*(p-1) = -m*q (mod p): h_p undoes the -q.
+  hp_ = pc_declassify(BigInt::invert_mod((-q_).mod(p_), p_));
+  hq_ = pc_declassify(BigInt::invert_mod((-p_).mod(q_), q_));
+  q_inv_p_ = pc_declassify(BigInt::invert_mod(q_, p_));
   if (pc_declassify(p_squared_.is_odd())) {
     mont_p_squared_ = MontgomeryContext::shared(p_squared_);
   }
@@ -141,39 +143,37 @@ void PaillierPrivateKey::zeroize() {
   q_.zeroize();
   p_squared_.zeroize();
   q_squared_.zeroize();
-  lambda_.zeroize();
-  mu_.zeroize();
-  q_sq_inv_p_.zeroize();
+  hp_.zeroize();
+  hq_.zeroize();
+  q_inv_p_.zeroize();
   mont_p_squared_.reset();
   mont_q_squared_.reset();
 }
 
 namespace {
-/// Paillier L function: L(x) = (x - 1) / n, defined on x ≡ 1 (mod n).
-BigInt l_function(const BigInt& x, const BigInt& n) {
-  return (x - BigInt(1)) / n;
+
+/// m mod r from c, for one prime factor r of n (Paillier '99, Sec. 7):
+/// L_r(c^(r-1) mod r^2) * h_r mod r, with L_r(x) = (x - 1) / r.
+BigInt decrypt_mod_factor(const std::shared_ptr<const MontgomeryContext>& ctx,
+                          const BigInt& c, const BigInt& r,
+                          const BigInt& r_squared, const BigInt& h_r) {
+  const BigInt x = ctx_pow(ctx, c.mod(r_squared), r - BigInt(1), r_squared);
+  return (((x - BigInt(1)) / r) * h_r).mod(r);
 }
+
 }  // namespace
 
-BigInt PaillierPrivateKey::decrypt_crt(const PaillierCiphertext& c) const {
-  // c^lambda mod n^2 via CRT over p^2 and q^2.
-  const BigInt cp = ctx_pow(mont_p_squared_, c.value.mod(p_squared_), lambda_,
-                            p_squared_);
-  const BigInt cq = ctx_pow(mont_q_squared_, c.value.mod(q_squared_), lambda_,
-                            q_squared_);
-  // Garner recombination: x = cq + q^2 * ((cp - cq) * inv(q^2) mod p^2).
-  const BigInt diff = (cp - cq).mod(p_squared_);
-  return cq +
-         q_squared_ * ctx_mul(mont_p_squared_, diff, q_sq_inv_p_, p_squared_);
-}
-
 BigInt PaillierPrivateKey::decrypt_raw(const PaillierCiphertext& c) const {
-  if (c.value.is_negative() || c.value >= pk_.n_squared()) {
+  if (c.value <= BigInt(0) || c.value >= pk_.n_squared()) {
     throw std::invalid_argument("Paillier ciphertext out of range");
   }
   obs::count(obs::Op::kPaillierDecrypt);
-  const BigInt x = decrypt_crt(c);
-  return (l_function(x, pk_.n()) * mu_).mod(pk_.n());
+  const BigInt mp =
+      decrypt_mod_factor(mont_p_squared_, c.value, p_, p_squared_, hp_);
+  const BigInt mq =
+      decrypt_mod_factor(mont_q_squared_, c.value, q_, q_squared_, hq_);
+  // Garner recombination mod n: m = mq + q * ((mp - mq) * q^-1 mod p).
+  return mq + q_ * ((mp - mq) * q_inv_p_).mod(p_);
 }
 
 BigInt PaillierPrivateKey::decrypt(const PaillierCiphertext& c) const {

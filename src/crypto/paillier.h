@@ -8,8 +8,10 @@
 // "upper half is negative" convention; all protocol aggregates are bounded
 // well below n/2 (the callers enforce this).
 //
-// Decryption uses the CRT fast path (separate exponentiations mod p^2 and
-// q^2) when the private key retains the factorization.
+// Decryption is Paillier's own CRT form (EUROCRYPT '99, Sec. 7): the key
+// keeps the factorization, raises c to p-1 mod p^2 and to q-1 mod q^2 —
+// exponents half as long as lambda, with no arithmetic above p^2 and q^2 —
+// and recombines the two halves mod n.
 #pragma once
 
 #include <cstdint>
@@ -115,7 +117,8 @@ class PaillierPrivateKey {
 
   /// Signed decryption: result in (-n/2, n/2].
   [[nodiscard]] BigInt decrypt(const PaillierCiphertext& c) const;
-  /// Raw decryption: residue in [0, n).
+  /// Raw decryption: residue in [0, n).  Throws std::invalid_argument
+  /// unless c lies in [1, n^2).
   [[nodiscard]] BigInt decrypt_raw(const PaillierCiphertext& c) const;
 
   [[nodiscard]] const PaillierPublicKey& public_key() const { return pk_; }
@@ -125,14 +128,12 @@ class PaillierPrivateKey {
   void zeroize();
 
  private:
-  [[nodiscard]] BigInt decrypt_crt(const PaillierCiphertext& c) const;
-
   PaillierPublicKey pk_;
   PC_SECRET BigInt p_, q_;
   PC_SECRET BigInt p_squared_, q_squared_;
-  PC_SECRET BigInt lambda_;      // lcm(p-1, q-1)
-  PC_SECRET BigInt mu_;          // lambda^{-1} mod n
-  PC_SECRET BigInt q_sq_inv_p_;  // q^2 inverse mod p^2 (CRT recombination)
+  PC_SECRET BigInt hp_;       // (-q)^{-1} mod p
+  PC_SECRET BigInt hq_;       // (-p)^{-1} mod q
+  PC_SECRET BigInt q_inv_p_;  // q^{-1} mod p (CRT recombination)
   // Key-attached contexts for the CRT moduli (dropped by zeroize; note the
   // process-wide Montgomery cache may retain its own entry, see DESIGN §10).
   std::shared_ptr<const MontgomeryContext> mont_p_squared_;

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "core/secrecy.h"
+#include "mpc/lane_pool.h"
 #include "mpc/permutation.h"
 #include "net/party_runner.h"
 #include "obs/trace.h"
@@ -121,13 +122,17 @@ void send_ciphertext_batch(Channel& chan, const std::string& to,
 }
 
 /// S2's core: zero-test the returned sequence; some c_i == 0 iff d < e.
-bool any_zero_test(const DgkPrivateKey& sk,
+/// Every element is tested (fanned out at deployment widths, where the
+/// public key decides), and the results fold without a branch.
+bool any_zero_test(const DgkPublicKey& pk, const DgkPrivateKey& sk,
                    const std::vector<DgkCiphertext>& cts) {
-  bool any_zero = false;
-  for (const DgkCiphertext& c : cts) {
-    any_zero = sk.is_zero(c) || any_zero;
-  }
-  return any_zero;
+  std::vector<std::uint8_t> zero(cts.size());
+  for_each_element(pk.n().bit_length(), cts.size(), [&](std::size_t i) {
+    zero[i] = static_cast<std::uint8_t>(sk.is_zero(cts[i]));
+  });
+  std::uint8_t any_zero = 0;
+  for (const std::uint8_t z : zero) any_zero |= z;
+  return any_zero != 0;
 }
 
 void require_shared_width(const DgkPublicKey& pk, std::size_t width) {
@@ -158,7 +163,7 @@ MessageWriter dgk_compare_s1_blind(const DgkPublicKey& pk, std::size_t ell,
 bool dgk_compare_s2_decide(const DgkCompareContext& ctx,
                            MessageReader& blinded, MessageWriter& reply) {
   const std::vector<DgkCiphertext> c_seq = read_ciphertext_batch(blinded, 0);
-  const bool x_geq_y = !any_zero_test(*ctx.sk, c_seq);
+  const bool x_geq_y = !any_zero_test(*ctx.pk, *ctx.sk, c_seq);
   // pc_declassify: the comparison bit is the DGK protocol's defined output
   // for S2 — the one sanctioned release of this subprotocol.
   reply.write_u8(pc_declassify(x_geq_y ? 1 : 0));
@@ -210,7 +215,7 @@ bool dgk_compare_shared_s2(Channel& chan, const DgkCompareContext& ctx,
             encrypted_bits_message(*ctx.pk, e_prime, width, rng, nullptr));
   const std::vector<DgkCiphertext> blinded =
       recv_ciphertext_batch(chan, "S1", 0);
-  return any_zero_test(*ctx.sk, blinded);  // t: kept private
+  return any_zero_test(*ctx.pk, *ctx.sk, blinded);  // t: kept private
 }
 
 bool dgk_compare_geq(Network& net, const DgkCompareContext& ctx,

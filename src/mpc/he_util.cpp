@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "crypto/precompute_service.h"
+#include "mpc/lane_pool.h"
 
 namespace pcl {
 
@@ -31,11 +32,10 @@ std::vector<PaillierCiphertext> encrypt_vector_pooled(
 
 std::vector<std::int64_t> decrypt_vector(
     const PaillierPrivateKey& sk, std::span<const PaillierCiphertext> cts) {
-  std::vector<std::int64_t> out;
-  out.reserve(cts.size());
-  for (const PaillierCiphertext& c : cts) {
-    out.push_back(sk.decrypt(c).to_int64());
-  }
+  std::vector<std::int64_t> out(cts.size());
+  for_each_element(sk.public_key().key_bits(), cts.size(), [&](std::size_t i) {
+    out[i] = sk.decrypt(cts[i]).to_int64();
+  });
   return out;
 }
 
@@ -122,11 +122,9 @@ std::vector<std::int64_t> decrypt_packed_vector(
   if (cts.size() != layout.num_cts) {
     throw std::invalid_argument("packed ciphertext vector length mismatch");
   }
-  std::vector<BigInt> plaintexts;
-  plaintexts.reserve(cts.size());
-  for (const PaillierCiphertext& c : cts) {
-    plaintexts.push_back(sk.decrypt(c));
-  }
+  std::vector<BigInt> plaintexts(cts.size());
+  for_each_element(sk.public_key().key_bits(), cts.size(),
+                   [&](std::size_t i) { plaintexts[i] = sk.decrypt(cts[i]); });
   return unpack_values(layout, plaintexts, addend_count);
 }
 

@@ -26,7 +26,8 @@ class PaillierPowerStream;
     Rng& rng, PaillierPowerStream* stream);
 
 /// Decrypts each element; throws std::overflow_error if any plaintext does
-/// not fit int64 (which would indicate a protocol bound violation).
+/// not fit int64 (which would indicate a protocol bound violation).  At
+/// deployment widths the decryptions fan out (mpc/lane_pool.h).
 [[nodiscard]] std::vector<std::int64_t> decrypt_vector(
     const PaillierPrivateKey& sk, std::span<const PaillierCiphertext> cts);
 
@@ -69,7 +70,7 @@ class PaillierPowerStream;
     std::span<const std::int64_t> delta);
 
 /// Decrypts packed ciphertexts and unpacks all L slot values, removing
-/// `addend_count` biases per slot.
+/// `addend_count` biases per slot.  Fans out like decrypt_vector.
 [[nodiscard]] std::vector<std::int64_t> decrypt_packed_vector(
     const PaillierPrivateKey& sk, const PackingLayout& layout,
     std::span<const PaillierCiphertext> cts, std::size_t addend_count);

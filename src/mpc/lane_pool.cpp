@@ -3,6 +3,14 @@
 #include <algorithm>
 
 namespace pcl {
+namespace {
+
+// True while this thread runs a lane of some job, as a pool worker or as
+// the submitter inside its own job.  A run() issued there runs inline: the
+// job slot it would wait for is held by the very job this lane belongs to.
+thread_local bool t_in_lane = false;
+
+}  // namespace
 
 LanePool::LanePool(std::size_t threads) {
   workers_.reserve(threads);
@@ -30,6 +38,7 @@ LanePool& LanePool::shared() {
 }
 
 void LanePool::worker_main() {
+  t_in_lane = true;  // a worker only ever runs lanes
   std::unique_lock<std::mutex> lock(mutex_);
   std::uint64_t seen = 0;
   for (;;) {
@@ -61,6 +70,10 @@ void LanePool::worker_main() {
 void LanePool::run(std::size_t lanes,
                    const std::function<void(std::size_t)>& fn) {
   if (lanes == 0) return;
+  if (t_in_lane) {
+    for (std::size_t lane = 0; lane < lanes; ++lane) fn(lane);
+    return;
+  }
   std::unique_lock<std::mutex> lock(mutex_);
   idle_cv_.wait(lock, [&] { return !busy_; });
   busy_ = true;
@@ -73,7 +86,9 @@ void LanePool::run(std::size_t lanes,
   ++job_id_;
   work_cv_.notify_all();
   // The submitting thread claims lanes too (its observer is already
-  // installed, so no snapshot scope here).
+  // installed, so no snapshot scope here).  No lane exception escapes the
+  // loop, so the flag is always cleared after it.
+  t_in_lane = true;
   while (job_.next < job_.lanes) {
     const std::size_t lane = job_.next++;
     ++job_.active;
@@ -88,6 +103,7 @@ void LanePool::run(std::size_t lanes,
     }
     --job_.active;
   }
+  t_in_lane = false;
   done_cv_.wait(lock, [&] { return job_.active == 0; });
   const std::exception_ptr error = job_.error;
   job_.fn = nullptr;
@@ -95,6 +111,15 @@ void LanePool::run(std::size_t lanes,
   idle_cv_.notify_one();
   lock.unlock();
   if (error) std::rethrow_exception(error);
+}
+
+void for_each_element(std::size_t modulus_bits, std::size_t count,
+                      const std::function<void(std::size_t)>& fn) {
+  if (modulus_bits >= kElementFanOutMinBits) {
+    LanePool::shared().run(count, fn);
+    return;
+  }
+  for (std::size_t i = 0; i < count; ++i) fn(i);
 }
 
 }  // namespace pcl

@@ -1,4 +1,5 @@
-// Shared worker pool for query-lane crypto fan-out (batched execution).
+// Shared worker pool for crypto fan-out: query lanes of a batch, and the
+// elements of one vector at deployment key widths.
 //
 // Batched protocol rounds coalesce Q queries' payloads into one frame; the
 // per-lane crypto (encryptions, blinding, zero-tests) is independent across
@@ -8,15 +9,26 @@
 // persistent across rounds: a batched query makes hundreds of fan-out
 // calls, and respawning workers per call would dominate the win.
 //
+// A one-lane query (Q = 1) has no lanes to spread, but at deployment widths
+// its decryptions and zero-tests cost milliseconds each and are independent
+// of one another: for_each_element() runs them on the shared pool when the
+// public modulus has at least kElementFanOutMinBits bits.  Below that an
+// element costs microseconds, less than a dispatch, and runs inline.
+//
 // Observability: run() snapshots the submitting thread's observer binding
 // (obs::current_observer) and each worker installs it for the duration of a
 // lane, so spans opened and ops counted inside fn attribute to the
-// submitting party exactly as in the sequential path.  The submitting
-// thread participates in the lane loop itself (it would otherwise idle),
-// which also makes a zero-worker pool valid.
+// submitting party and step exactly as in the sequential path.  The
+// submitting thread participates in the lane loop itself (it would
+// otherwise idle), which also makes a zero-worker pool valid.
 //
 // Concurrent run() calls from different party threads serialize on the one
-// job slot; lanes within a job run concurrently.
+// job slot; lanes within a job run concurrently.  A run() issued from a
+// thread that is already running a lane — a worker, or the submitter inside
+// its own job — runs every inner lane inline on that thread: the job slot
+// it would wait for is held by its own job.  So a lane of a Q > 1 batch
+// that reaches for_each_element() decrypts serially, and the pool's threads
+// stay busy with lanes.
 #pragma once
 
 #include <condition_variable>
@@ -43,7 +55,7 @@ class LanePool {
   /// Runs fn(lane) for every lane in [0, lanes), blocking until all lanes
   /// finish.  The first exception thrown by any lane cancels the unclaimed
   /// remainder and is rethrown here.  fn must be safe to call concurrently
-  /// for distinct lanes.
+  /// for distinct lanes.  Called from inside a lane, it runs inline.
   void run(std::size_t lanes, const std::function<void(std::size_t)>& fn);
 
   [[nodiscard]] std::size_t thread_count() const { return workers_.size(); }
@@ -76,5 +88,18 @@ class LanePool {
   bool stopping_ = false;
   std::vector<std::thread> workers_;
 };
+
+/// Public-modulus width from which one element's crypto outweighs a pool
+/// dispatch: a 1024-bit Paillier decryption costs about 0.7 ms, while an
+/// element at the paper's 64-bit Paillier and 192-bit DGK keys costs a
+/// few microseconds.
+inline constexpr std::size_t kElementFanOutMinBits = 1024;
+
+/// Runs fn(i) for every i in [0, count): on LanePool::shared() when
+/// `modulus_bits` — the bit length of a PUBLIC modulus — reaches
+/// kElementFanOutMinBits, inline in index order otherwise.  fn must write
+/// only its own element's result.
+void for_each_element(std::size_t modulus_bits, std::size_t count,
+                      const std::function<void(std::size_t)>& fn);
 
 }  // namespace pcl

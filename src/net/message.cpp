@@ -103,9 +103,13 @@ double MessageReader::read_double() {
 }
 
 BigInt MessageReader::read_bigint() {
-  const bool negative = read_u8() != 0;
-  const std::vector<std::uint8_t> magnitude = read_bytes();
-  return BigInt::from_bytes(magnitude, negative);
+  // One encoding per value: the sign byte is 0 or 1, never "any nonzero".
+  const std::uint8_t sign = read_u8();
+  if (sign > 1) {
+    throw FramingError("MessageReader: BigInt sign byte " +
+                       std::to_string(sign) + " is neither 0 nor 1");
+  }
+  return BigInt::from_bytes(read_bytes(), sign == 1);
 }
 
 std::vector<std::uint8_t> MessageReader::read_bytes() {

@@ -37,7 +37,7 @@ ThreadObserver& tls_observer() {
 
 ObserverSnapshot current_observer() {
   const detail::ThreadObserver& obs = detail::tls_observer();
-  return {obs.sink, obs.metrics, obs.party, obs.phase};
+  return {obs.sink, obs.metrics, obs.party, obs.phase, obs.slot};
 }
 
 ObserverScope::ObserverScope(TraceSink* sink, MetricsRegistry* metrics,
@@ -52,6 +52,12 @@ ObserverScope::ObserverScope(TraceSink* sink, MetricsRegistry* metrics,
   obs.party = party_.c_str();
   obs.depth = 0;
   obs.phase = phase;
+}
+
+ObserverScope::ObserverScope(const ObserverSnapshot& snapshot)
+    : ObserverScope(snapshot.sink, snapshot.metrics, snapshot.party,
+                    snapshot.phase) {
+  if (snapshot.step != nullptr) detail::tls_observer().slot = snapshot.step;
 }
 
 ObserverScope::~ObserverScope() { detail::tls_observer() = saved_; }

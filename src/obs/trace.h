@@ -73,12 +73,15 @@ struct ThreadObserver {
 /// threads that do crypto on behalf of an observed party (the lane-pool
 /// fan-out).  The worker installs it with ObserverScope(snapshot); its
 /// spans and counters then attribute to the originating party — including
-/// the ambient phase, so online fan-out work stays counted as online.
+/// the ambient phase, so online fan-out work stays counted as online, and
+/// the innermost open step, so a fanned-out decryption counts under the
+/// step that asked for it.
 struct ObserverSnapshot {
   TraceSink* sink = nullptr;
   MetricsRegistry* metrics = nullptr;
   std::string party;
   Phase phase = Phase::kUnphased;
+  StepCounters* step = nullptr;  ///< innermost span's block (null: none)
 };
 
 /// Snapshot of the calling thread's current binding (empty when the thread
@@ -93,9 +96,7 @@ class ObserverScope {
  public:
   ObserverScope(TraceSink* sink, MetricsRegistry* metrics, std::string party,
                 Phase phase = Phase::kUnphased);
-  explicit ObserverScope(const ObserverSnapshot& snapshot)
-      : ObserverScope(snapshot.sink, snapshot.metrics, snapshot.party,
-                      snapshot.phase) {}
+  explicit ObserverScope(const ObserverSnapshot& snapshot);
   ~ObserverScope();
   ObserverScope(const ObserverScope&) = delete;
   ObserverScope& operator=(const ObserverScope&) = delete;

@@ -114,6 +114,50 @@ TEST(BigIntBasic, BytesRoundTrip) {
     EXPECT_EQ(BigInt::from_bytes(bytes, true), v.is_zero() ? v : -v);
   }
   EXPECT_TRUE(BigInt::from_bytes({}).is_zero());
+
+  // Known answers, across limb boundaries.
+  using Bytes = std::vector<std::uint8_t>;
+  EXPECT_EQ(BigInt::from_bytes(Bytes{0x2a}), BigInt(42));
+  EXPECT_EQ(BigInt::from_bytes(Bytes{0x01, 0x00}), BigInt(256));
+  EXPECT_EQ(BigInt::from_bytes(Bytes{0xde, 0xad, 0xbe, 0xef}),
+            BigInt(std::uint64_t{0xdeadbeef}));
+  EXPECT_EQ(BigInt::from_bytes(Bytes{0x01, 0x02, 0x03, 0x04, 0x05}),
+            BigInt(std::uint64_t{0x0102030405}));
+  EXPECT_EQ(BigInt::from_bytes(Bytes{0x80, 0, 0, 0, 0, 0, 0, 0, 0x01}),
+            BigInt::from_string("800000000000000001", 16));
+  EXPECT_EQ(BigInt::from_bytes(Bytes{0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
+                                     0xff, 0xff},
+                               true),
+            -BigInt(~std::uint64_t{0}));
+
+  // Leading zero bytes are ignored; to_bytes never emits them.
+  EXPECT_EQ(BigInt::from_bytes(Bytes{0, 0, 0, 0, 0x12, 0x34}), BigInt(0x1234));
+  EXPECT_EQ(BigInt::from_bytes(Bytes{0, 0, 0, 0, 0, 0, 0, 0, 0x07}),
+            BigInt(7));
+  EXPECT_TRUE(BigInt::from_bytes(Bytes(9, 0)).is_zero());
+
+  // Every length 1-9 and 512 (a 4096-bit n^2 ciphertext), against hex.
+  std::vector<std::size_t> lengths = {512};
+  for (std::size_t len = 1; len <= 9; ++len) lengths.push_back(len);
+  for (const std::size_t len : lengths) {
+    Bytes bytes(len);
+    std::string hex;
+    for (std::size_t i = 0; i < len; ++i) {
+      bytes[i] = static_cast<std::uint8_t>(rng.next_u64() | (i == 0 ? 1 : 0));
+      static const char* const kDigits = "0123456789abcdef";
+      hex += kDigits[bytes[i] >> 4];
+      hex += kDigits[bytes[i] & 0xf];
+    }
+    const BigInt v = BigInt::from_bytes(bytes);
+    EXPECT_EQ(v, BigInt::from_string(hex, 16)) << len;
+    EXPECT_EQ(v.to_bytes(), bytes) << len;
+    EXPECT_EQ(BigInt::from_bytes(bytes, true), -v) << len;
+  }
+
+  // The sign flag on an empty or all-zero magnitude still gives +0.
+  EXPECT_EQ(BigInt::from_bytes({}, true), BigInt(0));
+  EXPECT_FALSE(BigInt::from_bytes({}, true).is_negative());
+  EXPECT_FALSE(BigInt::from_bytes(Bytes{0, 0}, true).is_negative());
 }
 
 TEST(BigIntBasic, ComparisonOrdering) {

@@ -21,9 +21,13 @@
 #include <string>
 #include <vector>
 
+#include <array>
 #include <atomic>
+#include <deque>
+#include <latch>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 
 #include "mpc/consensus.h"
 #include "mpc/lane_pool.h"
@@ -378,6 +382,114 @@ TEST(LanePool, WorkersInheritTheSubmittersObserverBinding) {
   });
   EXPECT_EQ(metrics.counters_for("lane:even").get(obs::Op::kDgkCompare), 3u);
   EXPECT_EQ(metrics.counters_for("lane:odd").get(obs::Op::kDgkCompare), 3u);
+}
+
+TEST(LanePool, NestedRunRunsInline) {
+  // A lane that issues a run() of its own — a Q > 1 batch lane reaching
+  // the decryption fan-out — must not wait for the job slot its own job
+  // holds.  One worker and two lanes that meet at a latch: one outer lane
+  // runs on the worker, the other on the submitter, and each runs its
+  // inner lanes inline on its own thread.
+  LanePool pool(1);
+  constexpr std::size_t kInner = 5;
+  std::latch both_started(2);
+  std::array<std::thread::id, 2> outer_thread{};
+  std::array<std::array<std::atomic<int>, kInner>, 2> ran{};
+  std::array<std::atomic<bool>, 2> inline_only{};
+  pool.run(2, [&](std::size_t outer) {
+    both_started.arrive_and_wait();
+    outer_thread[outer] = std::this_thread::get_id();
+    inline_only[outer] = true;
+    pool.run(kInner, [&](std::size_t inner) {
+      ++ran[outer][inner];
+      if (std::this_thread::get_id() != outer_thread[outer]) {
+        inline_only[outer] = false;
+      }
+    });
+  });
+  EXPECT_NE(outer_thread[0], outer_thread[1]);
+  EXPECT_TRUE(outer_thread[0] == std::this_thread::get_id() ||
+              outer_thread[1] == std::this_thread::get_id());
+  for (std::size_t outer = 0; outer < 2; ++outer) {
+    EXPECT_TRUE(inline_only[outer]) << outer;
+    for (std::size_t inner = 0; inner < kInner; ++inner) {
+      EXPECT_EQ(ran[outer][inner].load(), 1) << outer << "/" << inner;
+    }
+  }
+  // The pool is free again afterwards.
+  std::atomic<int> after{0};
+  pool.run(4, [&](std::size_t) { ++after; });
+  EXPECT_EQ(after.load(), 4);
+}
+
+/// Per party (S1, S2, user:0, ...): the released label and every non-bigint
+/// (step, op) count of one seeded query, each party run through
+/// run_party_seeded under its own registry.
+struct PartyOps {
+  std::vector<std::optional<int>> labels;
+  std::vector<std::map<std::pair<std::string, std::string>, std::uint64_t>>
+      ops;
+};
+
+PartyOps run_observed(const ConsensusProtocol& protocol,
+                      const std::vector<std::vector<double>>& votes,
+                      std::uint64_t seed) {
+  std::vector<std::string> names = {"S1", "S2"};
+  for (std::size_t u = 0; u < protocol.config().num_users; ++u) {
+    names.push_back("user:" + std::to_string(u));
+  }
+  std::deque<obs::MetricsRegistry> registries(names.size());
+  PartyOps out;
+  out.labels.resize(names.size());
+  std::vector<Party> parties;
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    parties.push_back({names[i], [&, i](Channel& chan) {
+                         const obs::ObserverScope scope(
+                             nullptr, &registries[i], names[i]);
+                         out.labels[i] = protocol.run_party_seeded(
+                             names[i], votes, seed, chan);
+                       }});
+  }
+  (void)run_parties(parties, PartyRunOptions{});
+  for (const obs::MetricsRegistry& registry : registries) {
+    auto& ops = out.ops.emplace_back();
+    for (const obs::MetricsRegistry::Entry& e : registry.entries()) {
+      const std::string op = obs::op_name(e.op);
+      if (op.rfind("bigint.", 0) != 0) ops[{e.step, op}] = e.count;
+    }
+  }
+  return out;
+}
+
+TEST(ConsensusFanOut, DeploymentWidthQueryMatchesPaperWidth) {
+  // 1024 bits is the narrowest width at which decryptions and zero-tests
+  // fan out over the shared LanePool.  The one-lane query there releases
+  // the paper-width query's label, and every party counts the same
+  // non-bigint ops under the same steps: ops counted on pool workers land
+  // in the submitting party's registry.
+  ConsensusConfig paper = small_config();
+  paper.num_users = 3;
+  paper.argmax_strategy = ArgmaxStrategy::kTournament;
+  ConsensusConfig wide = paper;
+  wide.paillier_bits = kElementFanOutMinBits;
+  // DGK key generation fixes the bit lengths of p and q, not of n (a
+  // 1024-bit request can give a 1023-bit n); two more bits keep n at or
+  // above the threshold.
+  wide.dgk_params.n_bits = kElementFanOutMinBits + 2;
+  wide.dgk_params.v_bits = 160;
+  DeterministicRng paper_keygen(7), wide_keygen(7);
+  const ConsensusProtocol paper_protocol(paper, paper_keygen);
+  const ConsensusProtocol wide_protocol(wide, wide_keygen);
+  const auto votes = one_hot_votes({2, 2, 2}, 4);
+  const PartyOps expect = run_observed(paper_protocol, votes, 20200706);
+  const PartyOps got = run_observed(wide_protocol, votes, 20200706);
+  EXPECT_EQ(expect.labels[0], std::optional<int>(2));
+  EXPECT_EQ(got.labels, expect.labels);
+  ASSERT_EQ(got.ops.size(), expect.ops.size());
+  for (std::size_t i = 0; i < expect.ops.size(); ++i) {
+    EXPECT_FALSE(expect.ops[i].empty()) << "party " << i;
+    EXPECT_EQ(got.ops[i], expect.ops[i]) << "party " << i;
+  }
 }
 
 }  // namespace

@@ -80,6 +80,36 @@ TEST(Message, TruncatedBytesThrow) {
   EXPECT_THROW((void)r.read_bytes(), FramingError);
 }
 
+TEST(Message, BigIntSignByteIsZeroOrOne) {
+  // One encoding per value: any sign byte but 0 or 1 is a framing error.
+  const std::initializer_list<std::uint8_t> bad_signs = {2, 0x80, 0xff};
+  for (const std::uint8_t sign : bad_signs) {
+    MessageWriter w;
+    w.write_u8(sign);
+    w.write_bytes({0x05});
+    MessageReader r(std::move(w).take());
+    EXPECT_THROW((void)r.read_bigint(), FramingError) << int{sign};
+  }
+  MessageWriter w;
+  w.write_u8(1);
+  w.write_bytes({0x05});
+  w.write_u8(0);
+  w.write_bytes({0x05});
+  MessageReader r(std::move(w).take());
+  EXPECT_EQ(r.read_bigint(), BigInt(-5));
+  EXPECT_EQ(r.read_bigint(), BigInt(5));
+  EXPECT_TRUE(r.exhausted());
+}
+
+TEST(Message, TruncatedBigIntMagnitudeThrows) {
+  MessageWriter w;
+  w.write_u8(0);
+  w.write_u64(3);  // claims 3 magnitude bytes, 1 follows
+  w.write_u8(0x01);
+  MessageReader r(std::move(w).take());
+  EXPECT_THROW((void)r.read_bigint(), FramingError);
+}
+
 TEST(Message, SizeTracksBytes) {
   MessageWriter w;
   EXPECT_EQ(w.size(), 0u);

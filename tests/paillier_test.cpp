@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "bigint/primes.h"
 #include "bigint/rng.h"
 
 namespace pcl {
@@ -96,6 +97,73 @@ TEST_P(PaillierTest, LongAggregationChain) {
 INSTANTIATE_TEST_SUITE_P(KeySizes, PaillierTest,
                          ::testing::Values(32u, 64u, 128u, 256u, 512u));
 
+/// A key whose factors the test keeps, drawn as generate_paillier_key does,
+/// with the textbook lambda decryption as the reference: c^lambda mod n^2,
+/// then L(x) = (x - 1) / n, then times mu = lambda^-1 mod n.
+class PaillierReferenceTest : public ::testing::TestWithParam<std::size_t> {
+ protected:
+  PaillierReferenceTest() : rng_(GetParam() * 7919 + 3) {
+    const std::size_t bits = GetParam();
+    BigInt p, q, n;
+    do {
+      p = random_prime(bits / 2, rng_);
+      q = random_prime(bits - bits / 2, rng_);
+      n = p * q;
+    } while (p == q || n.bit_length() != bits ||
+             BigInt::gcd(n, (p - BigInt(1)) * (q - BigInt(1))) != BigInt(1));
+    pk_ = PaillierPublicKey(n);
+    sk_ = PaillierPrivateKey(pk_, p, q);
+    lambda_ = BigInt::lcm(p - BigInt(1), q - BigInt(1));
+    mu_ = BigInt::invert_mod(lambda_, n);
+  }
+
+  [[nodiscard]] BigInt reference_raw(const PaillierCiphertext& c) const {
+    const BigInt x = BigInt::pow_mod(c.value, lambda_, pk_.n_squared());
+    return (((x - BigInt(1)) / pk_.n()) * mu_).mod(pk_.n());
+  }
+
+  /// decrypt_raw agrees with the reference on c, and decrypt gives m.
+  void expect_decrypts(const PaillierCiphertext& c, const BigInt& m) const {
+    EXPECT_EQ(sk_.decrypt_raw(c), reference_raw(c)) << "m=" << m;
+    EXPECT_EQ(sk_.decrypt(c), m);
+  }
+
+  DeterministicRng rng_;
+  PaillierPublicKey pk_;
+  PaillierPrivateKey sk_;
+  BigInt lambda_, mu_;
+};
+
+TEST_P(PaillierReferenceTest, FreshEncryptionsMatchTheLambdaFormula) {
+  const BigInt half = pk_.n() >> 1;  // floor(n/2)
+  std::vector<BigInt> plaintexts = {BigInt(0), BigInt(1), BigInt(-1), half,
+                                    -half};
+  for (int i = 0; i < 8; ++i) {
+    plaintexts.push_back(rng_.uniform_in(-half, half));
+  }
+  for (const BigInt& m : plaintexts) expect_decrypts(pk_.encrypt(m, rng_), m);
+}
+
+TEST_P(PaillierReferenceTest, DerivedCiphertextsMatchTheLambdaFormula) {
+  const BigInt quarter = pk_.n() >> 2;
+  const BigInt small = pk_.n() >> 8;
+  for (int i = 0; i < 4; ++i) {
+    const BigInt m1 = rng_.uniform_in(-quarter, quarter);
+    const BigInt m2 = rng_.uniform_in(-quarter, quarter);
+    const PaillierCiphertext c1 = pk_.encrypt(m1, rng_);
+    expect_decrypts(pk_.add(c1, pk_.encrypt(m2, rng_)), m1 + m2);
+    const BigInt m = rng_.uniform_in(-small, small);
+    const BigInt a(static_cast<std::int64_t>(i) * 37 - 50);
+    expect_decrypts(pk_.scalar_mul(pk_.encrypt(m, rng_), a), m * a);
+    expect_decrypts(pk_.compose_plain(c1, m2), m1 + m2);
+    expect_decrypts(pk_.encrypt_with_power(m1, pk_.randomizer_power(rng_)),
+                    m1);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(KeySizes, PaillierReferenceTest,
+                         ::testing::Values(32u, 64u, 128u, 256u, 512u, 1024u));
+
 TEST(PaillierEdge, KeyBitsValidated) {
   DeterministicRng rng(1);
   EXPECT_THROW((void)generate_paillier_key(8, rng), std::invalid_argument);
@@ -115,6 +183,10 @@ TEST(PaillierEdge, CiphertextRangeValidated) {
   EXPECT_THROW((void)key.sk.decrypt({key.pk.n_squared()}),
                std::invalid_argument);
   EXPECT_THROW((void)key.sk.decrypt({BigInt(-1)}), std::invalid_argument);
+  EXPECT_THROW((void)key.sk.decrypt({BigInt(0)}), std::invalid_argument);
+  // Exactly [1, n^2) is accepted; 1 is the randomizer-free encryption of 0.
+  EXPECT_EQ(key.sk.decrypt({BigInt(1)}), BigInt(0));
+  EXPECT_NO_THROW((void)key.sk.decrypt({key.pk.n_squared() - BigInt(1)}));
 }
 
 TEST(PaillierEdge, DeterministicEncryptionWithFixedRandomness) {
