@@ -85,8 +85,9 @@ class PaillierPublicKey {
   [[nodiscard]] BigInt decode_signed(const BigInt& residue) const;
 
   /// Key-attached Montgomery context for n² — hot paths (encrypt,
-  /// scalar_mul, pooled randomizers) exponentiate through this and skip the
-  /// shared-cache lookup entirely.  Null for a default-constructed key.
+  /// scalar_mul, and encrypt_with_power for precomputed stream powers) run
+  /// through this and skip the shared-cache lookup entirely.  Null for a
+  /// default-constructed key.
   [[nodiscard]] const std::shared_ptr<const MontgomeryContext>&
   mont_n_squared() const {
     return mont_n_squared_;

@@ -104,9 +104,8 @@ MessageWriter BlindPermuteS1::round_open(
     write_ciphertext_vector(
         msg, add_packed_delta(peer_pk_, *packing_, holds, round_r1_));
   } else {
-    write_ciphertext_vector(msg, add_plain_vector_pooled(peer_pk_, holds,
-                                                         round_r1_, rng_,
-                                                         peer_stream_));
+    write_ciphertext_vector(
+        msg, add_plain_vector(peer_pk_, holds, round_r1_, rng_, peer_stream_));
   }
   return msg;
 }
@@ -131,10 +130,10 @@ MessageWriter BlindPermuteS1::round_permute(MessageReader& msg,
         decrypt_packed_vector(own_.sk, *packing_, piggyback, packed_addends_);
     for (std::size_t i = 0; i < k_; ++i) masked_b[i] += signed_r1[i];
     write_ciphertext_vector(
-        mask_msg, encrypt_vector_pooled(own_.pk, masked_b, rng_, own_stream_));
+        mask_msg, encrypt_vector(own_.pk, masked_b, rng_, own_stream_));
   } else {
     write_ciphertext_vector(
-        mask_msg, encrypt_vector_pooled(own_.pk, signed_r1, rng_, own_stream_));
+        mask_msg, encrypt_vector(own_.pk, signed_r1, rng_, own_stream_));
   }
   return mask_msg;
 }
@@ -146,7 +145,7 @@ MessageWriter BlindPermuteS1::round_close(MessageReader& msg) {
   const std::vector<PaillierCiphertext> enc_neg_r3 =
       read_ciphertext_vector(msg);
   std::vector<PaillierCiphertext> reenc =
-      encrypt_vector_pooled(peer_pk_, blinded, rng_, peer_stream_);
+      encrypt_vector(peer_pk_, blinded, rng_, peer_stream_);
   reenc = add_vectors(peer_pk_, reenc, enc_neg_r3);
   reenc = pi_.apply(reenc);
   MessageWriter reply;
@@ -171,8 +170,7 @@ MessageWriter BlindPermuteS1::restore_mask(MessageReader& msg) {
   std::vector<PaillierCiphertext> seq = read_ciphertext_vector(msg);
   seq = pi_.apply_inverse(seq);
   restore_r1_ = random_mask_vector(k_, mask_bits_, rng_);
-  seq = add_plain_vector_pooled(peer_pk_, seq, restore_r1_, rng_,
-                                peer_stream_);
+  seq = add_plain_vector(peer_pk_, seq, restore_r1_, rng_, peer_stream_);
   MessageWriter reply;
   write_ciphertext_vector(reply, seq);
   return reply;
@@ -184,8 +182,7 @@ MessageWriter BlindPermuteS1::restore_strip(MessageReader& msg) {
   for (std::size_t i = 0; i < k_; ++i) seq[i] -= restore_r1_[i];
   MessageWriter reply;
   write_ciphertext_vector(reply,
-                          encrypt_vector_pooled(own_.pk, seq, rng_,
-                                                own_stream_));
+                          encrypt_vector(own_.pk, seq, rng_, own_stream_));
   return reply;
 }
 
@@ -288,21 +285,20 @@ MessageWriter BlindPermuteS2::round_blind(
     }
     std::vector<std::int64_t> delta(k_);
     for (std::size_t i = 0; i < k_; ++i) delta[i] = signed_r2[i] - round_u2_[i];
-    seq = add_plain_vector_pooled(peer_pk_, enc_r1, delta, rng_, peer_stream_);
+    seq = add_plain_vector(peer_pk_, enc_r1, delta, rng_, peer_stream_);
   } else {
     validate_holds(holds.size(), k_, packing_);
     seq = add_vectors(peer_pk_, holds, enc_r1);
-    seq = add_plain_vector_pooled(peer_pk_, seq, signed_r2, rng_,
-                                  peer_stream_);
+    seq = add_plain_vector(peer_pk_, seq, signed_r2, rng_, peer_stream_);
   }
   seq = pi_.apply(seq);
   const std::vector<std::int64_t> r3 =
       random_mask_vector(k_, mask_bits_, rng_);
-  seq = add_plain_vector_pooled(peer_pk_, seq, r3, rng_, peer_stream_);
+  seq = add_plain_vector(peer_pk_, seq, r3, rng_, peer_stream_);
   MessageWriter reply;
   write_ciphertext_vector(reply, seq);
   write_ciphertext_vector(
-      reply, encrypt_vector_pooled(own_.pk, negated(r3), rng_, own_stream_));
+      reply, encrypt_vector(own_.pk, negated(r3), rng_, own_stream_));
   return reply;
 }
 
@@ -333,7 +329,7 @@ MessageWriter BlindPermuteS2::restore_open(std::size_t permuted_index) {
   onehot[permuted_index] = 1;
   MessageWriter msg;
   write_ciphertext_vector(
-      msg, encrypt_vector_pooled(own_.pk, onehot, rng_, own_stream_));
+      msg, encrypt_vector(own_.pk, onehot, rng_, own_stream_));
   return msg;
 }
 
@@ -353,8 +349,7 @@ MessageWriter BlindPermuteS2::restore_unpermute(MessageReader& msg) {
   std::vector<PaillierCiphertext> seq = read_ciphertext_vector(msg);
   seq = pi_.apply_inverse(seq);
   restore_r2_ = random_mask_vector(k_, mask_bits_, rng_);
-  seq = add_plain_vector_pooled(peer_pk_, seq, restore_r2_, rng_,
-                                peer_stream_);
+  seq = add_plain_vector(peer_pk_, seq, restore_r2_, rng_, peer_stream_);
   MessageWriter reply;
   write_ciphertext_vector(reply, seq);
   return reply;

@@ -7,25 +7,24 @@
 
 namespace pcl {
 
-std::vector<PaillierCiphertext> encrypt_vector(
-    const PaillierPublicKey& pk, std::span<const std::int64_t> values,
-    Rng& rng) {
-  std::vector<PaillierCiphertext> out;
-  out.reserve(values.size());
-  for (const std::int64_t v : values) {
-    out.push_back(pk.encrypt(BigInt(v), rng));
-  }
-  return out;
+namespace {
+
+/// One encryption of m: from the stream's next power if there is a stream,
+/// else fresh from `rng`.
+PaillierCiphertext encrypt_one(const PaillierPublicKey& pk, const BigInt& m,
+                               Rng& rng, PaillierPowerStream* stream) {
+  return stream != nullptr ? stream->encrypt(m) : pk.encrypt(m, rng);
 }
 
-std::vector<PaillierCiphertext> encrypt_vector_pooled(
+}  // namespace
+
+std::vector<PaillierCiphertext> encrypt_vector(
     const PaillierPublicKey& pk, std::span<const std::int64_t> values,
     Rng& rng, PaillierPowerStream* stream) {
-  if (stream == nullptr) return encrypt_vector(pk, values, rng);
   std::vector<PaillierCiphertext> out;
   out.reserve(values.size());
   for (const std::int64_t v : values) {
-    out.push_back(stream->encrypt(BigInt(v)));
+    out.push_back(encrypt_one(pk, BigInt(v), rng, stream));
   }
   return out;
 }
@@ -55,30 +54,16 @@ std::vector<PaillierCiphertext> add_vectors(
 
 std::vector<PaillierCiphertext> add_plain_vector(
     const PaillierPublicKey& pk, std::span<const PaillierCiphertext> cts,
-    std::span<const std::int64_t> delta, Rng& rng) {
-  if (cts.size() != delta.size()) {
-    throw std::invalid_argument("ciphertext/plaintext vector size mismatch");
-  }
-  std::vector<PaillierCiphertext> out;
-  out.reserve(cts.size());
-  for (std::size_t i = 0; i < cts.size(); ++i) {
-    out.push_back(pk.add(cts[i], pk.encrypt(BigInt(delta[i]), rng)));
-  }
-  return out;
-}
-
-std::vector<PaillierCiphertext> add_plain_vector_pooled(
-    const PaillierPublicKey& pk, std::span<const PaillierCiphertext> cts,
     std::span<const std::int64_t> delta, Rng& rng,
     PaillierPowerStream* stream) {
-  if (stream == nullptr) return add_plain_vector(pk, cts, delta, rng);
   if (cts.size() != delta.size()) {
     throw std::invalid_argument("ciphertext/plaintext vector size mismatch");
   }
   std::vector<PaillierCiphertext> out;
   out.reserve(cts.size());
   for (std::size_t i = 0; i < cts.size(); ++i) {
-    out.push_back(pk.add(cts[i], stream->encrypt(BigInt(delta[i]))));
+    out.push_back(
+        pk.add(cts[i], encrypt_one(pk, BigInt(delta[i]), rng, stream)));
   }
   return out;
 }
@@ -92,10 +77,7 @@ std::vector<PaillierCiphertext> encrypt_packed_vector(
       addend_count);
   std::vector<PaillierCiphertext> out;
   out.reserve(packed.size());
-  for (const BigInt& m : packed) {
-    out.push_back(stream != nullptr ? stream->encrypt(m)
-                                    : pk.encrypt(m, rng));
-  }
+  for (const BigInt& m : packed) out.push_back(encrypt_one(pk, m, rng, stream));
   return out;
 }
 

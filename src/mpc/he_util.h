@@ -1,4 +1,9 @@
 // Vector helpers over Paillier ciphertexts shared by the MPC sub-protocols.
+//
+// Every helper that encrypts takes an optional PaillierPowerStream
+// (crypto/precompute_service.h): with one, each randomizer power is the
+// stream's next (precomputed offline when warm), and the Rng is untouched;
+// without one, each encryption draws fresh from the Rng.
 #pragma once
 
 #include <cstdint>
@@ -13,17 +18,11 @@ namespace pcl {
 
 class PaillierPowerStream;
 
-/// Encrypts each element of a signed vector.
+/// Encrypts each element of a signed vector; from a warm `stream` each
+/// ciphertext costs 2 modmuls.
 [[nodiscard]] std::vector<PaillierCiphertext> encrypt_vector(
     const PaillierPublicKey& pk, std::span<const std::int64_t> values,
-    Rng& rng);
-
-/// Pool-aware variant: with a stream, every randomizer power is drawn from
-/// the stream (2 modmuls per ciphertext when warm) and `rng` is untouched;
-/// with `stream == nullptr` this is exactly encrypt_vector(pk, values, rng).
-[[nodiscard]] std::vector<PaillierCiphertext> encrypt_vector_pooled(
-    const PaillierPublicKey& pk, std::span<const std::int64_t> values,
-    Rng& rng, PaillierPowerStream* stream);
+    Rng& rng, PaillierPowerStream* stream = nullptr);
 
 /// Decrypts each element; throws std::overflow_error if any plaintext does
 /// not fit int64 (which would indicate a protocol bound violation).  At
@@ -39,14 +38,8 @@ class PaillierPowerStream;
 /// Homomorphically adds a plaintext vector: out[i] = E[lhs_i + delta_i].
 [[nodiscard]] std::vector<PaillierCiphertext> add_plain_vector(
     const PaillierPublicKey& pk, std::span<const PaillierCiphertext> cts,
-    std::span<const std::int64_t> delta, Rng& rng);
-
-/// Pool-aware variant of add_plain_vector; same stream contract as
-/// encrypt_vector_pooled.
-[[nodiscard]] std::vector<PaillierCiphertext> add_plain_vector_pooled(
-    const PaillierPublicKey& pk, std::span<const PaillierCiphertext> cts,
     std::span<const std::int64_t> delta, Rng& rng,
-    PaillierPowerStream* stream);
+    PaillierPowerStream* stream = nullptr);
 
 // --- Packed lanes (DESIGN.md §15) ------------------------------------------
 // All L per-label values of one vector ride in layout.num_cts ciphertexts

@@ -4,10 +4,9 @@
 // Batched protocol rounds coalesce Q queries' payloads into one frame; the
 // per-lane crypto (encryptions, blinding, zero-tests) is independent across
 // lanes, so a party program hands the lane loop to this pool instead of
-// running it serially.  The design reuses the encryption_pool worker
-// pattern — plain threads, contiguous claims — but keeps the threads
-// persistent across rounds: a batched query makes hundreds of fan-out
-// calls, and respawning workers per call would dominate the win.
+// running it serially.  The workers are plain threads that persist across
+// rounds: a batched query makes hundreds of fan-out calls, and respawning
+// workers per call would dominate the win.
 //
 // A one-lane query (Q = 1) has no lanes to spread, but at deployment widths
 // its decryptions and zero-tests cost milliseconds each and are independent

@@ -1,42 +1,14 @@
 #include "mpc/secure_sum.h"
 
-#include <functional>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
-#include "crypto/encryption_pool.h"
 #include "mpc/he_util.h"
 #include "net/party_runner.h"
 #include "obs/trace.h"
 
 namespace pcl {
-
-void secure_sum_submit(Channel& chan, const PaillierPublicKey& s1_stream_pk,
-                       const PaillierPublicKey& s2_stream_pk,
-                       const std::vector<std::int64_t>& to_s1,
-                       const std::vector<std::int64_t>& to_s2, Rng& rng) {
-  obs::count(obs::Op::kSecureSumSubmit);
-  MessageWriter m1;
-  write_ciphertext_vector(m1, encrypt_vector(s1_stream_pk, to_s1, rng));
-  chan.send("S1", std::move(m1));
-  MessageWriter m2;
-  write_ciphertext_vector(m2, encrypt_vector(s2_stream_pk, to_s2, rng));
-  chan.send("S2", std::move(m2));
-}
-
-void secure_sum_submit_pooled(Channel& chan, PaillierRandomizerPool& pool_s1,
-                              PaillierRandomizerPool& pool_s2,
-                              const std::vector<std::int64_t>& to_s1,
-                              const std::vector<std::int64_t>& to_s2) {
-  obs::count(obs::Op::kSecureSumSubmit);
-  MessageWriter m1;
-  write_ciphertext_vector(m1, pool_s1.encrypt_batch(to_s1));
-  chan.send("S1", std::move(m1));
-  MessageWriter m2;
-  write_ciphertext_vector(m2, pool_s2.encrypt_batch(to_s2));
-  chan.send("S2", std::move(m2));
-}
 
 std::vector<PaillierCiphertext> secure_sum_encrypt_stream(
     const PaillierPublicKey& pk, const std::vector<std::int64_t>& values,
@@ -55,16 +27,15 @@ std::vector<PaillierCiphertext> secure_sum_encrypt_stream(
   if (packing != nullptr) {
     return encrypt_packed_vector(pk, *packing, values, 1, rng, stream);
   }
-  return encrypt_vector_pooled(pk, values, rng, stream);
+  return encrypt_vector(pk, values, rng, stream);
 }
 
-void secure_sum_submit_split(Channel& chan,
-                             const PaillierPublicKey& s1_stream_pk,
-                             const PaillierPublicKey& s2_stream_pk,
-                             const std::vector<std::int64_t>& to_s1,
-                             const std::vector<std::int64_t>& to_s2, Rng& rng,
-                             const PackingLayout* packing,
-                             const PartyPrecompute* pre) {
+void secure_sum_submit(Channel& chan, const PaillierPublicKey& s1_stream_pk,
+                       const PaillierPublicKey& s2_stream_pk,
+                       const std::vector<std::int64_t>& to_s1,
+                       const std::vector<std::int64_t>& to_s2, Rng& rng,
+                       const PackingLayout* packing,
+                       const PartyPrecompute* pre) {
   obs::count(obs::Op::kSecureSumSubmit);
   PaillierNoiseStream* bank_s1 = pre != nullptr ? pre->bank_s1 : nullptr;
   PaillierNoiseStream* bank_s2 = pre != nullptr ? pre->bank_s2 : nullptr;
@@ -112,10 +83,14 @@ void validate_share_matrix(
   }
 }
 
-/// Shared driver skeleton: servers collect, each user runs `submit(chan, u)`.
-SecureSumResult drive_secure_sum(
-    Network& net, const ServerPaillierKeys& keys, std::size_t n_users,
-    const std::function<void(Channel&, std::size_t)>& submit) {
+}  // namespace
+
+SecureSumResult secure_sum(Network& net, const ServerPaillierKeys& keys,
+                           const std::vector<std::vector<std::int64_t>>& to_s1,
+                           const std::vector<std::vector<std::int64_t>>& to_s2,
+                           Rng& users_rng, const PackingLayout* packing) {
+  validate_share_matrix(to_s1, to_s2);
+  const std::size_t n_users = to_s1.size();
   SecureSumResult out;
   std::vector<Party> parties;
   parties.push_back({"S1", [&](Channel& chan) {
@@ -127,49 +102,14 @@ SecureSumResult drive_secure_sum(
                            secure_sum_collect(chan, keys.s1.pk, n_users);
                      }});
   for (std::size_t u = 0; u < n_users; ++u) {
-    parties.push_back({"user:" + std::to_string(u),
-                       [&submit, u](Channel& chan) { submit(chan, u); }});
+    parties.push_back({"user:" + std::to_string(u), [&, u](Channel& chan) {
+                         secure_sum_submit(chan, keys.s2.pk, keys.s1.pk,
+                                           to_s1[u], to_s2[u], users_rng,
+                                           packing);
+                       }});
   }
   run_parties_deterministic(net, parties);
   return out;
-}
-
-}  // namespace
-
-SecureSumResult secure_sum(Network& net, const ServerPaillierKeys& keys,
-                           const std::vector<std::vector<std::int64_t>>& to_s1,
-                           const std::vector<std::vector<std::int64_t>>& to_s2,
-                           Rng& users_rng) {
-  validate_share_matrix(to_s1, to_s2);
-  return drive_secure_sum(
-      net, keys, to_s1.size(), [&](Channel& chan, std::size_t u) {
-        secure_sum_submit(chan, keys.s2.pk, keys.s1.pk, to_s1[u], to_s2[u],
-                          users_rng);
-      });
-}
-
-SecureSumResult secure_sum_pooled(
-    Network& net, const ServerPaillierKeys& keys,
-    const std::vector<std::vector<std::int64_t>>& to_s1,
-    const std::vector<std::vector<std::int64_t>>& to_s2,
-    PaillierRandomizerPool& pool_s1, PaillierRandomizerPool& pool_s2) {
-  validate_share_matrix(to_s1, to_s2);
-  return drive_secure_sum(
-      net, keys, to_s1.size(), [&](Channel& chan, std::size_t u) {
-        secure_sum_submit_pooled(chan, pool_s1, pool_s2, to_s1[u], to_s2[u]);
-      });
-}
-
-SecureSumResult secure_sum_packed(
-    Network& net, const ServerPaillierKeys& keys, const PackingLayout& packing,
-    const std::vector<std::vector<std::int64_t>>& to_s1,
-    const std::vector<std::vector<std::int64_t>>& to_s2, Rng& users_rng) {
-  validate_share_matrix(to_s1, to_s2);
-  return drive_secure_sum(
-      net, keys, to_s1.size(), [&](Channel& chan, std::size_t u) {
-        secure_sum_submit_split(chan, keys.s2.pk, keys.s1.pk, to_s1[u],
-                                to_s2[u], users_rng, &packing, nullptr);
-      });
 }
 
 }  // namespace pcl

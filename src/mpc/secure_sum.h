@@ -6,8 +6,8 @@
 // happens under encryption; Eq. 1 makes the sum a ciphertext product).
 //
 // The round is implemented once as per-party roles over `Channel`: users run
-// a submit role, servers run a collect role.  The `Network` entry points
-// below drive all parties through the deterministic runner; the threaded
+// a submit role, servers run a collect role.  The `Network` entry point
+// below drives all parties through the deterministic runner; the threaded
 // deployment (mpc/threaded.h) runs the same roles on real threads.
 #pragma once
 
@@ -20,43 +20,24 @@
 
 namespace pcl {
 
-class PaillierRandomizerPool;
-
 // --- Per-party roles -------------------------------------------------------
 
 /// User role: encrypts `to_s1` under `s1_stream_pk` (= S2's key, so S1
 /// cannot decrypt what it aggregates) and sends it to "S1"; symmetrically
-/// for `to_s2` under `s2_stream_pk` (= S1's key).
+/// for `to_s2` under `s2_stream_pk` (= S1's key).  With `packing`, each
+/// stream's L values ride in layout.num_cts packed ciphertexts (DESIGN.md
+/// §15).  With `pre`, ciphertexts come from this user's noise banks
+/// (bank_s1/bank_s2) when registered, else from the randomizer power
+/// streams (powers_pk2/powers_pk1); null members, like a null `pre`, fall
+/// back to fresh encryption from `rng`.
 void secure_sum_submit(Channel& chan, const PaillierPublicKey& s1_stream_pk,
                        const PaillierPublicKey& s2_stream_pk,
                        const std::vector<std::int64_t>& to_s1,
-                       const std::vector<std::int64_t>& to_s2, Rng& rng);
+                       const std::vector<std::int64_t>& to_s2, Rng& rng,
+                       const PackingLayout* packing = nullptr,
+                       const PartyPrecompute* pre = nullptr);
 
-/// Pool-backed user role (paper Sec. VI-A): draws pre-computed randomizer
-/// powers instead of running a pow_mod per entry.  `pool_s1` must hold
-/// randomizers for the S1-bound stream's key and `pool_s2` for the
-/// S2-bound stream's key.  A dry pool falls through to inline generation
-/// (counted as obs::Op::kPoolMiss — never throws).
-void secure_sum_submit_pooled(Channel& chan, PaillierRandomizerPool& pool_s1,
-                              PaillierRandomizerPool& pool_s2,
-                              const std::vector<std::int64_t>& to_s1,
-                              const std::vector<std::int64_t>& to_s2);
-
-/// Precompute/packing-aware user role (DESIGN.md §15).  With `packing`,
-/// each stream's L values ride in layout.num_cts packed ciphertexts.  With
-/// `pre`, ciphertexts come from this user's noise banks (bank_s1/bank_s2)
-/// when registered, else from the randomizer power streams
-/// (powers_pk2/powers_pk1); null members fall back to fresh encryption
-/// from `rng`.  Null `packing` + null `pre` is exactly secure_sum_submit.
-void secure_sum_submit_split(Channel& chan,
-                             const PaillierPublicKey& s1_stream_pk,
-                             const PaillierPublicKey& s2_stream_pk,
-                             const std::vector<std::int64_t>& to_s1,
-                             const std::vector<std::int64_t>& to_s2, Rng& rng,
-                             const PackingLayout* packing,
-                             const PartyPrecompute* pre);
-
-/// The encryption half of one secure_sum_submit_split stream, exposed for
+/// The encryption half of one secure_sum_submit stream, exposed for
 /// the lane-batched user program (mpc/consensus_batch.cpp) so a batched
 /// lane's sub-message is byte-identical to the sequential submit: noise
 /// bank if non-null, else power stream, else fresh from `rng` — packed
@@ -72,7 +53,7 @@ void secure_sum_submit_split(Channel& chan,
 [[nodiscard]] std::vector<PaillierCiphertext> secure_sum_collect(
     Channel& chan, const PaillierPublicKey& pk, std::size_t n_users);
 
-// --- Synchronous reference drivers -----------------------------------------
+// --- Synchronous reference driver ------------------------------------------
 
 struct SecureSumResult {
   /// Aggregate of all users' S1-bound vectors; encrypted under pk2, held
@@ -85,25 +66,13 @@ struct SecureSumResult {
 
 /// Runs one secure-sum round: user u submits `to_s1[u]` and `to_s2[u]`
 /// (plaintext share vectors, all the same length), each user encrypting with
-/// `users_rng`.  Servers aggregate homomorphically.
+/// `users_rng`.  Servers aggregate homomorphically.  With `packing`, every
+/// user submits layout.num_cts ciphertexts per stream, and the aggregates
+/// unpack (after decryption) to the same per-label sums.
 [[nodiscard]] SecureSumResult secure_sum(
     Network& net, const ServerPaillierKeys& keys,
     const std::vector<std::vector<std::int64_t>>& to_s1,
-    const std::vector<std::vector<std::int64_t>>& to_s2, Rng& users_rng);
-
-/// Pool-backed variant of the driver: all users share the two pools.
-[[nodiscard]] SecureSumResult secure_sum_pooled(
-    Network& net, const ServerPaillierKeys& keys,
-    const std::vector<std::vector<std::int64_t>>& to_s1,
-    const std::vector<std::vector<std::int64_t>>& to_s2,
-    PaillierRandomizerPool& pool_s1, PaillierRandomizerPool& pool_s2);
-
-/// Packed variant of the driver: every user submits layout.num_cts
-/// ciphertexts per stream; the aggregates unpack (after decryption) to
-/// the same per-label sums the unpacked round produces.
-[[nodiscard]] SecureSumResult secure_sum_packed(
-    Network& net, const ServerPaillierKeys& keys, const PackingLayout& packing,
-    const std::vector<std::vector<std::int64_t>>& to_s1,
-    const std::vector<std::vector<std::int64_t>>& to_s2, Rng& users_rng);
+    const std::vector<std::vector<std::int64_t>>& to_s2, Rng& users_rng,
+    const PackingLayout* packing = nullptr);
 
 }  // namespace pcl

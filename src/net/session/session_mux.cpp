@@ -96,16 +96,25 @@ void SessionMux::deliver_locked(SessionBox& box, const std::string& conn,
   Inbox& inbox = box.by_conn[conn];
   if (frame.kind == FrameKind::kBulletin) {
     inbox.bulletins.push_back(bulletin_value(std::move(frame.payload)));
-  } else if (frame.kind != FrameKind::kMessage) {  // ACCEPT / REJECT / CLOSE
-    inbox.control.push_back(std::move(frame));
-  } else if (inbox.messages.size() < limits_.inbox_cap) {
-    inbox.messages.push_back(std::move(frame.payload));
-  } else {
+    return;
+  }
+  // ACCEPT / REJECT / CLOSE queue apart from protocol messages under the
+  // same cap: a TcpChannel never reads them, so a peer that keeps sending
+  // them must fail its session rather than grow the queue.
+  const bool message = frame.kind == FrameKind::kMessage;
+  const std::size_t queued =
+      message ? inbox.messages.size() : inbox.control.size();
+  if (queued >= limits_.inbox_cap) {
     const std::string text = "session " + std::to_string(frame.session) +
                              ": inbox for '" + conn + "' overflowed its " +
                              std::to_string(limits_.inbox_cap) +
-                             "-message cap";
+                             (message ? "-message" : "-control-frame") +
+                             " cap";
     box.rethrow = [text] { throw ChannelBusy(text); };  // waiters rethrow
+  } else if (message) {
+    inbox.messages.push_back(std::move(frame.payload));
+  } else {
+    inbox.control.push_back(std::move(frame));
   }
 }
 

@@ -22,8 +22,9 @@
 // connections is the owner's policy (the daemons' fail_connection).
 //
 // Backpressure is bounded and BLAME-LOCAL: each (session, connection) inbox
-// holds at most `inbox_cap` messages; overflowing one fails THAT session
-// with ChannelBusy and drops nothing belonging to anyone else.  Frames for
+// holds at most `inbox_cap` messages and as many control frames;
+// overflowing either fails THAT session with ChannelBusy and drops nothing
+// belonging to anyone else.  Frames for
 // sessions not yet registered park in a bounded orphan buffer (the trunk
 // can legally race a SESSION_OPEN) and replay on register_session.
 #pragma once
@@ -63,7 +64,8 @@ class SharedSocket {
 };
 
 struct SessionLimits {
-  /// Max queued protocol messages per (session, connection) inbox; one more
+  /// Max queued protocol messages, and separately max queued ACCEPT/REJECT/
+  /// CLOSE frames, per (session, connection) inbox; one more of either
   /// fails that session with ChannelBusy.
   std::size_t inbox_cap = 1024;
   /// Max parked frames across ALL unregistered sessions; beyond it the
@@ -150,7 +152,8 @@ class SessionMux {
 
   [[nodiscard]] SessionBox* find_locked(std::uint32_t session);
   /// Queues a message, bulletin or control frame in box's `conn` inbox; a
-  /// message past inbox_cap fails the session with ChannelBusy instead.
+  /// message or control frame past inbox_cap fails the session with
+  /// ChannelBusy instead.
   void deliver_locked(SessionBox& box, const std::string& conn, Frame frame);
   void replay_orphans_locked(std::uint32_t session, SessionBox& box);
 

@@ -252,7 +252,7 @@ TEST(ConsensusPrecompute, PackedSecureSumCutsSubmissionCiphertexts) {
   plain_net.set_step("Secure Sum (2)");
 
   const SecureSumResult packed =
-      secure_sum_packed(packed_net, keys, layout, to_s1, to_s2, rng);
+      secure_sum(packed_net, keys, to_s1, to_s2, rng, &layout);
   const SecureSumResult plain =
       secure_sum(plain_net, keys, to_s1, to_s2, rng);
 

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "crypto/encryption_pool.h"
 #include "mpc/he_util.h"
 #include "mpc/sharing.h"
 
@@ -96,46 +95,6 @@ TEST_F(SecureSumTest, TrafficCountsUserToServerMessages) {
   // Each message carries 3 Paillier ciphertexts (~16 bytes each at 64-bit
   // keys) plus framing.
   EXPECT_GT(stats.bytes_for("Secure Sum (2)", "user", "S1"), users * 3 * 12);
-}
-
-TEST_F(SecureSumTest, PooledVariantMatchesPlainVariant) {
-  const std::size_t users = 6, k = 4;
-  std::vector<std::vector<std::int64_t>> to_s1(users), to_s2(users);
-  std::vector<std::int64_t> expect_a(k, 0), expect_b(k, 0);
-  for (std::size_t u = 0; u < users; ++u) {
-    for (std::size_t i = 0; i < k; ++i) {
-      to_s1[u].push_back(static_cast<std::int64_t>(u + i) - 3);
-      to_s2[u].push_back(static_cast<std::int64_t>(u * i) + 7);
-      expect_a[i] += to_s1[u].back();
-      expect_b[i] += to_s2[u].back();
-    }
-  }
-  PaillierRandomizerPool pool_s1(keys_.s2.pk, users * k, 2, 11);
-  PaillierRandomizerPool pool_s2(keys_.s1.pk, users * k, 2, 12);
-  Network net;
-  const SecureSumResult result =
-      secure_sum_pooled(net, keys_, to_s1, to_s2, pool_s1, pool_s2);
-  EXPECT_EQ(decrypt_vector(keys_.s2.sk, result.s1_aggregate), expect_a);
-  EXPECT_EQ(decrypt_vector(keys_.s1.sk, result.s2_aggregate), expect_b);
-  EXPECT_EQ(pool_s1.remaining(), 0u);
-  EXPECT_EQ(pool_s2.remaining(), 0u);
-}
-
-TEST_F(SecureSumTest, PooledVariantFallsThroughWhenPoolDry) {
-  // A dry pool must not kill the round mid-protocol: draws past the pool
-  // are served inline (counted as misses) and the sums stay correct.
-  PaillierRandomizerPool small_pool(keys_.s2.pk, 1, 1, 13);
-  PaillierRandomizerPool other_pool(keys_.s1.pk, 8, 1, 14);
-  Network net;
-  const SecureSumResult result =
-      secure_sum_pooled(net, keys_, {{1, 2}}, {{3, 4}}, small_pool,
-                        other_pool);
-  EXPECT_EQ(decrypt_vector(keys_.s2.sk, result.s1_aggregate),
-            (std::vector<std::int64_t>{1, 2}));
-  EXPECT_EQ(decrypt_vector(keys_.s1.sk, result.s2_aggregate),
-            (std::vector<std::int64_t>{3, 4}));
-  EXPECT_EQ(small_pool.misses(), 1u);
-  EXPECT_EQ(other_pool.misses(), 0u);
 }
 
 }  // namespace

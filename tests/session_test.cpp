@@ -328,6 +328,25 @@ TEST(SessionMux, InboxOverflowFailsOnlyThatSession) {
   EXPECT_EQ(std::string(ok.begin(), ok.end()), "fine");
 }
 
+TEST(SessionMux, ControlFloodFailsOnlyThatSession) {
+  // Control frames nobody reads (a TcpChannel never calls recv_control)
+  // are capped like messages: one past the cap fails that session only.
+  SessionLimits limits;
+  limits.inbox_cap = 4;
+  SessionMux mux(limits);
+  mux.register_session(1);
+  mux.register_session(2);
+  for (int i = 0; i < 5; ++i) {
+    mux.route("S2", make_frame(FrameKind::kSessionClose, 1, "s", ""));
+  }
+  mux.route("S2", make_frame(FrameKind::kMessage, 2, "s", "fine"));
+  EXPECT_THROW((void)mux.recv_message(1, "S2", std::chrono::milliseconds(200)),
+               ChannelBusy);
+  const std::vector<std::uint8_t> ok =
+      mux.recv_message(2, "S2", std::chrono::milliseconds(200));
+  EXPECT_EQ(std::string(ok.begin(), ok.end()), "fine");
+}
+
 TEST(SessionMux, BulletinLogIsPerSessionAndCursorIndexed) {
   SessionMux mux;
   mux.register_session(2);

@@ -37,14 +37,12 @@ const std::set<std::string>& laundering_calls() {
       "encrypt",
       "encrypt_with_randomness",
       "encrypt_vector",
-      "encrypt_batch",
       "rerandomize",
-      // Precompute-service / packed lanes (DESIGN.md §15): pooled and
+      // Precompute-service / packed lanes (DESIGN.md §15): stream and
       // packed encryption wrap encrypt_with_power, whose output is a full
       // probabilistic ciphertext; the stream draw itself never touches
       // plaintext secrets.
       "encrypt_with_power",
-      "encrypt_vector_pooled",
       "encrypt_packed_vector",
       "secure_sum_encrypt_stream",
   };
