@@ -26,7 +26,7 @@
 // encryptions, unpacked secure-sum — every exponentiation on the online
 // path, the pre-split protocol), COLD (packed + pooled but with empty
 // pools, so every draw is a pool miss; its per-stream miss counters are
-// the exact demand of one batch), and WARM (pools topped up offline with
+// the exact demand of one batch), and WARM (pools filled offline with
 // precisely that demand, then the batch replayed as the online phase).
 // Offline and online walls are reported separately; two more hard gates
 // pin the split's claims: the warm online wall must be at least 3x below
@@ -207,9 +207,10 @@ int main(int argc, char** argv) {
   // Demand-driven warm-up: the cold service's per-stream miss counters ARE
   // the exact demand of one batch, so generate precisely that much on the
   // warm service's matching streams (same derivation convention, same
-  // (key, seed) identities).  A serving daemon reaches the same state via
-  // watermark top-ups during idle time; the bench takes the direct route
-  // so the offline wall covers no overshoot.
+  // (key, seed) identities).  A serving daemon fills its streams the same
+  // way from one query's measured demand
+  // (ConsensusProtocol::precompute_demand); the bench reads each lane's
+  // own count, so a ⊥ lane is filled with only the prefix it draws.
   std::vector<std::string> parties = {"S1", "S2"};
   for (std::size_t u = 0; u < users; ++u) {
     parties.push_back("user:" + std::to_string(u));

@@ -84,6 +84,13 @@ bool exp_bit(std::span<const std::uint32_t> exp, std::size_t bit) {
   return (exp[limb] >> (bit % 32)) & 1u;
 }
 
+/// Zeroes `words` through a volatile pointer, so the stores survive as
+/// dead stores into memory about to be freed.
+void wipe(std::vector<std::uint64_t>& words) {
+  volatile std::uint64_t* p = words.data();
+  for (std::size_t i = 0; i < words.size(); ++i) p[i] = 0;
+}
+
 }  // namespace
 
 Cios::Cios(std::span<const std::uint32_t> modulus)
@@ -107,6 +114,13 @@ Cios::Cios(std::span<const std::uint32_t> modulus)
   for (std::size_t i = 0; i < 64 * w; ++i) {
     double_mod(r2_.data(), n_.data(), w);
   }
+}
+
+Cios::~Cios() {
+  wipe(n_);
+  wipe(r1_);
+  wipe(r2_);
+  *static_cast<volatile std::uint64_t*>(&n0inv_) = 0;
 }
 
 void Cios::mont_mul(std::uint64_t* out, const std::uint64_t* a,

@@ -33,6 +33,9 @@ class Cios {
   /// Precomputes n' = -n^{-1} mod 2^64, R mod n and R^2 mod n by
   /// shift-and-reduce (no division needed at this layer).
   explicit Cios(std::span<const std::uint32_t> modulus);
+  /// Zeroes n, n', R mod n and R^2 mod n: a kernel built for a secret
+  /// modulus leaves none of them behind in freed memory.
+  ~Cios();
 
   /// a * b mod n for a, b < n: to_mont(a), then one Montgomery multiply
   /// by b (two multiplies, no double-width intermediate).

@@ -19,38 +19,55 @@ BigInt checked_modulus(BigInt modulus) {
   return modulus;
 }
 
+struct SharedCache {
+  struct Entry {
+    std::shared_ptr<const MontgomeryContext> context;
+    std::list<BigInt>::iterator recency;  // position in the LRU list
+  };
+  std::mutex mutex;
+  std::map<BigInt, Entry> entries;
+  std::list<BigInt> lru;  // front = newest
+};
+
+SharedCache& shared_cache() {
+  // Leaked singleton: lane workers may still resolve contexts while other
+  // threads unwind at process exit, so never run its destructor.
+  static SharedCache* cache = new SharedCache;
+  return *cache;
+}
+
 }  // namespace
 
 MontgomeryContext::MontgomeryContext(BigInt modulus)
     : modulus_(checked_modulus(std::move(modulus))),
       kernel_(modulus_.limb_span()) {}
 
+MontgomeryContext::~MontgomeryContext() { modulus_.zeroize(); }
+
 std::shared_ptr<const MontgomeryContext> MontgomeryContext::shared(
     const BigInt& modulus) {
-  struct CacheEntry {
-    std::shared_ptr<const MontgomeryContext> context;
-    std::list<BigInt>::iterator recency;  // position in the LRU list
-  };
-  using Cache = std::map<BigInt, CacheEntry>;
-  // Leaked singletons: lane workers may still resolve contexts while other
-  // threads unwind at process exit, so never run these destructors.
-  static std::mutex* mutex = new std::mutex;
-  static Cache* cache = new Cache;
-  static std::list<BigInt>* lru = new std::list<BigInt>;  // front = newest
-  std::lock_guard<std::mutex> lock(*mutex);
-  const auto it = cache->find(modulus);
-  if (it != cache->end()) {
-    lru->splice(lru->begin(), *lru, it->second.recency);
+  SharedCache& cache = shared_cache();
+  std::lock_guard<std::mutex> lock(cache.mutex);
+  const auto it = cache.entries.find(modulus);
+  if (it != cache.entries.end()) {
+    cache.lru.splice(cache.lru.begin(), cache.lru, it->second.recency);
     return it->second.context;
   }
   auto context = std::make_shared<const MontgomeryContext>(modulus);
-  if (cache->size() >= kSharedCacheCapacity) {
-    cache->erase(lru->back());
-    lru->pop_back();
+  if (cache.entries.size() >= kSharedCacheCapacity) {
+    cache.entries.erase(cache.lru.back());
+    cache.lru.pop_back();
   }
-  lru->push_front(modulus);
-  cache->emplace(modulus, CacheEntry{context, lru->begin()});
+  cache.lru.push_front(modulus);
+  cache.entries.emplace(modulus,
+                        SharedCache::Entry{context, cache.lru.begin()});
   return context;
+}
+
+std::vector<BigInt> MontgomeryContext::shared_moduli() {
+  SharedCache& cache = shared_cache();
+  std::lock_guard<std::mutex> lock(cache.mutex);
+  return {cache.lru.begin(), cache.lru.end()};
 }
 
 const BigInt& MontgomeryContext::reduced(const BigInt& v,

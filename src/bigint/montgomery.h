@@ -12,14 +12,18 @@
 //
 // Exponentiation uses fixed-window (2^w) evaluation, and
 // `MontgomeryContext::shared` memoizes contexts in a process-wide LRU
-// cache keyed by modulus: the protocol hits the same four moduli (n, n²,
-// DGK n, p) millions of times, so the per-modulus setup is paid once.
+// cache keyed by modulus: the protocol hits the same public moduli (n, n²,
+// DGK n) millions of times, so the per-modulus setup is paid once.
 // BigInt::pow_mod routes every odd-modulus call through this
-// automatically; bench_micro_crypto measures it.
+// automatically; bench_micro_crypto measures it.  A secret modulus (a
+// Paillier p² or q², DGK p, a prime candidate during keygen) never enters
+// the cache: its owner builds a private context, which wipes the modulus
+// and the kernel's constants when the last holder lets go (DESIGN.md §10).
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "bigint/bigint.h"
 #include "bigint/kernels/cios.h"
@@ -30,6 +34,8 @@ class MontgomeryContext {
  public:
   /// Requires an odd modulus > 1; throws std::invalid_argument otherwise.
   explicit MontgomeryContext(BigInt modulus);
+  /// Wipes the modulus; the kernel wipes its own words.
+  ~MontgomeryContext();
 
   /// Process-wide memoized context for `modulus` (mutex-guarded; safe to
   /// call from concurrent lane workers).  Returns the same context for
@@ -45,6 +51,10 @@ class MontgomeryContext {
 
   /// Bound on the shared-context LRU cache (exposed for tests).
   static constexpr std::size_t kSharedCacheCapacity = 64;
+
+  /// The moduli the shared cache holds, newest first.  A lookup that
+  /// inserts nothing and refreshes no entry (for tests).
+  [[nodiscard]] static std::vector<BigInt> shared_moduli();
 
   [[nodiscard]] const BigInt& modulus() const { return modulus_; }
 

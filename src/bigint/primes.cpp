@@ -3,6 +3,8 @@
 #include <array>
 #include <stdexcept>
 
+#include "bigint/montgomery.h"
+
 namespace pcl {
 
 namespace {
@@ -11,11 +13,13 @@ constexpr std::array<std::uint32_t, 25> kSmallPrimes = {
     2,  3,  5,  7,  11, 13, 17, 19, 23, 29, 31, 37, 41,
     43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97};
 
-/// One Miller–Rabin round with the given base; n odd, n > 3.
-bool miller_rabin_round(const BigInt& n, const BigInt& base,
+/// One Miller–Rabin round with the given base on n = ctx.modulus(); n odd,
+/// n > 3.
+bool miller_rabin_round(const MontgomeryContext& ctx, const BigInt& base,
                         const BigInt& n_minus_1, const BigInt& odd_part,
                         std::size_t two_exponent) {
-  BigInt x = BigInt::pow_mod(base, odd_part, n);
+  const BigInt& n = ctx.modulus();
+  BigInt x = ctx.pow(base, odd_part);
   if (x == BigInt(1) || x == n_minus_1) return true;
   for (std::size_t i = 1; i < two_exponent; ++i) {
     x = (x * x).mod(n);
@@ -35,6 +39,9 @@ bool is_probable_prime(const BigInt& n, Rng& rng, int rounds) {
     if (n.mod(bp).is_zero()) return false;
   }
 
+  // A candidate may become a secret prime, so its context is local to the
+  // call rather than in the shared cache.
+  const MontgomeryContext ctx(n);
   const BigInt n_minus_1 = n - BigInt(1);
   BigInt odd_part = n_minus_1;
   std::size_t two_exponent = 0;
@@ -50,13 +57,13 @@ bool is_probable_prime(const BigInt& n, Rng& rng, int rounds) {
   for (const std::uint64_t b : kFixedBases) {
     const BigInt base(b);
     if (base >= n_minus_1) continue;
-    if (!miller_rabin_round(n, base, n_minus_1, odd_part, two_exponent)) {
+    if (!miller_rabin_round(ctx, base, n_minus_1, odd_part, two_exponent)) {
       return false;
     }
   }
   for (int i = 0; i < rounds; ++i) {
     const BigInt base = rng.uniform_in(BigInt(2), n - BigInt(2));
-    if (!miller_rabin_round(n, base, n_minus_1, odd_part, two_exponent)) {
+    if (!miller_rabin_round(ctx, base, n_minus_1, odd_part, two_exponent)) {
       return false;
     }
   }

@@ -107,10 +107,11 @@ DgkPrivateKey::DgkPrivateKey(DgkPublicKey pk, BigInt p, BigInt vp)
   // pc_declassify: parity is structural (every DGK prime is odd), and key
   // construction runs once, offline, before any protocol traffic that an
   // adversary could time — not an online secret-dependent branch.
+  // A private context: the secret modulus stays out of the shared cache.
   if (pc_declassify(p_ > BigInt(1) && p_.is_odd())) {
-    mont_p_ = MontgomeryContext::shared(p_);
+    mont_p_ = std::make_shared<const MontgomeryContext>(p_);
   }
-  gvp_ = BigInt::pow_mod(pk_.g().mod(p_), vp_, p_);
+  gvp_ = ctx_pow(mont_p_, pk_.g().mod(p_), vp_, p_);
   const std::uint64_t u = pk_.u_value();
   dlog_table_.reserve(u);
   BigInt acc(1);
@@ -165,14 +166,17 @@ namespace {
 /// order | p - 1 and `order_factors` lists the distinct primes dividing it.
 BigInt element_of_order(const BigInt& p, const BigInt& order,
                         const std::vector<BigInt>& order_factors, Rng& rng) {
+  // p is secret: a context local to the call keeps it out of the shared
+  // cache.
+  const MontgomeryContext ctx(p);
   const BigInt exponent = (p - BigInt(1)) / order;
   while (true) {
     const BigInt x = rng.uniform_in(BigInt(2), p - BigInt(2));
-    const BigInt candidate = BigInt::pow_mod(x, exponent, p);
+    const BigInt candidate = ctx.pow(x, exponent);
     if (candidate == BigInt(1)) continue;
     bool exact = true;
     for (const BigInt& f : order_factors) {
-      if (BigInt::pow_mod(candidate, order / f, p) == BigInt(1)) {
+      if (ctx.pow(candidate, order / f) == BigInt(1)) {
         exact = false;
         break;
       }

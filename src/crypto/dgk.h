@@ -124,8 +124,8 @@ class DgkPrivateKey {
   DgkPublicKey pk_;
   PC_SECRET BigInt p_, vp_;
   PC_SECRET BigInt gvp_;  // g^vp mod p, a generator of the order-u subgroup
-  // Key-attached context for p (dropped by zeroize; the process-wide
-  // Montgomery cache may retain its own entry, see DESIGN §10).
+  // Private context for p, never in the shared cache; zeroize drops it, and
+  // the last holder's drop wipes it (DESIGN §10).
   std::shared_ptr<const MontgomeryContext> mont_p_;
   // Discrete-log table over the (tiny) order-u subgroup: gvp_^m -> m.
   PC_SECRET std::unordered_map<std::string, std::uint64_t> dlog_table_;

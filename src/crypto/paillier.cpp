@@ -130,11 +130,12 @@ PaillierPrivateKey::PaillierPrivateKey(const PaillierPublicKey& pk, BigInt p,
   hp_ = pc_declassify(BigInt::invert_mod((-q_).mod(p_), p_));
   hq_ = pc_declassify(BigInt::invert_mod((-p_).mod(q_), q_));
   q_inv_p_ = pc_declassify(BigInt::invert_mod(q_, p_));
+  // Private contexts: a secret modulus stays out of the shared cache.
   if (pc_declassify(p_squared_.is_odd())) {
-    mont_p_squared_ = MontgomeryContext::shared(p_squared_);
+    mont_p_squared_ = std::make_shared<const MontgomeryContext>(p_squared_);
   }
   if (pc_declassify(q_squared_.is_odd())) {
-    mont_q_squared_ = MontgomeryContext::shared(q_squared_);
+    mont_q_squared_ = std::make_shared<const MontgomeryContext>(q_squared_);
   }
 }
 

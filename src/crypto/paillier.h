@@ -65,7 +65,7 @@ class PaillierPublicKey {
   /// Homomorphically adds a plaintext delta WITHOUT fresh randomness:
   /// c * (1 + delta*n) mod n^2 encrypts m + delta under c's randomizer.
   /// Only sound where c's randomizer is itself fresh for this use (the
-  /// noise-bank composition and packed-delta strips); counts kPaillierAdd.
+  /// packed-delta strips); counts kPaillierAdd.
   [[nodiscard]] PaillierCiphertext compose_plain(const PaillierCiphertext& c,
                                                  const BigInt& delta) const;
 
@@ -135,8 +135,8 @@ class PaillierPrivateKey {
   PC_SECRET BigInt hp_;       // (-q)^{-1} mod p
   PC_SECRET BigInt hq_;       // (-p)^{-1} mod q
   PC_SECRET BigInt q_inv_p_;  // q^{-1} mod p (CRT recombination)
-  // Key-attached contexts for the CRT moduli (dropped by zeroize; note the
-  // process-wide Montgomery cache may retain its own entry, see DESIGN §10).
+  // Private contexts for the CRT moduli, never in the shared cache; zeroize
+  // drops them, and the last holder's drop wipes them (DESIGN §10).
   std::shared_ptr<const MontgomeryContext> mont_p_squared_;
   std::shared_ptr<const MontgomeryContext> mont_q_squared_;
 };

@@ -22,17 +22,29 @@ std::uint64_t key_tag(const BigInt& n) {
   return tag;
 }
 
+const char* generate_span(const PaillierPublicKey&) {
+  return "precompute.paillier";
+}
+const char* generate_span(const DgkPublicKey&) { return "precompute.dgk"; }
+
+template <typename Stream, typename PublicKey>
+Stream& find_or_register(
+    std::map<std::pair<std::uint64_t, std::uint64_t>, std::unique_ptr<Stream>>&
+        streams,
+    const PublicKey& pk, std::uint64_t seed) {
+  std::unique_ptr<Stream>& slot = streams[{key_tag(pk.n()), seed}];
+  if (slot == nullptr) slot = std::make_unique<Stream>(pk, seed);
+  return *slot;
+}
+
 }  // namespace
 
-// ---------------------------------------------------------------- Paillier
+// ----------------------------------------------------------------- Stream
 
-PaillierPowerStream::PaillierPowerStream(const PaillierPublicKey& pk,
-                                         std::uint64_t seed)
-    : pk_(pk), rng_(seed) {}
-
-void PaillierPowerStream::generate(std::size_t count) {
+template <typename PublicKey>
+void PowerStream<PublicKey>::generate(std::size_t count) {
   const obs::PhaseScope phase(obs::Phase::kOffline);
-  const obs::Span span("precompute.paillier");
+  const obs::Span span(generate_span(pk_));
   const std::lock_guard<std::mutex> lock(mutex_);
   for (std::size_t i = 0; i < count; ++i) {
     ready_.push_back(pk_.randomizer_power(rng_));
@@ -40,7 +52,8 @@ void PaillierPowerStream::generate(std::size_t count) {
   }
 }
 
-BigInt PaillierPowerStream::draw_power() {
+template <typename PublicKey>
+BigInt PowerStream<PublicKey>::draw_power() {
   const std::lock_guard<std::mutex> lock(mutex_);
   if (!ready_.empty()) {
     BigInt power = std::move(ready_.front());
@@ -55,261 +68,27 @@ BigInt PaillierPowerStream::draw_power() {
   return pk_.randomizer_power(rng_);
 }
 
-PaillierCiphertext PaillierPowerStream::encrypt(const BigInt& m) {
-  return pk_.encrypt_with_power(m, draw_power());
-}
-
-PrecomputeStats PaillierPowerStream::stats() const {
+template <typename PublicKey>
+PrecomputeStats PowerStream<PublicKey>::stats() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   return {ready_.size(), generated_, hits_, misses_};
 }
 
-// -------------------------------------------------------------------- DGK
-
-DgkPowerStream::DgkPowerStream(const DgkPublicKey& pk, std::uint64_t seed)
-    : pk_(pk), rng_(seed) {}
-
-void DgkPowerStream::generate(std::size_t count) {
-  const obs::PhaseScope phase(obs::Phase::kOffline);
-  const obs::Span span("precompute.dgk");
-  const std::lock_guard<std::mutex> lock(mutex_);
-  for (std::size_t i = 0; i < count; ++i) {
-    ready_.push_back(pk_.randomizer_power(rng_));
-    ++generated_;
-  }
-}
-
-BigInt DgkPowerStream::draw_power() {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  if (!ready_.empty()) {
-    BigInt power = std::move(ready_.front());
-    ready_.pop_front();
-    ++hits_;
-    return power;
-  }
-  obs::count(obs::Op::kPoolMiss);
-  ++misses_;
-  return pk_.randomizer_power(rng_);
-}
-
-DgkCiphertext DgkPowerStream::encrypt(const BigInt& m) {
-  return pk_.encrypt_with_power(m, draw_power());
-}
-
-PrecomputeStats DgkPowerStream::stats() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return {ready_.size(), generated_, hits_, misses_};
-}
-
-// ------------------------------------------------------------- Noise bank
-
-PaillierNoiseStream::PaillierNoiseStream(const PaillierPublicKey& pk,
-                                         std::uint64_t seed)
-    : pk_(pk), rng_(seed) {}
-
-void PaillierNoiseStream::push_frame(std::vector<BigInt> base) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  frames_.push_back(Frame{std::move(base), {}});
-}
-
-std::size_t PaillierNoiseStream::generate(std::size_t max_cts) {
-  const obs::PhaseScope phase(obs::Phase::kOffline);
-  const obs::Span span("precompute.noise");
-  const std::lock_guard<std::mutex> lock(mutex_);
-  std::size_t done = 0;
-  for (Frame& frame : frames_) {
-    while (frame.cts.size() < frame.base.size() && done < max_cts) {
-      frame.cts.push_back(pk_.encrypt_with_power(
-          frame.base[frame.cts.size()], pk_.randomizer_power(rng_)));
-      ++generated_;
-      ++done;
-    }
-    if (done >= max_cts) break;
-  }
-  return done;
-}
-
-std::vector<PaillierCiphertext> PaillierNoiseStream::draw_frame(
-    const std::vector<BigInt>& base) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<PaillierCiphertext> out;
-  out.reserve(base.size());
-  if (!frames_.empty()) {
-    Frame frame = std::move(frames_.front());
-    frames_.pop_front();
-    for (std::size_t i = 0; i < base.size(); ++i) {
-      const bool ready = i < frame.cts.size();
-      PaillierCiphertext ct =
-          ready ? std::move(frame.cts[i])
-                : pk_.encrypt_with_power(
-                      i < frame.base.size() ? frame.base[i] : base[i],
-                      pk_.randomizer_power(rng_));
-      const BigInt& registered =
-          i < frame.base.size() ? frame.base[i] : base[i];
-      if (!ready) {
-        obs::count(obs::Op::kPoolMiss);
-        ++misses_;
-      } else {
-        // Composing the input-dependent remainder onto a ready ciphertext
-        // is the designed online path (one modmul), not a miss.
-        ++hits_;
-      }
-      if (!(registered == base[i])) {
-        ct = pk_.compose_plain(ct, base[i] - registered);
-      }
-      out.push_back(std::move(ct));
-    }
-    return out;
-  }
-  // Cold: no frame registered at all — encrypt inline, same Rng positions.
-  for (const BigInt& m : base) {
-    obs::count(obs::Op::kPoolMiss);
-    ++misses_;
-    out.push_back(pk_.encrypt_with_power(m, pk_.randomizer_power(rng_)));
-  }
-  return out;
-}
-
-PrecomputeStats PaillierNoiseStream::stats() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  std::size_t ready = 0;
-  for (const Frame& f : frames_) ready += f.cts.size();
-  return {ready, generated_, hits_, misses_};
-}
-
-std::size_t PaillierNoiseStream::pending_cts() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  std::size_t pending = 0;
-  for (const Frame& f : frames_) pending += f.base.size() - f.cts.size();
-  return pending;
-}
+template class PowerStream<PaillierPublicKey>;
+template class PowerStream<DgkPublicKey>;
 
 // ---------------------------------------------------------------- Service
-
-PrecomputeService::PrecomputeService(PrecomputeServiceConfig config)
-    : config_(config) {}
-
-PrecomputeService::~PrecomputeService() { stop_worker(); }
 
 PaillierPowerStream& PrecomputeService::paillier_powers(
     const PaillierPublicKey& pk, std::uint64_t seed) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  std::unique_ptr<PaillierPowerStream>& slot =
-      paillier_[Key{0, key_tag(pk.n()), seed}];
-  if (slot == nullptr) {
-    slot = std::make_unique<PaillierPowerStream>(pk, seed);
-  }
-  return *slot;
+  return find_or_register(paillier_, pk, seed);
 }
 
 DgkPowerStream& PrecomputeService::dgk_powers(const DgkPublicKey& pk,
                                               std::uint64_t seed) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  std::unique_ptr<DgkPowerStream>& slot = dgk_[Key{1, key_tag(pk.n()), seed}];
-  if (slot == nullptr) slot = std::make_unique<DgkPowerStream>(pk, seed);
-  return *slot;
-}
-
-PaillierNoiseStream& PrecomputeService::noise_bank(const PaillierPublicKey& pk,
-                                                   std::uint64_t seed) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  std::unique_ptr<PaillierNoiseStream>& slot =
-      noise_[Key{2, key_tag(pk.n()), seed}];
-  if (slot == nullptr) slot = std::make_unique<PaillierNoiseStream>(pk, seed);
-  return *slot;
-}
-
-std::size_t PrecomputeService::top_up_locked_pass(std::size_t max_items) {
-  // Collect refill targets under the registry lock, generate outside it
-  // (stream locks serialize against draws; the registry stays available).
-  struct Target {
-    PaillierPowerStream* paillier = nullptr;
-    DgkPowerStream* dgk = nullptr;
-    PaillierNoiseStream* noise = nullptr;
-    std::size_t want = 0;
-  };
-  std::vector<Target> targets;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    for (auto& [key, stream] : noise_) {
-      const std::size_t pending = stream->pending_cts();
-      if (pending > 0) targets.push_back({nullptr, nullptr, stream.get(), pending});
-    }
-    for (auto& [key, stream] : paillier_) {
-      const std::size_t ready = stream->stats().ready;
-      if (ready < config_.low_watermark) {
-        targets.push_back(
-            {stream.get(), nullptr, nullptr, config_.high_watermark - ready});
-      }
-    }
-    for (auto& [key, stream] : dgk_) {
-      const std::size_t ready = stream->stats().ready;
-      if (ready < config_.low_watermark) {
-        targets.push_back(
-            {nullptr, stream.get(), nullptr, config_.high_watermark - ready});
-      }
-    }
-  }
-  std::size_t produced = 0;
-  for (const Target& t : targets) {
-    if (produced >= max_items) break;
-    const std::size_t quota = std::min(t.want, max_items - produced);
-    if (t.noise != nullptr) {
-      produced += t.noise->generate(quota);
-    } else if (t.paillier != nullptr) {
-      t.paillier->generate(quota);
-      produced += quota;
-    } else if (t.dgk != nullptr) {
-      t.dgk->generate(quota);
-      produced += quota;
-    }
-  }
-  return produced;
-}
-
-std::size_t PrecomputeService::top_up(std::size_t max_items) {
-  return top_up_locked_pass(max_items);
-}
-
-std::size_t PrecomputeService::top_up_all() {
-  std::size_t total = 0;
-  for (;;) {
-    const std::size_t produced = top_up_locked_pass(4096);
-    if (produced == 0) return total;
-    total += produced;
-  }
-}
-
-void PrecomputeService::start_worker(std::chrono::milliseconds idle) {
-  stop_worker();
-  {
-    const std::lock_guard<std::mutex> lock(worker_mutex_);
-    worker_stop_ = false;
-  }
-  // The worker inherits the caller's observability binding so its offline
-  // spans and counters land in the same registry as the protocol's.
-  const obs::ObserverSnapshot snapshot = obs::current_observer();
-  worker_ = std::thread([this, idle, snapshot] {
-    const obs::ObserverScope scope(snapshot);
-    std::unique_lock<std::mutex> lock(worker_mutex_);
-    while (!worker_stop_) {
-      lock.unlock();
-      const std::size_t produced = top_up(64);
-      lock.lock();
-      if (worker_stop_) break;
-      // Back off fully-stocked pools; retry promptly while filling.
-      worker_cv_.wait_for(lock, produced == 0 ? idle : idle / 10);
-    }
-  });
-}
-
-void PrecomputeService::stop_worker() {
-  {
-    const std::lock_guard<std::mutex> lock(worker_mutex_);
-    worker_stop_ = true;
-  }
-  worker_cv_.notify_all();
-  if (worker_.joinable()) worker_.join();
+  return find_or_register(dgk_, pk, seed);
 }
 
 PrecomputeStats PrecomputeService::totals() const {
@@ -323,7 +102,6 @@ PrecomputeStats PrecomputeService::totals() const {
   };
   for (const auto& [key, stream] : paillier_) fold(stream->stats());
   for (const auto& [key, stream] : dgk_) fold(stream->stats());
-  for (const auto& [key, stream] : noise_) fold(stream->stats());
   return out;
 }
 

@@ -1,13 +1,13 @@
-// Background precompute service — the offline half of the offline/online
-// phase split (ROADMAP item 2, DESIGN.md §15).
+// Precompute service — the offline half of the offline/online phase split
+// (DESIGN.md §15).
 //
 // Almost all crypto in a consensus query is input-INDEPENDENT: Paillier
-// randomizer powers r^n mod n², DGK blinding powers h^r mod n, and the
-// noise-share encryptions whose plaintext bases derive from the seeded
-// noise plan.  This service owns a registry of deterministic, seeded
-// streams of exactly that material, filled during idle time (a serving
-// daemon's gaps between sessions, a bench's warm-up) so the online path
-// degenerates to a few modular multiplications per ciphertext.
+// randomizer powers r^n mod n² and DGK blinding powers h^r mod n.  This
+// service is a registry of deterministic, seeded streams of exactly that
+// material.  A caller fills a stream with an exact count before the online
+// phase (the draws one query makes from it, measured on a cold run; see
+// ConsensusProtocol::precompute_demand), so the online path degenerates to
+// a few modular multiplications per ciphertext.
 //
 // Determinism is the load-bearing property.  Every stream owns a private
 // DeterministicRng seeded at registration; material is consumed strictly
@@ -24,15 +24,12 @@
 // and BENCH_batch.json can report the two walls separately.
 #pragma once
 
-#include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <thread>
-#include <vector>
+#include <utility>
 
 #include "bigint/rng.h"
 #include "crypto/dgk.h"
@@ -50,162 +47,60 @@ struct PrecomputeStats {
   std::uint64_t misses = 0;
 };
 
-/// Deterministic stream of Paillier randomizer powers r^n mod n² for one
-/// (key, seed) identity.  draw_power()/encrypt() consume in generation
-/// order; an empty stream computes inline from the same Rng position.
-class PaillierPowerStream {
+/// Deterministic stream of randomizer powers for one (key, seed) identity:
+/// Paillier r^n mod n² or DGK h^r mod n, as the key's randomizer_power
+/// computes them.  DGK powers serve both bit-ciphertext encryption
+/// (g^m · h^r, m tiny) and multiplicative blinding.  draw_power()/encrypt()
+/// consume in generation order; an empty stream computes inline from the
+/// same Rng position.
+template <typename PublicKey>
+class PowerStream {
  public:
-  PaillierPowerStream(const PaillierPublicKey& pk, std::uint64_t seed);
+  PowerStream(const PublicKey& pk, std::uint64_t seed) : pk_(pk), rng_(seed) {}
 
   /// Offline: appends `count` powers (PhaseScope kOffline, span
-  /// "precompute.paillier").
+  /// "precompute.paillier" or "precompute.dgk").
   void generate(std::size_t count);
   /// Online: the next randomizer power — ready material or inline.
   [[nodiscard]] BigInt draw_power();
-  /// Online: one full encryption using the next power (two modmuls warm).
-  [[nodiscard]] PaillierCiphertext encrypt(const BigInt& m);
-  [[nodiscard]] PrecomputeStats stats() const;
-  [[nodiscard]] const PaillierPublicKey& key() const { return pk_; }
-
- private:
-  const PaillierPublicKey pk_;
-  mutable std::mutex mutex_;
-  DeterministicRng rng_;
-  std::deque<BigInt> ready_;
-  std::uint64_t generated_ = 0, hits_ = 0, misses_ = 0;
-};
-
-/// Deterministic stream of DGK blinding powers h^r mod n.  Serves both
-/// bit-ciphertext encryption (g^m · h^r, m tiny) and multiplicative
-/// blinding, the two h^r consumers of the comparison protocol.
-class DgkPowerStream {
- public:
-  DgkPowerStream(const DgkPublicKey& pk, std::uint64_t seed);
-
-  void generate(std::size_t count);
-  [[nodiscard]] BigInt draw_power();
-  [[nodiscard]] DgkCiphertext encrypt(const BigInt& m);
-  [[nodiscard]] DgkCiphertext encrypt(std::uint64_t m) {
-    return encrypt(BigInt(m));
+  /// Online: one full encryption using the next power.
+  [[nodiscard]] auto encrypt(const BigInt& m) {
+    return pk_.encrypt_with_power(m, draw_power());
   }
   [[nodiscard]] PrecomputeStats stats() const;
-  [[nodiscard]] const DgkPublicKey& key() const { return pk_; }
 
  private:
-  const DgkPublicKey pk_;
+  const PublicKey pk_;
   mutable std::mutex mutex_;
   DeterministicRng rng_;
   std::deque<BigInt> ready_;
   std::uint64_t generated_ = 0, hits_ = 0, misses_ = 0;
 };
 
-/// Pre-encrypted noise/share bank: whole ciphertext FRAMES whose plaintext
-/// bases are known offline (threshold offsets and noise shares from the
-/// seeded noise plan; zero bases for pure vote-share frames).  The online
-/// path draws a frame and homomorphically composes the input-dependent
-/// remainder onto each ciphertext via compose_plain — one modmul per
-/// ciphertext, zero exponentiations.
-///
-/// Frames are registered in consumption order (push_frame), encrypted by
-/// generate(), and drawn with the base the consumer expects.  If the
-/// registered base disagrees with the expectation, the draw composes the
-/// difference onto the ready ciphertext (same randomizer position, counted
-/// as a miss); if no frame is ready, it encrypts inline from the same Rng
-/// position.  All three paths yield bit-identical ciphertexts.
-class PaillierNoiseStream {
- public:
-  PaillierNoiseStream(const PaillierPublicKey& pk, std::uint64_t seed);
+using PaillierPowerStream = PowerStream<PaillierPublicKey>;
+using DgkPowerStream = PowerStream<DgkPublicKey>;
 
-  /// Registers the next frame's plaintext bases (consumption order).
-  void push_frame(std::vector<BigInt> base);
-  /// Offline: encrypts up to `max_cts` ciphertexts of pending frames.
-  /// Returns the number encrypted.
-  std::size_t generate(std::size_t max_cts);
-  /// Online: the next frame encrypted with bases `base`.
-  [[nodiscard]] std::vector<PaillierCiphertext> draw_frame(
-      const std::vector<BigInt>& base);
-  [[nodiscard]] PrecomputeStats stats() const;
-  /// Frames registered but not yet fully encrypted (the refill target).
-  [[nodiscard]] std::size_t pending_cts() const;
-
- private:
-  struct Frame {
-    std::vector<BigInt> base;
-    std::vector<PaillierCiphertext> cts;  ///< encrypted prefix of `base`
-  };
-
-  const PaillierPublicKey pk_;
-  mutable std::mutex mutex_;
-  DeterministicRng rng_;
-  std::deque<Frame> frames_;
-  std::uint64_t generated_ = 0, hits_ = 0, misses_ = 0;
-};
-
-struct PrecomputeServiceConfig {
-  /// Power streams below `low_watermark` ready items are refilled up to
-  /// `high_watermark` by top_up(); noise banks refill until no frame is
-  /// pending (their registration is finite).
-  std::size_t low_watermark = 16;
-  std::size_t high_watermark = 128;
-};
-
-/// Per-key registry of typed precompute streams.  Streams are identified
-/// by (key, stream seed) and created on first access, so consumers and the
-/// refill side can rendezvous on the derivation convention alone; access
-/// and top-up are safe from any thread.
+/// Per-key registry of power streams.  Streams are identified by (key,
+/// stream seed) and created on first access, so the side that fills a
+/// stream and the side that draws from it rendezvous on the derivation
+/// convention alone; access is safe from any thread.
 class PrecomputeService {
  public:
-  explicit PrecomputeService(PrecomputeServiceConfig config = {});
-  ~PrecomputeService();
-  PrecomputeService(const PrecomputeService&) = delete;
-  PrecomputeService& operator=(const PrecomputeService&) = delete;
-
   [[nodiscard]] PaillierPowerStream& paillier_powers(
       const PaillierPublicKey& pk, std::uint64_t seed);
   [[nodiscard]] DgkPowerStream& dgk_powers(const DgkPublicKey& pk,
                                            std::uint64_t seed);
-  [[nodiscard]] PaillierNoiseStream& noise_bank(const PaillierPublicKey& pk,
-                                                std::uint64_t seed);
-
-  /// Watermark-based refill: generates up to `max_items` pieces of
-  /// material (powers or noise ciphertexts) for streams below their
-  /// watermark, round-robin.  Returns the number generated; 0 means every
-  /// stream is topped up.  This is the daemon's between-sessions idle hook
-  /// and the bench's warm-up loop.
-  std::size_t top_up(std::size_t max_items);
-  /// Refills until every stream is at its high watermark and every
-  /// registered noise frame is encrypted.  Returns items generated.
-  std::size_t top_up_all();
-
-  /// Starts one low-priority background worker that tops pools up whenever
-  /// material is missing, sleeping `idle` between passes; observability
-  /// bindings are inherited from the calling thread.  stop_worker() (or
-  /// destruction) joins it.
-  void start_worker(std::chrono::milliseconds idle = std::chrono::milliseconds(50));
-  void stop_worker();
 
   /// Service-wide aggregate of every stream's counters.
   [[nodiscard]] PrecomputeStats totals() const;
 
  private:
-  struct Key {
-    int kind;  // 0 = paillier powers, 1 = dgk powers, 2 = noise bank
-    std::uint64_t key_tag;
-    std::uint64_t seed;
-    friend auto operator<=>(const Key&, const Key&) = default;
-  };
+  /// (key tag, stream seed).
+  using Key = std::pair<std::uint64_t, std::uint64_t>;
 
-  std::size_t top_up_locked_pass(std::size_t max_items);
-
-  const PrecomputeServiceConfig config_;
   mutable std::mutex mutex_;
   std::map<Key, std::unique_ptr<PaillierPowerStream>> paillier_;
   std::map<Key, std::unique_ptr<DgkPowerStream>> dgk_;
-  std::map<Key, std::unique_ptr<PaillierNoiseStream>> noise_;
-  std::thread worker_;
-  std::mutex worker_mutex_;
-  std::condition_variable worker_cv_;
-  bool worker_stop_ = false;
 };
 
 }  // namespace pcl

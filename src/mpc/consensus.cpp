@@ -35,6 +35,14 @@ ConsensusProtocol::ConsensusProtocol(const ConsensusConfig& config,
   (void)DgkCompareContext(dgk_.pk, dgk_.sk, config_.compare_bits);
 }
 
+ConsensusProtocol::ConsensusProtocol(const ConsensusProtocol& keys_of,
+                                     PrecomputeService* precompute)
+    : config_(keys_of.config_),
+      paillier_(keys_of.paillier_),
+      dgk_(keys_of.dgk_) {
+  config_.precompute = precompute;
+}
+
 double ConsensusProtocol::threshold_votes() const {
   return config_.threshold_fraction *
          static_cast<double>(config_.num_users);
@@ -273,6 +281,49 @@ PartyPrecompute ConsensusProtocol::party_precompute(const std::string& party,
         &svc->dgk_powers(dgk_.pk, derive_party_seed(party_seed, 2));
   }
   return pre;
+}
+
+std::map<std::string, PrecomputeDemand>
+ConsensusProtocol::precompute_demand() const {
+  PrecomputeService service;
+  ConsensusProtocol scratch(*this, &service);
+  // Zero votes plus a threshold noise of T + 1 pass the threshold test, so
+  // the query runs every step.
+  const std::vector<std::vector<double>> votes(
+      config_.num_users, std::vector<double>(config_.num_classes, 0.0));
+  const std::vector<double> release_noise(config_.num_classes, 0.0);
+  const std::uint64_t seed = 0;
+  if (!scratch
+           .run_query_with_noise_seeded(votes, threshold_votes() + 1.0,
+                                        release_noise, seed)
+           .label.has_value()) {
+    throw std::logic_error("precompute_demand: the query did not release");
+  }
+  std::vector<std::string> parties = {"S1", "S2"};
+  for (std::size_t u = 0; u < config_.num_users; ++u) {
+    parties.push_back("user:" + std::to_string(u));
+  }
+  std::map<std::string, PrecomputeDemand> demand;
+  for (const std::string& party : parties) {
+    const PartyPrecompute pre = scratch.party_precompute(party, seed);
+    PrecomputeDemand& d = demand[party];
+    d.pk1 = pre.powers_pk1->stats().misses;
+    d.pk2 = pre.powers_pk2->stats().misses;
+    if (pre.dgk_powers != nullptr) d.dgk = pre.dgk_powers->stats().misses;
+  }
+  return demand;
+}
+
+std::uint64_t ConsensusProtocol::warm_precompute(
+    const std::string& party, std::uint64_t seed,
+    const PrecomputeDemand& demand) const {
+  const PartyPrecompute pre = party_precompute(party, seed);
+  if (pre.powers_pk1 == nullptr) return 0;
+  pre.powers_pk1->generate(demand.pk1);
+  pre.powers_pk2->generate(demand.pk2);
+  if (pre.dgk_powers == nullptr) return demand.pk1 + demand.pk2;
+  pre.dgk_powers->generate(demand.dgk);
+  return demand.pk1 + demand.pk2 + demand.dgk;
 }
 
 std::optional<int> ConsensusProtocol::run_party_seeded(

@@ -35,8 +35,10 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <optional>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "crypto/dgk.h"
@@ -93,10 +95,11 @@ struct ConsensusConfig {
   /// (vote magnitudes must clear the packed-value bound; checked at pack
   /// time) and paillier_bits large enough for at least one slot.
   bool pack_secure_sum = false;
-  /// Non-null attaches a background precompute service: every party draws
-  /// its Paillier randomizer powers and DGK blinding powers from per-party
+  /// Non-null attaches a precompute service: every party draws its
+  /// Paillier randomizer powers and DGK blinding powers from per-party
   /// seeded streams registered in the service (see party_precompute), so
-  /// idle-time top-ups move the exponentiations off the online path.
+  /// filling them before a query (warm_precompute) moves the
+  /// exponentiations off the online path.
   /// Pooled mode is a DISTINCT deterministic traffic mode: the same seed
   /// with the same service wiring replays byte-identically warm or cold,
   /// but pooled and unpooled runs of one seed differ (encryption draws
@@ -198,11 +201,26 @@ class ConsensusProtocol {
   /// derive_party_seed(party_seed, 2).  Servers get both Paillier streams
   /// plus the DGK stream; users get the two Paillier streams they submit
   /// under.  Public so daemons and benches can pre-register an upcoming
-  /// session's streams and warm them (PrecomputeService::top_up_all)
-  /// before the online phase; returns an empty handle set when
-  /// config().precompute is null.
+  /// session's streams and fill them before the online phase; returns an
+  /// empty handle set when config().precompute is null.
   [[nodiscard]] PartyPrecompute party_precompute(const std::string& party,
                                                  std::uint64_t seed) const;
+
+  /// Every party's per-stream draws in one released query, keyed by party
+  /// name ("S1", "S2", "user:<u>").  Measured by running one cold
+  /// in-process query on a scratch service over these keys, with a
+  /// threshold noise above T so the query takes the released path; a ⊥
+  /// query draws a prefix of the same streams.  The counts depend on the
+  /// configuration only, not on the seed or the votes.
+  [[nodiscard]] std::map<std::string, PrecomputeDemand> precompute_demand()
+      const;
+
+  /// The offline phase of one query: registers `party`'s streams for query
+  /// `seed` and generates exactly `demand` on each, so a released query
+  /// with that seed draws every power ready and leaves none over.  Returns
+  /// the number of powers generated; 0 when config().precompute is null.
+  std::uint64_t warm_precompute(const std::string& party, std::uint64_t seed,
+                                const PrecomputeDemand& demand) const;
 
   /// Per-step traffic and timing, accumulated over all queries since the
   /// last clear(); step labels match the paper's Tables I and II.
@@ -244,6 +262,10 @@ class ConsensusProtocol {
     std::vector<std::vector<std::int64_t>> votes_fixed;
     std::vector<std::int64_t> t_a, t_b;
   };
+  /// A protocol over `keys_of`'s configuration and keys that draws from
+  /// `precompute` instead (precompute_demand's scratch run).
+  ConsensusProtocol(const ConsensusProtocol& keys_of,
+                    PrecomputeService* precompute);
   [[nodiscard]] QueryPlan make_plan(
       const std::vector<std::vector<double>>& user_votes) const;
   [[nodiscard]] NoisePlan draw_noise(Rng& rng) const;

@@ -811,20 +811,20 @@ void ConsensusUserBatchProgram::run(Channel& chan) {
       write_ciphertext_vector(
           votes_a[i],
           secure_sum_encrypt_stream(pk2_, lane.shares.a, lane.rng, packing,
-                                    lane.pre.bank_s1, lane.pre.powers_pk2));
+                                    lane.pre.powers_pk2));
       write_ciphertext_vector(
           votes_b[i],
           secure_sum_encrypt_stream(pk1_, lane.shares.b, lane.rng, packing,
-                                    lane.pre.bank_s2, lane.pre.powers_pk1));
+                                    lane.pre.powers_pk1));
       obs::count(obs::Op::kSecureSumSubmit);
       write_ciphertext_vector(
           thresh_a[i],
           secure_sum_encrypt_stream(pk2_, ta, lane.rng, packing,
-                                    lane.pre.bank_s1, lane.pre.powers_pk2));
+                                    lane.pre.powers_pk2));
       write_ciphertext_vector(
           thresh_b[i],
           secure_sum_encrypt_stream(pk1_, tb, lane.rng, packing,
-                                    lane.pre.bank_s2, lane.pre.powers_pk1));
+                                    lane.pre.powers_pk1));
     });
     chan.send("S1", pack_lanes(set, votes_a));
     chan.send("S2", pack_lanes(set, votes_b));
@@ -857,11 +857,11 @@ void ConsensusUserBatchProgram::run(Channel& chan) {
     write_ciphertext_vector(
         noisy_a[i],
         secure_sum_encrypt_stream(pk2_, na, lane.rng, packing,
-                                  lane.pre.bank_s1, lane.pre.powers_pk2));
+                                  lane.pre.powers_pk2));
     write_ciphertext_vector(
         noisy_b[i],
         secure_sum_encrypt_stream(pk1_, nb, lane.rng, packing,
-                                  lane.pre.bank_s2, lane.pre.powers_pk1));
+                                  lane.pre.powers_pk1));
   });
   chan.send("S1", pack_lanes(set, noisy_a));
   chan.send("S2", pack_lanes(set, noisy_b));

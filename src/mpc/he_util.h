@@ -12,11 +12,10 @@
 
 #include "crypto/packing.h"
 #include "crypto/paillier.h"
+#include "crypto/precompute_service.h"
 #include "net/message.h"
 
 namespace pcl {
-
-class PaillierPowerStream;
 
 /// Encrypts each element of a signed vector; from a warm `stream` each
 /// ciphertext costs 2 modmuls.

@@ -1,8 +1,9 @@
-// One party's resolved view of the background PrecomputeService
-// (DESIGN.md §15): raw pointers to the typed streams this party's protocol
-// role consumes.  A null pointer (or a null struct) means "fresh mode" —
-// every encryption draws from the party Rng exactly as before the
-// offline/online split, so all pre-split byte-parity gates are unchanged.
+// One party's resolved view of a PrecomputeService (DESIGN.md §15): raw
+// pointers to the power streams this party's protocol role draws from, and
+// the number of draws one query makes from each.  A null pointer (or a
+// null struct) means "fresh mode" — every encryption draws from the party
+// Rng exactly as before the offline/online split, so all pre-split
+// byte-parity gates are unchanged.
 //
 // With streams attached, encryption randomizers come from the stream's own
 // deterministic Rng instead of the party Rng.  Pooled traffic is therefore
@@ -10,6 +11,8 @@
 // the same seeds are byte-identical regardless of pool warmth, which is
 // what the pooled parity tests pin down.
 #pragma once
+
+#include <cstdint>
 
 #include "crypto/precompute_service.h"
 
@@ -21,17 +24,17 @@ struct PartyPrecompute {
   PaillierPowerStream* powers_pk2 = nullptr;
   /// Randomizer powers for encryptions under S1's key pk1.
   PaillierPowerStream* powers_pk1 = nullptr;
-  /// DGK blinding powers h^r (S2's bit encryptions, S1's blinded sequence).
+  /// DGK blinding powers h^r (S2's bit encryptions, S1's blinded sequence);
+  /// null for users.
   DgkPowerStream* dgk_powers = nullptr;
-  /// Pre-encrypted share/noise frames for a user's S1-bound stream (under
-  /// pk2) and S2-bound stream (under pk1); null for servers.
-  PaillierNoiseStream* bank_s1 = nullptr;
-  PaillierNoiseStream* bank_s2 = nullptr;
+};
 
-  [[nodiscard]] bool empty() const {
-    return powers_pk2 == nullptr && powers_pk1 == nullptr &&
-           dgk_powers == nullptr && bank_s1 == nullptr && bank_s2 == nullptr;
-  }
+/// The draws one party makes from each of its streams in one released
+/// query (ConsensusProtocol::precompute_demand); a ⊥ query draws a prefix.
+struct PrecomputeDemand {
+  std::uint64_t pk1 = 0;
+  std::uint64_t pk2 = 0;
+  std::uint64_t dgk = 0;
 };
 
 }  // namespace pcl

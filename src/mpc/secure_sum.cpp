@@ -12,18 +12,7 @@ namespace pcl {
 
 std::vector<PaillierCiphertext> secure_sum_encrypt_stream(
     const PaillierPublicKey& pk, const std::vector<std::int64_t>& values,
-    Rng& rng, const PackingLayout* packing, PaillierNoiseStream* bank,
-    PaillierPowerStream* stream) {
-  if (bank != nullptr) {
-    std::vector<BigInt> plain;
-    if (packing != nullptr) {
-      plain = pack_values(*packing, values, 1);
-    } else {
-      plain.reserve(values.size());
-      for (const std::int64_t v : values) plain.emplace_back(v);
-    }
-    return bank->draw_frame(plain);
-  }
+    Rng& rng, const PackingLayout* packing, PaillierPowerStream* stream) {
   if (packing != nullptr) {
     return encrypt_packed_vector(pk, *packing, values, 1, rng, stream);
   }
@@ -34,22 +23,15 @@ void secure_sum_submit(Channel& chan, const PaillierPublicKey& s1_stream_pk,
                        const PaillierPublicKey& s2_stream_pk,
                        const std::vector<std::int64_t>& to_s1,
                        const std::vector<std::int64_t>& to_s2, Rng& rng,
-                       const PackingLayout* packing,
-                       const PartyPrecompute* pre) {
+                       const PackingLayout* packing) {
   obs::count(obs::Op::kSecureSumSubmit);
-  PaillierNoiseStream* bank_s1 = pre != nullptr ? pre->bank_s1 : nullptr;
-  PaillierNoiseStream* bank_s2 = pre != nullptr ? pre->bank_s2 : nullptr;
-  PaillierPowerStream* powers_s1 = pre != nullptr ? pre->powers_pk2 : nullptr;
-  PaillierPowerStream* powers_s2 = pre != nullptr ? pre->powers_pk1 : nullptr;
   MessageWriter m1;
-  write_ciphertext_vector(
-      m1, secure_sum_encrypt_stream(s1_stream_pk, to_s1, rng, packing,
-                                    bank_s1, powers_s1));
+  write_ciphertext_vector(m1, secure_sum_encrypt_stream(s1_stream_pk, to_s1,
+                                                        rng, packing, nullptr));
   chan.send("S1", std::move(m1));
   MessageWriter m2;
-  write_ciphertext_vector(
-      m2, secure_sum_encrypt_stream(s2_stream_pk, to_s2, rng, packing,
-                                    bank_s2, powers_s2));
+  write_ciphertext_vector(m2, secure_sum_encrypt_stream(s2_stream_pk, to_s2,
+                                                        rng, packing, nullptr));
   chan.send("S2", std::move(m2));
 }
 

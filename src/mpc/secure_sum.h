@@ -26,26 +26,21 @@ namespace pcl {
 /// cannot decrypt what it aggregates) and sends it to "S1"; symmetrically
 /// for `to_s2` under `s2_stream_pk` (= S1's key).  With `packing`, each
 /// stream's L values ride in layout.num_cts packed ciphertexts (DESIGN.md
-/// §15).  With `pre`, ciphertexts come from this user's noise banks
-/// (bank_s1/bank_s2) when registered, else from the randomizer power
-/// streams (powers_pk2/powers_pk1); null members, like a null `pre`, fall
-/// back to fresh encryption from `rng`.
+/// §15).  Every ciphertext is a fresh encryption from `rng`.
 void secure_sum_submit(Channel& chan, const PaillierPublicKey& s1_stream_pk,
                        const PaillierPublicKey& s2_stream_pk,
                        const std::vector<std::int64_t>& to_s1,
                        const std::vector<std::int64_t>& to_s2, Rng& rng,
-                       const PackingLayout* packing = nullptr,
-                       const PartyPrecompute* pre = nullptr);
+                       const PackingLayout* packing = nullptr);
 
 /// The encryption half of one secure_sum_submit stream, exposed for
 /// the lane-batched user program (mpc/consensus_batch.cpp) so a batched
-/// lane's sub-message is byte-identical to the sequential submit: noise
-/// bank if non-null, else power stream, else fresh from `rng` — packed
+/// lane's sub-message is byte-identical to the sequential submit: powers
+/// from `stream` if non-null, else fresh from `rng` — packed
 /// (layout.num_cts ciphertexts) when `packing` is non-null.
 [[nodiscard]] std::vector<PaillierCiphertext> secure_sum_encrypt_stream(
     const PaillierPublicKey& pk, const std::vector<std::int64_t>& values,
-    Rng& rng, const PackingLayout* packing, PaillierNoiseStream* bank,
-    PaillierPowerStream* stream);
+    Rng& rng, const PackingLayout* packing, PaillierPowerStream* stream);
 
 /// Server role: receives one ciphertext vector from each of
 /// "user:0" .. "user:<n_users-1>" in index order and aggregates them by

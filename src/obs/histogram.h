@@ -16,8 +16,8 @@
 // (between a query arriving and its label releasing), offline precompute
 // (input-independent crypto that a deployment would run during idle time),
 // or unphased (everything else).  ChannelStepScope marks protocol steps
-// online; the encryption pool marks its refills offline — which is exactly
-// the split ROADMAP item 2's bench gate needs to report.
+// online; precompute streams mark their generation offline — which is
+// exactly the split ROADMAP item 2's bench gate needs to report.
 //
 // Recording never touches an Rng stream or any channel, preserving the
 // PR 3 invariant that instrumentation does not perturb traffic.

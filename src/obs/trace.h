@@ -109,7 +109,7 @@ class ObserverScope {
 /// Sets the ambient work phase for the current thread and restores the
 /// previous one on destruction.  Spans opened inside the scope record their
 /// latency under this phase; ChannelStepScope installs kOnline around
-/// protocol steps and the encryption pool installs kOffline around refills.
+/// protocol steps and precompute streams install kOffline around generation.
 class PhaseScope {
  public:
   explicit PhaseScope(Phase phase);

@@ -1,8 +1,9 @@
 // Offline/online split at the protocol level (DESIGN.md §15): pooled and
 // packed modes against the gates that keep them honest —
 //   - pool warmth never changes results or traffic: a cold run (every draw
-//     a pool miss) and a warm run (streams topped up offline) of the same
-//     seed release the same labels with identical per-step traffic;
+//     a pool miss) and a warm run (streams filled offline with the measured
+//     demand, every draw a hit) of the same seed release the same labels
+//     with identical per-step traffic;
 //   - pooled batch == pooled sequential (lane q registers the same streams
 //     a sequential pooled run of its lane seed would);
 //   - packed secure-sum releases the same labels as the unpacked lane and
@@ -10,7 +11,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <optional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "crypto/precompute_service.h"
@@ -65,30 +69,41 @@ std::vector<std::optional<int>> labels_of(
   return out;
 }
 
-/// Warms every party's streams for the given query seeds, exactly as the
-/// serving daemon does between sessions: resolve (= register) the handles
-/// through the canonical derivation, then top the service up.
-void warm_streams(ConsensusProtocol& protocol, PrecomputeService& svc,
-                  const std::vector<std::uint64_t>& seeds) {
+std::vector<std::string> party_names(const ConsensusProtocol& protocol) {
   std::vector<std::string> parties = {"S1", "S2"};
   for (std::size_t u = 0; u < protocol.config().num_users; ++u) {
     parties.push_back("user:" + std::to_string(u));
   }
+  return parties;
+}
+
+/// Warms every party's streams for the given query seeds, exactly as the
+/// serving daemon does before it accepts sessions: measure one query's
+/// draws per stream, then fill each seed's streams with exactly that many.
+/// Returns the number of powers generated.
+std::uint64_t warm_streams(const ConsensusProtocol& protocol,
+                           const std::vector<std::uint64_t>& seeds) {
+  const std::map<std::string, PrecomputeDemand> demand =
+      protocol.precompute_demand();
+  std::uint64_t generated = 0;
   for (const std::uint64_t seed : seeds) {
-    for (const std::string& party : parties) {
-      (void)protocol.party_precompute(party, seed);
+    for (const std::string& party : party_names(protocol)) {
+      generated += protocol.warm_precompute(party, seed, demand.at(party));
     }
   }
-  (void)svc.top_up_all();
+  return generated;
 }
 
 TEST(ConsensusPrecompute, WarmAndColdPooledRunsAreIdentical) {
   // Two protocols over the same keygen seed, both pooled; one gets its
-  // streams topped up offline, the other runs entirely on pool misses.
-  // Labels AND per-step traffic must match — warmth only moves work.
+  // streams filled offline with the measured demand, the other runs
+  // entirely on pool misses.  Labels AND per-step traffic must match —
+  // warmth only moves work.  The first query ends in ⊥ (its noise sinks
+  // the top count below T), the second releases a label.
   PrecomputeService cold_svc, warm_svc;
-  const std::uint64_t seed = 20200706;
-  const auto votes = one_hot_votes({2, 2, 2, 1, 2}, 4);
+  const std::uint64_t bot_seed = 20200706, released_seed = 20200707;
+  const auto split_votes = one_hot_votes({2, 2, 2, 1, 2}, 4);
+  const auto unanimous_votes = one_hot_votes({2, 2, 2, 2, 2}, 4);
 
   ConsensusConfig cfg = small_config();
   cfg.precompute = &cold_svc;
@@ -98,22 +113,47 @@ TEST(ConsensusPrecompute, WarmAndColdPooledRunsAreIdentical) {
   cfg.precompute = &warm_svc;
   DeterministicRng keygen_b(7);
   ConsensusProtocol warm(cfg, keygen_b);
-  warm_streams(warm, warm_svc, {seed});
-  const PrecomputeStats warmed = warm_svc.totals();
-  EXPECT_GT(warmed.generated, 0u);
+  const std::uint64_t demand = warm_streams(warm, {bot_seed, released_seed});
+  EXPECT_GT(demand, 0u);
+  EXPECT_EQ(warm_svc.totals().generated, demand);
 
   obs::MetricsRegistry cold_metrics, warm_metrics;
   cold.set_observer(nullptr, &cold_metrics);
   warm.set_observer(nullptr, &warm_metrics);
-  const auto cold_label = cold.run_query_seeded(votes, seed).label;
-  const auto warm_label = warm.run_query_seeded(votes, seed).label;
-  EXPECT_EQ(cold_label, warm_label);
+  for (const auto& [votes, seed] :
+       {std::pair{split_votes, bot_seed},
+        std::pair{unanimous_votes, released_seed}}) {
+    const auto cold_label = cold.run_query_seeded(votes, seed).label;
+    const auto warm_label = warm.run_query_seeded(votes, seed).label;
+    EXPECT_EQ(cold_label, warm_label);
+    EXPECT_EQ(warm_label.has_value(), seed == released_seed);
+  }
 
-  // The cold run missed on every power draw; the warm run's noise banks
-  // are not pre-registered by warm_streams (their frames are per-query),
-  // but its power streams must serve from ready material.
-  EXPECT_GT(cold_metrics.total(obs::Op::kPoolMiss),
-            warm_metrics.total(obs::Op::kPoolMiss));
+  // The warm-up covered the demand: the warm runs drew every power ready,
+  // and the released query left none over on any of its streams (the ⊥
+  // query drew a prefix of its own).  The cold runs computed the same
+  // draws inline, one miss each.
+  const PrecomputeStats warm_totals = warm_svc.totals();
+  EXPECT_EQ(warm_metrics.total(obs::Op::kPoolMiss), 0u);
+  EXPECT_EQ(cold_metrics.total(obs::Op::kPoolMiss), warm_totals.hits);
+  for (const std::string& party : party_names(warm)) {
+    const PartyPrecompute pre = warm.party_precompute(party, released_seed);
+    EXPECT_EQ(pre.powers_pk1->stats().ready, 0u) << party;
+    EXPECT_EQ(pre.powers_pk2->stats().ready, 0u) << party;
+    if (pre.dgk_powers != nullptr) {
+      EXPECT_EQ(pre.dgk_powers->stats().ready, 0u) << party;
+    }
+  }
+  // totals() sums every stream's counters.
+  EXPECT_EQ(warm_totals.generated, demand);
+  EXPECT_EQ(warm_totals.hits + warm_totals.ready, demand);
+  EXPECT_GT(warm_totals.ready, 0u);
+  EXPECT_EQ(warm_totals.misses, 0u);
+  const PrecomputeStats cold_totals = cold_svc.totals();
+  EXPECT_EQ(cold_totals.generated, 0u);
+  EXPECT_EQ(cold_totals.hits, 0u);
+  EXPECT_EQ(cold_totals.misses, warm_totals.hits);
+
   // Same PROTOCOL-op totals: pooling moves work, never changes it.  The
   // bigint kernel counters (modexp/modmul)
   // legitimately differ — the warm run did those exponentiations offline
@@ -213,7 +253,7 @@ TEST(ConsensusPrecompute, PackedAndPooledComposeInBatchMode) {
   for (std::size_t q = 0; q < batch.size(); ++q) {
     lane_seeds.push_back(derive_party_seed(base_seed, q));
   }
-  warm_streams(split, svc, lane_seeds);
+  (void)warm_streams(split, lane_seeds);
 
   EXPECT_EQ(labels_of(split.run_batch_seeded(batch, base_seed,
                                              ConsensusTransport::kThreaded,

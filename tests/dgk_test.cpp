@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "bigint/montgomery.h"
 #include "bigint/primes.h"
 #include "bigint/rng.h"
 
@@ -108,6 +112,22 @@ TEST(DgkKeygen, ParamsValidated) {
   DgkParams params;
   params.n_bits = 64;  // far too small for v_bits=60
   EXPECT_THROW((void)generate_dgk_key(params, rng), std::invalid_argument);
+}
+
+TEST(DgkKeygen, KeepsSecretModuliOutOfTheSharedCache) {
+  // p, the subgroup orders and every prime candidate are secret (or might
+  // have been): keygen may add only the public n to the process-wide
+  // cache, where zeroizing the key could not reach them.
+  const std::vector<BigInt> before = MontgomeryContext::shared_moduli();
+  DeterministicRng rng(6);
+  const DgkKeyPair key = generate_dgk_key({256, 60, 160}, rng);
+  for (const BigInt& m : MontgomeryContext::shared_moduli()) {
+    if (std::find(before.begin(), before.end(), m) != before.end()) continue;
+    EXPECT_EQ(m, key.pk.n()) << m.to_string();
+  }
+  // Decryption and the zero test run on the key's private context for p.
+  EXPECT_EQ(key.sk.decrypt(key.pk.encrypt(std::uint64_t{7}, rng)), 7u);
+  EXPECT_TRUE(key.sk.is_zero(key.pk.encrypt(std::uint64_t{0}, rng)));
 }
 
 class DgkParamSweep

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "bigint/primes.h"
 #include "bigint/rng.h"
 
@@ -96,6 +99,21 @@ TEST(Montgomery, SharedCacheReturnsOneContextPerModulus) {
   BigInt other = rng.random_bits_exact(256);
   if (other.is_even()) other += BigInt(1);
   EXPECT_NE(MontgomeryContext::shared(other).get(), a.get());
+}
+
+TEST(Montgomery, SharedModuliListsWithoutInserting) {
+  DeterministicRng rng(9);
+  BigInt shared_m = rng.random_bits_exact(192);
+  if (shared_m.is_even()) shared_m += BigInt(1);
+  BigInt private_m = rng.random_bits_exact(192);
+  if (private_m.is_even()) private_m += BigInt(1);
+  (void)MontgomeryContext::shared(shared_m);
+  const MontgomeryContext local(private_m);  // a private context stays out
+  const std::vector<BigInt> listed = MontgomeryContext::shared_moduli();
+  ASSERT_FALSE(listed.empty());
+  EXPECT_EQ(listed.front(), shared_m);  // newest first
+  EXPECT_EQ(std::count(listed.begin(), listed.end(), private_m), 0);
+  EXPECT_EQ(MontgomeryContext::shared_moduli(), listed);
 }
 
 TEST(Montgomery, SharedCacheSurvivesOverflowClear) {

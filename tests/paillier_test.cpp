@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "bigint/montgomery.h"
 #include "bigint/primes.h"
 #include "bigint/rng.h"
 
@@ -197,6 +201,21 @@ TEST(PaillierEdge, DeterministicEncryptionWithFixedRandomness) {
   const auto c2 = key.pk.encrypt_with_randomness(BigInt(7), r);
   EXPECT_EQ(c1, c2);
   EXPECT_EQ(key.sk.decrypt(c1), BigInt(7));
+}
+
+TEST(PaillierEdge, KeygenKeepsSecretModuliOutOfTheSharedCache) {
+  // p², q² and every prime candidate Miller–Rabin tried are secret (or
+  // might have been): keygen may add only public moduli to the
+  // process-wide cache, where zeroizing the key could not reach them.
+  const std::vector<BigInt> before = MontgomeryContext::shared_moduli();
+  DeterministicRng rng(6);
+  const auto key = generate_paillier_key(256, rng);
+  for (const BigInt& m : MontgomeryContext::shared_moduli()) {
+    if (std::find(before.begin(), before.end(), m) != before.end()) continue;
+    EXPECT_TRUE(m == key.pk.n() || m == key.pk.n_squared()) << m.to_string();
+  }
+  // Decryption runs on the key's private contexts.
+  EXPECT_EQ(key.sk.decrypt(key.pk.encrypt(BigInt(-42), rng)), BigInt(-42));
 }
 
 TEST(PaillierEdge, WrongPrivateKeyRejected) {

@@ -6,11 +6,9 @@
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <memory>
 #include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "mpc/lane_pool.h"
@@ -134,52 +132,6 @@ TEST_F(PrecomputeServiceTest, WarmColdDgkStreamsAgree) {
   EXPECT_EQ(cold.stats().misses, 6u);
 }
 
-TEST_F(PrecomputeServiceTest, NoiseBankComposesInputDependentRemainder) {
-  // The registered base is what the seeded noise plan predicts offline;
-  // the drawn base carries the input-dependent remainder.  A ready frame
-  // serves the draw as a hit via compose_plain; the result must equal the
-  // cold inline encryption of the same (seed, base) bit for bit.
-  PaillierNoiseStream warm(paillier_.pk, 21);
-  PaillierNoiseStream cold(paillier_.pk, 21);
-  const std::vector<BigInt> registered = {BigInt(100), BigInt(-7), BigInt(0)};
-  const std::vector<BigInt> actual = {BigInt(103), BigInt(-7), BigInt(55)};
-  warm.push_frame(registered);
-  EXPECT_EQ(warm.pending_cts(), 3u);
-  EXPECT_EQ(warm.generate(100), 3u);
-  EXPECT_EQ(warm.pending_cts(), 0u);
-
-  const auto a = warm.draw_frame(actual);
-  const auto b = cold.draw_frame(actual);
-  ASSERT_EQ(a.size(), 3u);
-  for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(a[i].value, b[i].value);
-    EXPECT_EQ(paillier_.sk.decrypt(a[i]), actual[i]);
-  }
-  // Base-mismatch compose on a ready ciphertext is the designed online
-  // path (one modmul), not a miss; only the cold stream counts misses.
-  EXPECT_EQ(warm.stats().hits, 3u);
-  EXPECT_EQ(warm.stats().misses, 0u);
-  EXPECT_EQ(cold.stats().misses, 3u);
-}
-
-TEST_F(PrecomputeServiceTest, NoiseBankPartialFrameFallsThrough) {
-  // A frame whose encryption was interrupted mid-way serves the ready
-  // prefix as hits and the rest inline — same bytes as a cold stream.
-  PaillierNoiseStream part(paillier_.pk, 33);
-  PaillierNoiseStream cold(paillier_.pk, 33);
-  const std::vector<BigInt> base = {BigInt(1), BigInt(2), BigInt(3),
-                                    BigInt(4)};
-  part.push_frame(base);
-  EXPECT_EQ(part.generate(2), 2u);
-  const auto a = part.draw_frame(base);
-  const auto b = cold.draw_frame(base);
-  for (std::size_t i = 0; i < base.size(); ++i) {
-    EXPECT_EQ(a[i].value, b[i].value);
-  }
-  EXPECT_EQ(part.stats().hits, 2u);
-  EXPECT_EQ(part.stats().misses, 2u);
-}
-
 TEST_F(PrecomputeServiceTest, RegistryRendezvousOnKeyAndSeed) {
   PrecomputeService svc;
   PaillierPowerStream& s1 = svc.paillier_powers(paillier_.pk, 7);
@@ -187,52 +139,6 @@ TEST_F(PrecomputeServiceTest, RegistryRendezvousOnKeyAndSeed) {
   EXPECT_EQ(&s1, &s2);  // same identity -> same stream
   PaillierPowerStream& other = svc.paillier_powers(paillier_.pk, 8);
   EXPECT_NE(&s1, &other);
-}
-
-TEST_F(PrecomputeServiceTest, TopUpHonorsWatermarks) {
-  PrecomputeServiceConfig cfg;
-  cfg.low_watermark = 4;
-  cfg.high_watermark = 10;
-  PrecomputeService svc(cfg);
-  PaillierPowerStream& powers = svc.paillier_powers(paillier_.pk, 1);
-  PaillierNoiseStream& bank = svc.noise_bank(paillier_.pk, 2);
-  bank.push_frame({BigInt(5), BigInt(6)});
-
-  EXPECT_EQ(svc.top_up_all(), 12u);  // 10 powers + 2 noise cts
-  EXPECT_EQ(powers.stats().ready, 10u);
-  EXPECT_EQ(bank.pending_cts(), 0u);
-  EXPECT_EQ(svc.top_up(100), 0u);  // everything topped up
-
-  // Draining below the low watermark re-arms the refill; draining to 5
-  // (>= low) does not.
-  for (int i = 0; i < 5; ++i) (void)powers.draw_power();
-  EXPECT_EQ(svc.top_up(100), 0u);
-  for (int i = 0; i < 2; ++i) (void)powers.draw_power();
-  EXPECT_EQ(svc.top_up(100), 7u);  // back to high watermark
-  EXPECT_EQ(powers.stats().ready, 10u);
-
-  const PrecomputeStats totals = svc.totals();
-  EXPECT_EQ(totals.generated, 19u);
-  EXPECT_EQ(totals.hits, 7u);
-  EXPECT_EQ(totals.misses, 0u);
-}
-
-TEST_F(PrecomputeServiceTest, BackgroundWorkerTopsUpDuringIdleTime) {
-  PrecomputeServiceConfig cfg;
-  cfg.low_watermark = 2;
-  cfg.high_watermark = 6;
-  PrecomputeService svc(cfg);
-  PaillierPowerStream& powers = svc.paillier_powers(paillier_.pk, 3);
-  svc.start_worker(std::chrono::milliseconds(1));
-  for (int spin = 0; spin < 2000 && powers.stats().ready < 6; ++spin) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  svc.stop_worker();
-  EXPECT_EQ(powers.stats().ready, 6u);
-  // Worker fills never change the draw sequence: a fresh cold stream of
-  // the same seed produces the same ciphertexts.
-  PaillierPowerStream cold(paillier_.pk, 3);
-  EXPECT_EQ(powers.encrypt(BigInt(42)).value, cold.encrypt(BigInt(42)).value);
 }
 
 }  // namespace

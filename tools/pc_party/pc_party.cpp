@@ -131,10 +131,10 @@ struct Options {
   std::size_t max_sessions = 8;    ///< per-daemon admission cap
   std::size_t session_workers = 2; ///< per-daemon worker pool size
   /// Offline/online split (DESIGN.md §15): attach a PrecomputeService so
-  /// every party draws randomizer/blinding powers from seeded streams.  A
-  /// serving daemon pre-registers its expected session streams, warms them
-  /// before accepting connections, and runs the service's low-priority
-  /// worker so pools top up in the gaps between sessions.
+  /// every party draws randomizer/blinding powers from seeded streams.
+  /// --role and --serve measure one query's draws per stream and fill the
+  /// streams of each expected query with exactly that many before
+  /// connecting.
   bool precompute = false;
 };
 
@@ -171,9 +171,9 @@ int usage(const char* argv0) {
       "  --session-workers N  serving: FIFO worker threads per daemon\n"
       "                       (default 2)\n"
       "  --precompute         offline/online split: draw randomizer powers\n"
-      "                       from a background precompute service (serving\n"
-      "                       daemons warm expected session streams up front\n"
-      "                       and top pools up between sessions)\n",
+      "                       from precompute streams (--role and --serve\n"
+      "                       fill each expected query's streams with its\n"
+      "                       measured demand before connecting)\n",
       argv0, argv0, argv0, argv0);
   return 2;
 }
@@ -545,8 +545,8 @@ int run_single(const Options& opt) {
   if (opt.precompute) {
     // Warm this party's streams for the query seed before connecting: the
     // offline phase of a one-shot run.
-    (void)protocol.party_precompute(opt.role, opt.seed);
-    (void)precompute.top_up_all();
+    (void)protocol.warm_precompute(opt.role, opt.seed,
+                                   protocol.precompute_demand().at(opt.role));
   }
   pcl::TcpPartyWiring wiring = pcl::consensus_tcp_wiring(
       opt.role, opt.users, endpoints, timeouts_from(opt));
@@ -629,23 +629,24 @@ int serve_role(const pcl::ConsensusProtocol& protocol, const Options& opt,
   pcl::SessionServer server(std::move(cfg), std::move(program),
                             std::move(sink));
 
-  // Offline phase: pre-register this role's streams for the session seeds
-  // the serve-all orchestrator will drive (derive_party_seed(seed, i)) and
-  // warm them before the listener accepts anything, then keep the service's
-  // low-priority worker running so pools top back up in the idle gaps
-  // between sessions.  A session with an unanticipated seed still works —
-  // its streams register cold and every draw falls through inline (counted
-  // as pool.miss), with identical bytes.
+  // Offline phase, run here in the process that draws (after fork under
+  // --serve-all): measure one query's draws per stream, then fill this
+  // role's streams for every session seed the serve-all orchestrator will
+  // drive (derive_party_seed(seed, i)) with exactly that many before the
+  // listener accepts anything.  A session with an unanticipated seed still
+  // works — its streams register cold and every draw falls through inline
+  // (counted as pool.miss), with identical bytes.
   pcl::PrecomputeService* precompute = protocol.config().precompute;
   if (precompute != nullptr) {
+    const pcl::PrecomputeDemand demand = protocol.precompute_demand().at(role);
+    std::uint64_t warmed = 0;
     for (std::size_t i = 0; i < opt.sessions; ++i) {
-      (void)protocol.party_precompute(role, pcl::derive_party_seed(opt.seed, i));
+      warmed += protocol.warm_precompute(
+          role, pcl::derive_party_seed(opt.seed, i), demand);
     }
-    const std::size_t warmed = precompute->top_up_all();
-    std::printf("pc_party[%s]: precompute warm: %zu items generated "
+    std::printf("pc_party[%s]: precompute warm: %llu items generated "
                 "offline\n",
-                role.c_str(), warmed);
-    precompute->start_worker();
+                role.c_str(), static_cast<unsigned long long>(warmed));
   }
 
   // The admin endpoint is mandatory in serving mode — it carries the
@@ -686,7 +687,16 @@ int serve_role(const pcl::ConsensusProtocol& protocol, const Options& opt,
                  role.c_str());
   }
   server.drain_and_stop();
-  if (precompute != nullptr) precompute->stop_worker();
+  if (precompute != nullptr) {
+    // Every draw a session ran inline is a miss; a warm-up that covered
+    // the demand leaves none.
+    const pcl::PrecomputeStats totals = precompute->totals();
+    std::printf("pc_party[%s]: precompute totals: generated %llu, hits %llu, "
+                "misses %llu\n",
+                role.c_str(), static_cast<unsigned long long>(totals.generated),
+                static_cast<unsigned long long>(totals.hits),
+                static_cast<unsigned long long>(totals.misses));
+  }
   // Post-drain summary artifacts: the aggregate metrics (every session's
   // latency folded in) and the final session table outlive the daemon.
   try {
