@@ -6,7 +6,6 @@
 #include <benchmark/benchmark.h>
 
 #include "bench_util.h"
-#include "bigint/kernels/limb_pool.h"
 #include "bigint/montgomery.h"
 #include "bigint/primes.h"
 #include "crypto/dgk.h"
@@ -53,16 +52,16 @@ void BM_BigIntPowMod(benchmark::State& state) {
 BENCHMARK(BM_BigIntPowMod)->Arg(64)->Arg(128)->Arg(256)->Arg(512);
 
 // The pow_mod ablation triple, at the moduli the protocol actually runs
-// (DGK n at 1024, Paillier n^2 at 2048 bits; the cached context also at
+// (DGK n at 1024, Paillier n^2 at 2048 bits; the held context also at
 // the paper's 128 and 192 bits): the division-based
 // square-and-multiply BigInt::pow_mod used before the Montgomery routing,
-// the fixed-window Montgomery kernel with a context built per call, and
-// the steady-state path through the process-wide context cache.  The bulk
-// of the win is the kernel (no trial division per step + 4-bit windows);
-// the cache then makes the remaining per-call setup (R^2 mod m, inverse
-// limb, window table base) a one-time cost per modulus, which is what the
-// lane-batched pipeline leans on when thousands of exponentiations share
-// one key.
+// the fixed-window Montgomery kernel with a context built per call (what
+// BigInt::pow_mod does for an odd modulus), and one context built once and
+// held, as a key holds the contexts for its moduli.  The bulk of the win
+// is the kernel (no trial division per step + windows); holding the
+// context then makes the remaining per-call setup (R mod m, R^2 mod m, the
+// inverse limb) a one-time cost per key, which is what the lane-batched
+// pipeline leans on when thousands of exponentiations share one key.
 
 void BM_PowModNaiveReference(benchmark::State& state) {
   DeterministicRng rng(12);
@@ -106,23 +105,21 @@ void BM_PowModCachedContext(benchmark::State& state) {
   if (m.is_even()) m += BigInt(1);
   const BigInt base = rng.uniform_below(m);
   const BigInt exp = rng.random_bits_exact(bits);
-  const auto ctx = MontgomeryContext::shared(m);
+  const MontgomeryContext ctx(m);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ctx->pow(base, exp));
+    benchmark::DoNotOptimize(ctx.pow(base, exp));
   }
 }
 BENCHMARK(BM_PowModCachedContext)->Arg(128)->Arg(192)->Arg(512)->Arg(1024)
     ->Arg(2048)->Unit(benchmark::kMillisecond);
 
-// The modmul pool ablation (DESIGN.md §12): one full modular product
-// a * b mod m per iteration through the CIOS kernel with the temporary
-// pool disabled (every op heap-allocates its cell), and with the
-// per-thread pool warm — the production configuration.  Same seed across
-// the pair so both run identical operands; the widths are the paper's
-// (Paillier n² and DGK n at 128 and 192 bits) and the deployment moduli
-// (DGK n at 1024/2048, Paillier n² at 2048/4096).
+// One full modular product a * b mod m per iteration through the CIOS
+// kernel, its temporaries carved from the thread's scratch and wiped before
+// it returns (DESIGN.md §12).  The widths are the paper's (Paillier n² and
+// DGK n at 128 and 192 bits) and the deployment moduli (DGK n at
+// 1024/2048, Paillier n² at 2048/4096).
 
-void BM_ModMulUnpooled(benchmark::State& state) {
+void BM_ModMul(benchmark::State& state) {
   DeterministicRng rng(13);
   const std::size_t bits = static_cast<std::size_t>(state.range(0));
   BigInt m = rng.random_bits_exact(bits);
@@ -130,30 +127,11 @@ void BM_ModMulUnpooled(benchmark::State& state) {
   const BigInt a = rng.uniform_below(m);
   const BigInt b = rng.uniform_below(m);
   const MontgomeryContext ctx(m);
-  kern::LimbPool::set_enabled(false);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ctx.mul_mod(a, b));
-  }
-  kern::LimbPool::set_enabled(true);
-}
-BENCHMARK(BM_ModMulUnpooled)->Arg(128)->Arg(192)->Arg(1024)->Arg(2048)
-    ->Arg(4096);
-
-void BM_ModMulPooled(benchmark::State& state) {
-  DeterministicRng rng(13);
-  const std::size_t bits = static_cast<std::size_t>(state.range(0));
-  BigInt m = rng.random_bits_exact(bits);
-  if (m.is_even()) m += BigInt(1);
-  const BigInt a = rng.uniform_below(m);
-  const BigInt b = rng.uniform_below(m);
-  const MontgomeryContext ctx(m);
-  (void)ctx.mul_mod(a, b);  // warm this thread's free list
   for (auto _ : state) {
     benchmark::DoNotOptimize(ctx.mul_mod(a, b));
   }
 }
-BENCHMARK(BM_ModMulPooled)->Arg(128)->Arg(192)->Arg(1024)->Arg(2048)
-    ->Arg(4096);
+BENCHMARK(BM_ModMul)->Arg(128)->Arg(192)->Arg(1024)->Arg(2048)->Arg(4096);
 
 void BM_PrimeGeneration(benchmark::State& state) {
   DeterministicRng rng(4);

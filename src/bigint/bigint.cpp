@@ -503,13 +503,13 @@ BigInt BigInt::pow_mod(const BigInt& base, const BigInt& exp, const BigInt& m) {
     throw std::domain_error("pow_mod requires a non-negative exponent");
   }
   if (m == BigInt(1)) return BigInt(0);
-  // Every odd modulus goes through the shared Montgomery kernel: the
-  // process-wide context cache amortizes the R mod m / R^2 mod m setup, so
-  // there is no exponent size below which the plain ladder wins.  The
-  // context meters kBigIntModExp (and kBigIntModMul per Montgomery
-  // multiply) itself.
+  // Every odd modulus goes through the Montgomery kernel, on a context
+  // local to the call: no protocol path calls pow_mod (keys own their
+  // contexts), so nothing here is worth keeping between calls.  The context
+  // meters kBigIntModExp (and kBigIntModMul per Montgomery multiply)
+  // itself.
   if (m.is_odd()) {
-    return MontgomeryContext::shared(m)->pow(base, exp);
+    return MontgomeryContext(m).pow(base, exp);
   }
   obs::count(obs::Op::kBigIntModExp);
   BigInt result(1);

@@ -1,8 +1,7 @@
 #include "bigint/kernels/cios.h"
 
 #include <bit>
-
-#include "bigint/kernels/limb_pool.h"
+#include <stdexcept>
 
 namespace pcl::kern {
 namespace {
@@ -85,11 +84,49 @@ bool exp_bit(std::span<const std::uint32_t> exp, std::size_t bit) {
 }
 
 /// Zeroes `words` through a volatile pointer, so the stores survive as
-/// dead stores into memory about to be freed.
-void wipe(std::vector<std::uint64_t>& words) {
+/// dead stores into memory about to be freed or reused.
+void wipe(std::span<std::uint64_t> words) {
   volatile std::uint64_t* p = words.data();
   for (std::size_t i = 0; i < words.size(); ++i) p[i] = 0;
 }
+
+/// The calling thread's one scratch buffer.  mul_mod and pow never call
+/// each other (nor themselves), so at most one operation per thread holds
+/// it at a time.
+std::vector<std::uint64_t>& thread_buffer() {
+  thread_local std::vector<std::uint64_t> words;
+  return words;
+}
+
+/// One operation's temporaries, carved off the front of the thread's
+/// buffer (grown first when it is shorter than the operation needs).  The
+/// destructor zeroes every word handed out.
+class Scratch {
+ public:
+  explicit Scratch(std::size_t words)
+      : buffer_(thread_buffer()), reserved_(words) {
+    if (buffer_.size() < words) buffer_.resize(words);
+  }
+  ~Scratch() { wipe({buffer_.data(), used_}); }
+  Scratch(const Scratch&) = delete;
+  Scratch& operator=(const Scratch&) = delete;
+
+  /// Carves `words` words off the reservation.  Throws std::logic_error
+  /// past its end (a kernel sizing bug, not a runtime condition).
+  [[nodiscard]] std::uint64_t* carve(std::size_t words) {
+    if (words > reserved_ - used_) {
+      throw std::logic_error("kernel scratch exhausted (kernel sizing bug)");
+    }
+    std::uint64_t* out = buffer_.data() + used_;
+    used_ += words;
+    return out;
+  }
+
+ private:
+  std::vector<std::uint64_t>& buffer_;
+  std::size_t reserved_;
+  std::size_t used_ = 0;
+};
 
 }  // namespace
 
@@ -104,8 +141,8 @@ Cios::Cios(std::span<const std::uint32_t> modulus)
   n0inv_ = ~inv + 1u;  // -inv mod 2^64
 
   // r1 = R mod n via 64*w doublings of 1 (< n, as n > 1); r2 = R^2 mod n
-  // via another 64*w doublings of r1.  One-time cost, amortized by the
-  // shared-context cache.
+  // via another 64*w doublings of r1.  One-time cost per context, paid by
+  // its owner (a key builds its contexts once, at construction).
   r1_[0] = 1;
   for (std::size_t i = 0; i < 64 * w; ++i) {
     double_mod(r1_.data(), n_.data(), w);
@@ -184,10 +221,10 @@ std::vector<std::uint32_t> Cios::mul_mod(std::span<const std::uint32_t> a,
                                          std::span<const std::uint32_t> b,
                                          std::uint64_t* mont_muls) const {
   const std::size_t w = n_.size();
-  CellLease cell(3 * w + 2);
-  std::uint64_t* wa = cell.carve(w);
-  std::uint64_t* wb = cell.carve(w);
-  std::uint64_t* t = cell.carve(w + 2);
+  Scratch scratch(3 * w + 2);
+  std::uint64_t* wa = scratch.carve(w);
+  std::uint64_t* wb = scratch.carve(w);
+  std::uint64_t* t = scratch.carve(w + 2);
   load_words(a, wa, w);
   load_words(b, wb, w);
   // aR = a * R, then aR * b * R^{-1} = a * b mod n.
@@ -209,11 +246,11 @@ std::vector<std::uint32_t> Cios::pow(std::span<const std::uint32_t> base,
   // exponent builds none.
   const std::size_t window = window_bits_for(exp_bits);
   const std::size_t table_size = exp_bits == 0 ? 0 : std::size_t{1} << window;
-  CellLease cell((table_size + 3) * w + 2);
-  std::uint64_t* t = cell.carve(w + 2);
-  std::uint64_t* table = cell.carve(table_size * w);
-  std::uint64_t* acc = cell.carve(w);
-  std::uint64_t* one = cell.carve(w);
+  Scratch scratch((table_size + 3) * w + 2);
+  std::uint64_t* t = scratch.carve(w + 2);
+  std::uint64_t* table = scratch.carve(table_size * w);
+  std::uint64_t* acc = scratch.carve(w);
+  std::uint64_t* one = scratch.carve(w);
   std::uint64_t muls = 1;  // the final from_mont
 
   if (exp_bits == 0) {
@@ -253,6 +290,10 @@ std::vector<std::uint32_t> Cios::pow(std::span<const std::uint32_t> base,
   from_mont(acc, one, t);
   *mont_muls += muls;
   return store_limbs(acc, w);
+}
+
+std::span<const std::uint64_t> Cios::thread_scratch() {
+  return thread_buffer();
 }
 
 }  // namespace pcl::kern

@@ -5,8 +5,11 @@
 // the Montgomery radix is R = 2^(64*W).  The multiply and the reduction
 // are fused into one W-iteration CIOS loop over 64-bit words with
 // unsigned __int128 products (Koç, Acar, Kaliski, "Analyzing and Comparing
-// Montgomery Multiplication Algorithms"), and every temporary is carved
-// from a LimbPool lease.
+// Montgomery Multiplication Algorithms").  Every temporary is carved from
+// the calling thread's one scratch buffer, which grows to the largest need
+// it has served; each operation zeroes the words it used before returning,
+// so no window table or accumulator (residues mod a possibly secret
+// modulus) outlives its call.
 //
 // The Montgomery form is private to this class: callers pass ordinary-form
 // values below the modulus and get canonical residues back, so R and the
@@ -49,6 +52,11 @@ class Cios {
   [[nodiscard]] std::vector<std::uint32_t> pow(
       std::span<const std::uint32_t> base, std::span<const std::uint32_t> exp,
       std::uint64_t* mont_muls) const;
+
+  /// The calling thread's scratch buffer (for tests), valid until the
+  /// thread's next operation: all zeros between operations, since each one
+  /// wipes the words it used.
+  [[nodiscard]] static std::span<const std::uint64_t> thread_scratch();
 
  private:
   /// out = a * b * R^{-1} mod n (fused CIOS multiply + reduce).

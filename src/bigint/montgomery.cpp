@@ -1,10 +1,8 @@
 #include "bigint/montgomery.h"
 
-#include <list>
-#include <map>
-#include <mutex>
 #include <stdexcept>
 #include <utility>
+#include <vector>
 
 #include "obs/trace.h"
 
@@ -19,23 +17,6 @@ BigInt checked_modulus(BigInt modulus) {
   return modulus;
 }
 
-struct SharedCache {
-  struct Entry {
-    std::shared_ptr<const MontgomeryContext> context;
-    std::list<BigInt>::iterator recency;  // position in the LRU list
-  };
-  std::mutex mutex;
-  std::map<BigInt, Entry> entries;
-  std::list<BigInt> lru;  // front = newest
-};
-
-SharedCache& shared_cache() {
-  // Leaked singleton: lane workers may still resolve contexts while other
-  // threads unwind at process exit, so never run its destructor.
-  static SharedCache* cache = new SharedCache;
-  return *cache;
-}
-
 }  // namespace
 
 MontgomeryContext::MontgomeryContext(BigInt modulus)
@@ -43,32 +24,6 @@ MontgomeryContext::MontgomeryContext(BigInt modulus)
       kernel_(modulus_.limb_span()) {}
 
 MontgomeryContext::~MontgomeryContext() { modulus_.zeroize(); }
-
-std::shared_ptr<const MontgomeryContext> MontgomeryContext::shared(
-    const BigInt& modulus) {
-  SharedCache& cache = shared_cache();
-  std::lock_guard<std::mutex> lock(cache.mutex);
-  const auto it = cache.entries.find(modulus);
-  if (it != cache.entries.end()) {
-    cache.lru.splice(cache.lru.begin(), cache.lru, it->second.recency);
-    return it->second.context;
-  }
-  auto context = std::make_shared<const MontgomeryContext>(modulus);
-  if (cache.entries.size() >= kSharedCacheCapacity) {
-    cache.entries.erase(cache.lru.back());
-    cache.lru.pop_back();
-  }
-  cache.lru.push_front(modulus);
-  cache.entries.emplace(modulus,
-                        SharedCache::Entry{context, cache.lru.begin()});
-  return context;
-}
-
-std::vector<BigInt> MontgomeryContext::shared_moduli() {
-  SharedCache& cache = shared_cache();
-  std::lock_guard<std::mutex> lock(cache.mutex);
-  return {cache.lru.begin(), cache.lru.end()};
-}
 
 const BigInt& MontgomeryContext::reduced(const BigInt& v,
                                          BigInt& storage) const {

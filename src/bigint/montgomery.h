@@ -1,7 +1,8 @@
 // Montgomery modular arithmetic over one CIOS kernel.
 //
 // Modular exponentiation dominates the protocol's CPU cost (every DGK bit
-// encryption, zero-test and Paillier operation is a pow_mod).  A
+// encryption and zero test, and every Paillier encryption and decryption,
+// runs one).  A
 // MontgomeryContext holds a kern::Cios kernel (src/bigint/kernels/) built
 // for its odd modulus and performs multiplication with cheap word-wise
 // reductions instead of a full Knuth division per product.  The kernel's
@@ -10,20 +11,16 @@
 // context reduces operands, converts between BigInt and limbs and meters
 // the work.
 //
-// Exponentiation uses fixed-window (2^w) evaluation, and
-// `MontgomeryContext::shared` memoizes contexts in a process-wide LRU
-// cache keyed by modulus: the protocol hits the same public moduli (n, n²,
-// DGK n) millions of times, so the per-modulus setup is paid once.
-// BigInt::pow_mod routes every odd-modulus call through this
-// automatically; bench_micro_crypto measures it.  A secret modulus (a
-// Paillier p² or q², DGK p, a prime candidate during keygen) never enters
-// the cache: its owner builds a private context, which wipes the modulus
-// and the kernel's constants when the last holder lets go (DESIGN.md §10).
+// Exponentiation uses fixed-window (2^w) evaluation.  Every context has
+// one owner: a key builds the contexts for its moduli once, at
+// construction (Paillier n², DGK n, and the private keys' p², q² and p),
+// and holds them for its lifetime; BigInt::pow_mod and the Miller–Rabin
+// test build one local to the call.  A context wipes its modulus and the
+// kernel's constants when its last holder lets go, so a secret modulus
+// lives only where zeroization reaches it (DESIGN.md §10).
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <vector>
 
 #include "bigint/bigint.h"
 #include "bigint/kernels/cios.h"
@@ -36,25 +33,6 @@ class MontgomeryContext {
   explicit MontgomeryContext(BigInt modulus);
   /// Wipes the modulus; the kernel wipes its own words.
   ~MontgomeryContext();
-
-  /// Process-wide memoized context for `modulus` (mutex-guarded; safe to
-  /// call from concurrent lane workers).  Returns the same context for
-  /// repeated lookups of the same modulus, so the Montgomery constants are
-  /// computed once per modulus per process.  The cache is a true LRU
-  /// bounded at kSharedCacheCapacity entries: key-generation churn (one
-  /// fresh candidate modulus per Miller–Rabin trial) evicts only the
-  /// least-recently-used contexts, so long-lived daemons neither
-  /// accumulate dead moduli nor lose their steady-state protocol entries.
-  /// Live shared_ptr holders keep their contexts valid across eviction.
-  [[nodiscard]] static std::shared_ptr<const MontgomeryContext> shared(
-      const BigInt& modulus);
-
-  /// Bound on the shared-context LRU cache (exposed for tests).
-  static constexpr std::size_t kSharedCacheCapacity = 64;
-
-  /// The moduli the shared cache holds, newest first.  A lookup that
-  /// inserts nothing and refreshes no entry (for tests).
-  [[nodiscard]] static std::vector<BigInt> shared_moduli();
 
   [[nodiscard]] const BigInt& modulus() const { return modulus_; }
 

@@ -39,8 +39,8 @@ bool is_probable_prime(const BigInt& n, Rng& rng, int rounds) {
     if (n.mod(bp).is_zero()) return false;
   }
 
-  // A candidate may become a secret prime, so its context is local to the
-  // call rather than in the shared cache.
+  // A candidate may become a secret prime: its context is local to the call
+  // and wiped on return.
   const MontgomeryContext ctx(n);
   const BigInt n_minus_1 = n - BigInt(1);
   BigInt odd_part = n_minus_1;

@@ -11,21 +11,13 @@
 namespace pcl {
 namespace {
 
-// Exponentiation through a key-attached context (skips the shared-cache
-// lookup); falls back to pow_mod for keys without one.
-BigInt ctx_pow(const std::shared_ptr<const MontgomeryContext>& ctx,
-               const BigInt& base, const BigInt& exp, const BigInt& m) {
-  if (ctx) return ctx->pow(base, exp);
-  return BigInt::pow_mod(base, exp, m);
-}
-
-// Modular product through a key-attached context: two Montgomery multiplies
-// on its CIOS kernel instead of a double-width product followed by Knuth
-// division.  Same fallback rule as ctx_pow.
-BigInt ctx_mul(const std::shared_ptr<const MontgomeryContext>& ctx,
-               const BigInt& a, const BigInt& b, const BigInt& m) {
-  if (ctx) return ctx->mul_mod(a, b);
-  return (a * b).mod(m);
+// The context a key built for one of its moduli.  A default-constructed
+// key has none, nor has a zeroized private key: their operations throw here
+// instead of dereferencing null.
+const MontgomeryContext& context_of(
+    const std::shared_ptr<const MontgomeryContext>& ctx) {
+  if (ctx == nullptr) throw std::logic_error("DGK key has no modulus");
+  return *ctx;
 }
 
 }  // namespace
@@ -37,11 +29,8 @@ DgkPublicKey::DgkPublicKey(BigInt n, BigInt g, BigInt h, BigInt u,
       h_(std::move(h)),
       u_(std::move(u)),
       v_bits_(v_bits),
-      randomizer_bits_(2 * v_bits + 32) {
-  if (n_ > BigInt(1) && n_.is_odd()) {
-    mont_n_ = MontgomeryContext::shared(n_);
-  }
-}
+      randomizer_bits_(2 * v_bits + 32),
+      mont_n_(std::make_shared<const MontgomeryContext>(n_)) {}
 
 DgkCiphertext DgkPublicKey::encrypt(const BigInt& m, Rng& rng) const {
   if (m.is_negative() || m >= u_) {
@@ -49,9 +38,10 @@ DgkCiphertext DgkPublicKey::encrypt(const BigInt& m, Rng& rng) const {
   }
   obs::count(obs::Op::kDgkEncrypt);
   const BigInt r = rng.random_bits(randomizer_bits_);
-  const BigInt gm = ctx_pow(mont_n_, g_, m, n_);
-  const BigInt hr = ctx_pow(mont_n_, h_, r, n_);
-  return {ctx_mul(mont_n_, gm, hr, n_)};
+  const MontgomeryContext& ctx = context_of(mont_n_);
+  const BigInt gm = ctx.pow(g_, m);
+  const BigInt hr = ctx.pow(h_, r);
+  return {ctx.mul_mod(gm, hr)};
 }
 
 DgkCiphertext DgkPublicKey::encrypt(std::uint64_t m, Rng& rng) const {
@@ -60,7 +50,7 @@ DgkCiphertext DgkPublicKey::encrypt(std::uint64_t m, Rng& rng) const {
 
 BigInt DgkPublicKey::randomizer_power(Rng& rng) const {
   const BigInt r = rng.random_bits(randomizer_bits_);
-  return ctx_pow(mont_n_, h_, r, n_);
+  return context_of(mont_n_).pow(h_, r);
 }
 
 DgkCiphertext DgkPublicKey::encrypt_with_power(const BigInt& m,
@@ -69,18 +59,19 @@ DgkCiphertext DgkPublicKey::encrypt_with_power(const BigInt& m,
     throw std::invalid_argument("DGK plaintext outside [0, u)");
   }
   obs::count(obs::Op::kDgkEncrypt);
-  const BigInt gm = ctx_pow(mont_n_, g_, m, n_);
-  return {ctx_mul(mont_n_, gm, h_to_r, n_)};
+  const MontgomeryContext& ctx = context_of(mont_n_);
+  const BigInt gm = ctx.pow(g_, m);
+  return {ctx.mul_mod(gm, h_to_r)};
 }
 
 DgkCiphertext DgkPublicKey::add(const DgkCiphertext& c1,
                                 const DgkCiphertext& c2) const {
-  return {ctx_mul(mont_n_, c1.value, c2.value, n_)};
+  return {context_of(mont_n_).mul_mod(c1.value, c2.value)};
 }
 
 DgkCiphertext DgkPublicKey::scalar_mul(const DgkCiphertext& c,
                                        const BigInt& a) const {
-  return {ctx_pow(mont_n_, c.value, a.mod(u_), n_)};
+  return {context_of(mont_n_).pow(c.value, a.mod(u_))};
 }
 
 DgkCiphertext DgkPublicKey::negate(const DgkCiphertext& c) const {
@@ -98,20 +89,19 @@ DgkCiphertext DgkPublicKey::blind_multiplicative(const DgkCiphertext& c,
 DgkCiphertext DgkPublicKey::rerandomize(const DgkCiphertext& c,
                                         Rng& rng) const {
   const BigInt r = rng.random_bits(randomizer_bits_);
-  const BigInt hr = ctx_pow(mont_n_, h_, r, n_);
-  return {ctx_mul(mont_n_, c.value, hr, n_)};
+  const MontgomeryContext& ctx = context_of(mont_n_);
+  const BigInt hr = ctx.pow(h_, r);
+  return {ctx.mul_mod(c.value, hr)};
 }
 
 DgkPrivateKey::DgkPrivateKey(DgkPublicKey pk, BigInt p, BigInt vp)
     : pk_(std::move(pk)), p_(std::move(p)), vp_(std::move(vp)) {
-  // pc_declassify: parity is structural (every DGK prime is odd), and key
-  // construction runs once, offline, before any protocol traffic that an
-  // adversary could time — not an online secret-dependent branch.
-  // A private context: the secret modulus stays out of the shared cache.
-  if (pc_declassify(p_ > BigInt(1) && p_.is_odd())) {
-    mont_p_ = std::make_shared<const MontgomeryContext>(p_);
-  }
-  gvp_ = ctx_pow(mont_p_, pk_.g().mod(p_), vp_, p_);
+  // The key owns the context for its secret modulus; zeroize drops it.
+  mont_p_ = std::make_shared<const MontgomeryContext>(p_);
+  // pc_declassify: key construction runs once, offline, before any
+  // protocol traffic an adversary could time — not an online
+  // secret-dependent exponentiation.
+  gvp_ = pc_declassify(mont_p_->pow(pk_.g().mod(p_), vp_));
   const std::uint64_t u = pk_.u_value();
   dlog_table_.reserve(u);
   BigInt acc(1);
@@ -141,18 +131,20 @@ bool DgkPrivateKey::is_zero(const DgkCiphertext& c) const {
   // pc_declassify: the zero-test bit IS the protocol's defined output for S2
   // (the released comparison result); the fixed-window Montgomery modexp's
   // timing depends only on public operand sizes.
-  return pc_declassify(ctx_pow(mont_p_, c.value.mod(p_), vp_, p_) ==
+  return pc_declassify(context_of(mont_p_).pow(c.value.mod(p_), vp_) ==
                        BigInt(1));
 }
 
 std::uint64_t DgkPrivateKey::decrypt(const DgkCiphertext& c) const {
-  const BigInt target = ctx_pow(mont_p_, c.value.mod(p_), vp_, p_);
   // pc_declassify: full decryption is never run on adversary-timed secret
   // data — the protocols call is_zero() on blinded values; decrypt() serves
   // key-owner-local paths (tests, the trusted aggregation endpoint) where
-  // the plaintext is the caller's own output.  The table walk is inherently
-  // plaintext-dependent; declassifying the key and the hit/miss branch
-  // records that as a reviewed release rather than an oversight.
+  // the plaintext is the caller's own output.  The exponentiation and the
+  // table walk are inherently plaintext-dependent; declassifying them, the
+  // key and the hit/miss branch records that as a reviewed release rather
+  // than an oversight.
+  const BigInt target =
+      pc_declassify(context_of(mont_p_).pow(c.value.mod(p_), vp_));
   const auto it = dlog_table_.find(pc_declassify(target.to_string(16)));
   if (pc_declassify(it == dlog_table_.end())) {
     throw std::invalid_argument("DGK decryption failed (invalid ciphertext)");
@@ -166,8 +158,7 @@ namespace {
 /// order | p - 1 and `order_factors` lists the distinct primes dividing it.
 BigInt element_of_order(const BigInt& p, const BigInt& order,
                         const std::vector<BigInt>& order_factors, Rng& rng) {
-  // p is secret: a context local to the call keeps it out of the shared
-  // cache.
+  // p is secret: the context is local to the call and wiped on return.
   const MontgomeryContext ctx(p);
   const BigInt exponent = (p - BigInt(1)) / order;
   while (true) {

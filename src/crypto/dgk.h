@@ -43,6 +43,9 @@ struct DgkParams {
 class DgkPublicKey {
  public:
   DgkPublicKey() = default;
+  /// Requires an odd n > 1; throws std::invalid_argument otherwise.  Builds
+  /// the key's context for n (a default-constructed key has none, and its
+  /// operations throw).
   DgkPublicKey(BigInt n, BigInt g, BigInt h, BigInt u, std::size_t v_bits);
 
   [[nodiscard]] const BigInt& n() const { return n_; }
@@ -83,8 +86,8 @@ class DgkPublicKey {
   [[nodiscard]] DgkCiphertext rerandomize(const DgkCiphertext& c,
                                           Rng& rng) const;
 
-  /// Key-attached Montgomery context for n — encrypt/scalar_mul/rerandomize
-  /// exponentiate through this and skip the shared-cache lookup.  Null for a
+  /// The key's Montgomery context for n, built once at construction:
+  /// encrypt, add, scalar_mul and rerandomize all run on it.  Null for a
   /// default-constructed key.
   [[nodiscard]] const std::shared_ptr<const MontgomeryContext>& mont_n()
       const {
@@ -124,8 +127,8 @@ class DgkPrivateKey {
   DgkPublicKey pk_;
   PC_SECRET BigInt p_, vp_;
   PC_SECRET BigInt gvp_;  // g^vp mod p, a generator of the order-u subgroup
-  // Private context for p, never in the shared cache; zeroize drops it, and
-  // the last holder's drop wipes it (DESIGN §10).
+  // Context for the secret modulus p, owned by this key: zeroize drops it,
+  // and the last holder's drop wipes it (DESIGN §10).
   std::shared_ptr<const MontgomeryContext> mont_p_;
   // Discrete-log table over the (tiny) order-u subgroup: gvp_^m -> m.
   PC_SECRET std::unordered_map<std::string, std::uint64_t> dlog_table_;

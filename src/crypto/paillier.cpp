@@ -10,22 +10,13 @@
 namespace pcl {
 namespace {
 
-// Exponentiation through a key-attached context (skips the shared-cache
-// lookup); falls back to pow_mod for keys without one (default-constructed,
-// or an even modulus in a toy test).
-BigInt ctx_pow(const std::shared_ptr<const MontgomeryContext>& ctx,
-               const BigInt& base, const BigInt& exp, const BigInt& m) {
-  if (ctx) return ctx->pow(base, exp);
-  return BigInt::pow_mod(base, exp, m);
-}
-
-// Modular product through a key-attached context: two Montgomery multiplies
-// on its CIOS kernel instead of a double-width product followed by Knuth
-// division.  Same fallback rule as ctx_pow.
-BigInt ctx_mul(const std::shared_ptr<const MontgomeryContext>& ctx,
-               const BigInt& a, const BigInt& b, const BigInt& m) {
-  if (ctx) return ctx->mul_mod(a, b);
-  return (a * b).mod(m);
+// The context a key built for one of its moduli.  A default-constructed
+// key has none, nor has a zeroized private key: their operations throw here
+// instead of dereferencing null.
+const MontgomeryContext& context_of(
+    const std::shared_ptr<const MontgomeryContext>& ctx) {
+  if (ctx == nullptr) throw std::logic_error("Paillier key has no modulus");
+  return *ctx;
 }
 
 }  // namespace
@@ -35,9 +26,8 @@ PaillierPublicKey::PaillierPublicKey(BigInt n)
   if (n_ < BigInt(4)) {
     throw std::invalid_argument("Paillier modulus too small");
   }
-  if (n_squared_.is_odd()) {
-    mont_n_squared_ = MontgomeryContext::shared(n_squared_);
-  }
+  // An even n gives an even n², which the context rejects.
+  mont_n_squared_ = std::make_shared<const MontgomeryContext>(n_squared_);
 }
 
 PaillierCiphertext PaillierPublicKey::encrypt_with_randomness(
@@ -46,8 +36,9 @@ PaillierCiphertext PaillierPublicKey::encrypt_with_randomness(
   const BigInt m_mod = m.mod(n_);
   // With g = n + 1: g^m = 1 + m*n (mod n^2), avoiding one exponentiation.
   const BigInt g_to_m = (BigInt(1) + m_mod * n_).mod(n_squared_);
-  const BigInt r_to_n = ctx_pow(mont_n_squared_, r, n_, n_squared_);
-  return {ctx_mul(mont_n_squared_, g_to_m, r_to_n, n_squared_)};
+  const MontgomeryContext& ctx = context_of(mont_n_squared_);
+  const BigInt r_to_n = ctx.pow(r, n_);
+  return {ctx.mul_mod(g_to_m, r_to_n)};
 }
 
 PaillierCiphertext PaillierPublicKey::encrypt(const BigInt& m,
@@ -66,33 +57,33 @@ BigInt PaillierPublicKey::randomizer_power(Rng& rng) const {
   while (BigInt::gcd(r, n_) != BigInt(1)) {
     r = rng.uniform_in(BigInt(1), n_ - BigInt(1));
   }
-  return ctx_pow(mont_n_squared_, r, n_, n_squared_);
+  return context_of(mont_n_squared_).pow(r, n_);
 }
 
 PaillierCiphertext PaillierPublicKey::encrypt_with_power(
     const BigInt& m, const BigInt& r_to_n) const {
   obs::count(obs::Op::kPaillierEncrypt);
   const BigInt g_to_m = (BigInt(1) + m.mod(n_) * n_).mod(n_squared_);
-  return {ctx_mul(mont_n_squared_, g_to_m, r_to_n, n_squared_)};
+  return {context_of(mont_n_squared_).mul_mod(g_to_m, r_to_n)};
 }
 
 PaillierCiphertext PaillierPublicKey::compose_plain(
     const PaillierCiphertext& c, const BigInt& delta) const {
   obs::count(obs::Op::kPaillierAdd);
   const BigInt g_to_d = (BigInt(1) + delta.mod(n_) * n_).mod(n_squared_);
-  return {ctx_mul(mont_n_squared_, c.value, g_to_d, n_squared_)};
+  return {context_of(mont_n_squared_).mul_mod(c.value, g_to_d)};
 }
 
 PaillierCiphertext PaillierPublicKey::add(const PaillierCiphertext& c1,
                                           const PaillierCiphertext& c2) const {
   obs::count(obs::Op::kPaillierAdd);
-  return {ctx_mul(mont_n_squared_, c1.value, c2.value, n_squared_)};
+  return {context_of(mont_n_squared_).mul_mod(c1.value, c2.value)};
 }
 
 PaillierCiphertext PaillierPublicKey::scalar_mul(const PaillierCiphertext& c,
                                                  const BigInt& a) const {
   obs::count(obs::Op::kPaillierScalarMul);
-  return {ctx_pow(mont_n_squared_, c.value, a.mod(n_), n_squared_)};
+  return {context_of(mont_n_squared_).pow(c.value, a.mod(n_))};
 }
 
 PaillierCiphertext PaillierPublicKey::negate(const PaillierCiphertext& c) const {
@@ -118,8 +109,7 @@ PaillierPrivateKey::PaillierPrivateKey(const PaillierPublicKey& pk, BigInt p,
   // pc_declassify (this whole block): key construction runs once, offline,
   // before the key is used in any adversary-observable exchange, so its
   // variable-time arithmetic (invert_mod is Euclid-family) and validation
-  // branches leak nothing an online attacker can measure.  The parity
-  // checks are structural: p^2 and q^2 are odd for every real key.
+  // branches leak nothing an online attacker can measure.
   if (pc_declassify(p_ * q_ != pk_.n())) {
     throw std::invalid_argument("Paillier private key does not match modulus");
   }
@@ -130,13 +120,9 @@ PaillierPrivateKey::PaillierPrivateKey(const PaillierPublicKey& pk, BigInt p,
   hp_ = pc_declassify(BigInt::invert_mod((-q_).mod(p_), p_));
   hq_ = pc_declassify(BigInt::invert_mod((-p_).mod(q_), q_));
   q_inv_p_ = pc_declassify(BigInt::invert_mod(q_, p_));
-  // Private contexts: a secret modulus stays out of the shared cache.
-  if (pc_declassify(p_squared_.is_odd())) {
-    mont_p_squared_ = std::make_shared<const MontgomeryContext>(p_squared_);
-  }
-  if (pc_declassify(q_squared_.is_odd())) {
-    mont_q_squared_ = std::make_shared<const MontgomeryContext>(q_squared_);
-  }
+  // The key owns the contexts for its secret moduli; zeroize drops them.
+  mont_p_squared_ = std::make_shared<const MontgomeryContext>(p_squared_);
+  mont_q_squared_ = std::make_shared<const MontgomeryContext>(q_squared_);
 }
 
 void PaillierPrivateKey::zeroize() {
@@ -154,11 +140,11 @@ void PaillierPrivateKey::zeroize() {
 namespace {
 
 /// m mod r from c, for one prime factor r of n (Paillier '99, Sec. 7):
-/// L_r(c^(r-1) mod r^2) * h_r mod r, with L_r(x) = (x - 1) / r.
-BigInt decrypt_mod_factor(const std::shared_ptr<const MontgomeryContext>& ctx,
-                          const BigInt& c, const BigInt& r,
-                          const BigInt& r_squared, const BigInt& h_r) {
-  const BigInt x = ctx_pow(ctx, c.mod(r_squared), r - BigInt(1), r_squared);
+/// L_r(c^(r-1) mod r^2) * h_r mod r, with L_r(x) = (x - 1) / r.  `ctx` is
+/// the key's context for r^2.
+BigInt decrypt_mod_factor(const MontgomeryContext& ctx, const BigInt& c,
+                          const BigInt& r, const BigInt& h_r) {
+  const BigInt x = ctx.pow(c.mod(ctx.modulus()), r - BigInt(1));
   return (((x - BigInt(1)) / r) * h_r).mod(r);
 }
 
@@ -170,9 +156,9 @@ BigInt PaillierPrivateKey::decrypt_raw(const PaillierCiphertext& c) const {
   }
   obs::count(obs::Op::kPaillierDecrypt);
   const BigInt mp =
-      decrypt_mod_factor(mont_p_squared_, c.value, p_, p_squared_, hp_);
+      decrypt_mod_factor(context_of(mont_p_squared_), c.value, p_, hp_);
   const BigInt mq =
-      decrypt_mod_factor(mont_q_squared_, c.value, q_, q_squared_, hq_);
+      decrypt_mod_factor(context_of(mont_q_squared_), c.value, q_, hq_);
   // Garner recombination mod n: m = mq + q * ((mp - mq) * q^-1 mod p).
   return mq + q_ * ((mp - mq) * q_inv_p_).mod(p_);
 }

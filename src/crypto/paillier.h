@@ -37,6 +37,9 @@ struct PaillierCiphertext {
 class PaillierPublicKey {
  public:
   PaillierPublicKey() = default;
+  /// Requires an odd n > 4; throws std::invalid_argument otherwise.  Builds
+  /// the key's context for n² (a default-constructed key has none, and its
+  /// operations throw).
   explicit PaillierPublicKey(BigInt n);
 
   [[nodiscard]] const BigInt& n() const { return n_; }
@@ -84,17 +87,16 @@ class PaillierPublicKey {
   /// Signed residue decoding helper: maps x in [0, n) to (-n/2, n/2].
   [[nodiscard]] BigInt decode_signed(const BigInt& residue) const;
 
-  /// Key-attached Montgomery context for n² — hot paths (encrypt,
-  /// scalar_mul, and encrypt_with_power for precomputed stream powers) run
-  /// through this and skip the shared-cache lookup entirely.  Null for a
-  /// default-constructed key.
+  /// The key's Montgomery context for n², built once at construction:
+  /// every operation mod n² (encrypt, add, scalar_mul, encrypt_with_power)
+  /// runs on it.  Null for a default-constructed key.
   [[nodiscard]] const std::shared_ptr<const MontgomeryContext>&
   mont_n_squared() const {
     return mont_n_squared_;
   }
 
-  // Key identity is the modulus; the attached context is derived state
-  // (pointer identity may differ across cache generations).
+  // Key identity is the modulus; the context is derived state (two keys
+  // built from one n hold distinct contexts).
   friend bool operator==(const PaillierPublicKey& a,
                          const PaillierPublicKey& b) {
     return a.n_ == b.n_;
@@ -135,8 +137,8 @@ class PaillierPrivateKey {
   PC_SECRET BigInt hp_;       // (-q)^{-1} mod p
   PC_SECRET BigInt hq_;       // (-p)^{-1} mod q
   PC_SECRET BigInt q_inv_p_;  // q^{-1} mod p (CRT recombination)
-  // Private contexts for the CRT moduli, never in the shared cache; zeroize
-  // drops them, and the last holder's drop wipes them (DESIGN §10).
+  // Contexts for the secret CRT moduli, owned by this key: zeroize drops
+  // them, and the last holder's drop wipes them (DESIGN §10).
   std::shared_ptr<const MontgomeryContext> mont_p_squared_;
   std::shared_ptr<const MontgomeryContext> mont_q_squared_;
 };

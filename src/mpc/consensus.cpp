@@ -7,7 +7,6 @@
 
 #include "crypto/fixed_point.h"
 #include "mpc/dgk_compare.h"
-#include "mpc/lane_pool.h"
 #include "net/party_runner.h"
 
 namespace pcl {
@@ -339,8 +338,8 @@ std::optional<int> ConsensusProtocol::run_party_seeded(
   const NoisePlan noise = draw_noise(noise_rng);
 
   // This party's one-lane program, with exactly the Rng stream and
-  // precompute handles the all-party harness would give it.  No LanePool:
-  // one lane never fans out.
+  // precompute handles the all-party harness would give it.  One lane never
+  // fans out, so the LanePool stays unstarted.
   const std::vector<std::uint64_t> lane_seed = {
       derive_party_seed(seed, index)};
   std::vector<PartyPrecompute> pre;
@@ -350,18 +349,18 @@ std::optional<int> ConsensusProtocol::run_party_seeded(
   std::optional<std::size_t> label;
   if (index == 0) {
     ConsensusS1BatchProgram s1(plan.params, paillier_.s1, paillier_.s2.pk,
-                               dgk_.pk, lane_seed, nullptr, std::move(pre));
+                               dgk_.pk, lane_seed, std::move(pre));
     label = s1.run(chan).front();
   } else if (index == 1) {
     ConsensusS2BatchProgram s2(plan.params, paillier_.s2, paillier_.s1.pk,
-                               dgk_, lane_seed, nullptr, std::move(pre));
+                               dgk_, lane_seed, std::move(pre));
     label = s2.run(chan).front();
   } else {
     std::vector<ConsensusUserBatchProgram::Inputs> inputs;
     inputs.push_back(user_inputs(plan, noise, index - 2));
     ConsensusUserBatchProgram user(plan.params, std::move(inputs),
                                    paillier_.s1.pk, paillier_.s2.pk, lane_seed,
-                                   nullptr, std::move(pre));
+                                   std::move(pre));
     user.run(chan);
   }
   if (!label.has_value()) return std::nullopt;
@@ -420,12 +419,10 @@ std::vector<ConsensusProtocol::QueryResult> ConsensusProtocol::run_lanes(
     return pres;
   };
 
-  // One lane never fans out, so a single query leaves the pool unstarted.
-  LanePool* pool = q_total > 1 ? &LanePool::shared() : nullptr;
   ConsensusS1BatchProgram s1(params, paillier_.s1, paillier_.s2.pk, dgk_.pk,
-                             party_lane_seeds(0), pool, party_lane_pre("S1"));
+                             party_lane_seeds(0), party_lane_pre("S1"));
   ConsensusS2BatchProgram s2(params, paillier_.s2, paillier_.s1.pk, dgk_,
-                             party_lane_seeds(1), pool, party_lane_pre("S2"));
+                             party_lane_seeds(1), party_lane_pre("S2"));
   std::vector<ConsensusUserBatchProgram> users;
   users.reserve(n_users);
   for (std::size_t u = 0; u < n_users; ++u) {
@@ -435,7 +432,7 @@ std::vector<ConsensusProtocol::QueryResult> ConsensusProtocol::run_lanes(
       lane_inputs.push_back(user_inputs(plans[q], noises[q], u));
     }
     users.emplace_back(params, std::move(lane_inputs), paillier_.s1.pk,
-                       paillier_.s2.pk, party_lane_seeds(2 + u), pool,
+                       paillier_.s2.pk, party_lane_seeds(2 + u),
                        party_lane_pre("user:" + std::to_string(u)));
   }
 

@@ -39,7 +39,6 @@ struct LaneCtx {
 struct LaneSet {
   std::vector<LaneCtx> ctx;
   bool enveloped = true;  ///< Q > 1: frames carry the lane envelope
-  LanePool* pool = nullptr;
 
   [[nodiscard]] std::size_t size() const { return ctx.size(); }
 };
@@ -50,15 +49,13 @@ std::string lane_span_name(std::size_t q, std::size_t lanes) {
 }
 
 template <typename LaneT>
-LaneSet lane_set(const std::vector<LaneT*>& live, std::size_t q_total,
-                 LanePool* pool) {
+LaneSet lane_set(const std::vector<LaneT*>& live, std::size_t q_total) {
   LaneSet set;
   set.ctx.reserve(live.size());
   for (LaneT* lane : live) {
     set.ctx.push_back({&lane->rng, lane->span.c_str(), lane->pre.dgk_powers});
   }
   set.enveloped = q_total > 1;
-  set.pool = pool;
   return set;
 }
 
@@ -103,14 +100,15 @@ std::vector<MessageReader> unpack_lanes(const LaneSet& set,
   return parts;
 }
 
-/// Runs fn(lane) for every lane — through the pool when one is attached
-/// (workers + the calling party thread), inline otherwise.  Lanes touch
-/// disjoint state (their own Rng, their own sub-message), so the fan-out
-/// never changes per-lane results, only wall time.
+/// Runs fn(lane) for every lane — on LanePool::shared() (workers + the
+/// calling party thread) when more than one lane is live, inline otherwise,
+/// so a one-lane program never starts the pool.  Lanes touch disjoint state
+/// (their own Rng, their own sub-message), so the fan-out never changes
+/// per-lane results, only wall time.
 void for_each_lane(const LaneSet& set,
                    const std::function<void(std::size_t)>& fn) {
-  if (set.pool != nullptr && set.size() > 1) {
-    set.pool->run(set.size(), fn);
+  if (set.size() > 1) {
+    LanePool::shared().run(set.size(), fn);
     return;
   }
   for (std::size_t i = 0; i < set.size(); ++i) fn(i);
@@ -380,10 +378,9 @@ struct ConsensusS1BatchProgram::Lane {
 ConsensusS1BatchProgram::ConsensusS1BatchProgram(
     const ConsensusQueryParams& params, const PaillierKeyPair& own,
     const PaillierPublicKey& peer_pk, const DgkPublicKey& dgk_pk,
-    const std::vector<std::uint64_t>& lane_seeds, LanePool* pool,
+    const std::vector<std::uint64_t>& lane_seeds,
     std::vector<PartyPrecompute> lane_pre)
     : params_(params), own_(own), peer_pk_(peer_pk), dgk_pk_(dgk_pk),
-      pool_(pool),
       lanes_(make_server_lanes<Lane>(lane_seeds, std::move(lane_pre))) {}
 
 ConsensusS1BatchProgram::~ConsensusS1BatchProgram() = default;
@@ -395,7 +392,7 @@ std::vector<std::optional<std::size_t>> ConsensusS1BatchProgram::run(
   using Timing = ChannelStepScope::Timing;
 
   std::vector<Lane*> live = all_lanes(lanes_);
-  LaneSet set = lane_set(live, lanes_.size(), pool_);
+  LaneSet set = lane_set(live, lanes_.size());
 
   // ---- Step 2: Secure Sum of votes and threshold sequences. ---------------
   {
@@ -482,7 +479,7 @@ std::vector<std::optional<std::size_t>> ConsensusS1BatchProgram::run(
     }
     live = std::move(survivors);
     if (live.empty()) return released_of(lanes_);  // every lane ended in ⊥
-    set = lane_set(live, lanes_.size(), pool_);
+    set = lane_set(live, lanes_.size());
   }
 
   // ---- Step 6: Secure Sum of noisy votes (surviving lanes only). ----------
@@ -575,9 +572,9 @@ struct ConsensusS2BatchProgram::Lane {
 ConsensusS2BatchProgram::ConsensusS2BatchProgram(
     const ConsensusQueryParams& params, const PaillierKeyPair& own,
     const PaillierPublicKey& peer_pk, const DgkKeyPair& dgk,
-    const std::vector<std::uint64_t>& lane_seeds, LanePool* pool,
+    const std::vector<std::uint64_t>& lane_seeds,
     std::vector<PartyPrecompute> lane_pre)
-    : params_(params), own_(own), peer_pk_(peer_pk), dgk_(dgk), pool_(pool),
+    : params_(params), own_(own), peer_pk_(peer_pk), dgk_(dgk),
       lanes_(make_server_lanes<Lane>(lane_seeds, std::move(lane_pre))) {}
 
 ConsensusS2BatchProgram::~ConsensusS2BatchProgram() = default;
@@ -590,7 +587,7 @@ std::vector<std::optional<std::size_t>> ConsensusS2BatchProgram::run(
   const DgkCompareContext cmp(dgk_.pk, dgk_.sk, params_.compare_bits);
 
   std::vector<Lane*> live = all_lanes(lanes_);
-  LaneSet set = lane_set(live, lanes_.size(), pool_);
+  LaneSet set = lane_set(live, lanes_.size());
 
   // S1 times every step; S2's scopes only label its own sends.
   {
@@ -664,7 +661,7 @@ std::vector<std::optional<std::size_t>> ConsensusS2BatchProgram::run(
     }
     live = std::move(survivors);
     if (live.empty()) return released_of(lanes_);
-    set = lane_set(live, lanes_.size(), pool_);
+    set = lane_set(live, lanes_.size());
   }
 
   {
@@ -752,9 +749,9 @@ struct ConsensusUserBatchProgram::Lane {
 ConsensusUserBatchProgram::ConsensusUserBatchProgram(
     const ConsensusQueryParams& params, std::vector<Inputs> lane_inputs,
     const PaillierPublicKey& pk1, const PaillierPublicKey& pk2,
-    const std::vector<std::uint64_t>& lane_seeds, LanePool* pool,
+    const std::vector<std::uint64_t>& lane_seeds,
     std::vector<PartyPrecompute> lane_pre)
-    : params_(params), pk1_(pk1), pk2_(pk2), pool_(pool) {
+    : params_(params), pk1_(pk1), pk2_(pk2) {
   if (lane_inputs.empty() || lane_inputs.size() != lane_seeds.size()) {
     throw std::invalid_argument(
         "batched consensus: need one seed per lane input");
@@ -786,7 +783,7 @@ void ConsensusUserBatchProgram::run(Channel& chan) {
   const PackingLayout* packing = params_.packing_or_null();
 
   std::vector<Lane*> live = all_lanes(lanes_);
-  LaneSet set = lane_set(live, lanes_.size(), pool_);
+  LaneSet set = lane_set(live, lanes_.size());
 
   // ---- Steps 1 + 2 per lane: split the votes into additive shares, offset
   // the threshold streams (paper writes T/(2|U|) per user per side:
@@ -840,7 +837,7 @@ void ConsensusUserBatchProgram::run(Channel& chan) {
   }
   live = std::move(survivors);
   if (live.empty()) return;  // every lane ended in ⊥
-  set = lane_set(live, lanes_.size(), pool_);
+  set = lane_set(live, lanes_.size());
 
   // ---- Step 6: noisy vote pairs (Report Noisy Maximum), surviving lanes. --
   ChannelStepScope scope(chan, "Secure Sum (6)", Timing::kUntimed);

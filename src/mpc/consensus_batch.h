@@ -32,12 +32,13 @@
 // independent run_query_seeded calls on those seeds (asserted by
 // consensus_batch_test).
 //
-// Lanes are independent after the frame split, so the per-lane crypto fans
-// out over a LanePool (shared worker threads + the submitting party
-// thread).  Each lane's work runs inside an obs::Span named "lane:<q>", so
-// a metrics registry attributes per-lane op counts and a trace shows the
-// fan-out; the pool re-installs the submitting party's observer binding on
-// its workers, keeping party attribution intact.
+// Lanes are independent after the frame split, so while more than one lane
+// is live the per-lane crypto fans out over LanePool::shared() (shared
+// worker threads + the submitting party thread); a one-lane program never
+// starts the pool.  Each lane's work runs inside an obs::Span named
+// "lane:<q>", so a metrics registry attributes per-lane op counts and a
+// trace shows the fan-out; the pool re-installs the submitting party's
+// observer binding on its workers, keeping party attribution intact.
 //
 // The step-5 verdict is per-lane public output: S1 posts one bulletin entry
 // per lane in lane order, and every consumer walks the bulletin log through
@@ -67,8 +68,6 @@
 #include "net/channel.h"
 
 namespace pcl {
-
-class LanePool;
 
 /// How steps (4)/(8) locate the maximum among the K permuted positions.
 enum class ArgmaxStrategy {
@@ -105,13 +104,12 @@ struct ConsensusQueryParams {
 
 /// Server S1's program for one lane-batched run of Q concurrent queries.
 /// `lane_seeds[q]` seeds lane q's private Rng stream (the harness passes
-/// derive_party_seed(derive_party_seed(base_seed, q), 0)); `pool` may be
-/// null to run every lane on the party thread.  `lane_pre` (empty, or one
-/// handle set per lane) attaches lane q's precompute streams — the same
-/// streams a one-lane pooled run of that lane's seed would use, which is
-/// what keeps pooled batch == pooled sequential byte-identical.  `own` is
-/// S1's Paillier pair, `peer_pk` S2's public key, `dgk_pk` the (public) DGK
-/// key owned by S2.
+/// derive_party_seed(derive_party_seed(base_seed, q), 0)).  `lane_pre`
+/// (empty, or one handle set per lane) attaches lane q's precompute
+/// streams — the same streams a one-lane pooled run of that lane's seed
+/// would use, which is what keeps pooled batch == pooled sequential
+/// byte-identical.  `own` is S1's Paillier pair, `peer_pk` S2's public key,
+/// `dgk_pk` the (public) DGK key owned by S2.
 class ConsensusS1BatchProgram {
  public:
   ConsensusS1BatchProgram(const ConsensusQueryParams& params,
@@ -119,7 +117,6 @@ class ConsensusS1BatchProgram {
                           const PaillierPublicKey& peer_pk,
                           const DgkPublicKey& dgk_pk,
                           const std::vector<std::uint64_t>& lane_seeds,
-                          LanePool* pool = nullptr,
                           std::vector<PartyPrecompute> lane_pre = {});
   ~ConsensusS1BatchProgram();
 
@@ -133,7 +130,6 @@ class ConsensusS1BatchProgram {
   const PaillierKeyPair& own_;
   const PaillierPublicKey& peer_pk_;
   const DgkPublicKey& dgk_pk_;
-  LanePool* pool_;
   std::vector<std::unique_ptr<Lane>> lanes_;
 };
 
@@ -146,7 +142,6 @@ class ConsensusS2BatchProgram {
                           const PaillierPublicKey& peer_pk,
                           const DgkKeyPair& dgk,
                           const std::vector<std::uint64_t>& lane_seeds,
-                          LanePool* pool = nullptr,
                           std::vector<PartyPrecompute> lane_pre = {});
   ~ConsensusS2BatchProgram();
 
@@ -159,7 +154,6 @@ class ConsensusS2BatchProgram {
   const PaillierKeyPair& own_;
   const PaillierPublicKey& peer_pk_;
   const DgkKeyPair& dgk_;
-  LanePool* pool_;
   std::vector<std::unique_ptr<Lane>> lanes_;
 };
 
@@ -185,7 +179,6 @@ class ConsensusUserBatchProgram {
                             const PaillierPublicKey& pk1,
                             const PaillierPublicKey& pk2,
                             const std::vector<std::uint64_t>& lane_seeds,
-                            LanePool* pool = nullptr,
                             std::vector<PartyPrecompute> lane_pre = {});
   ConsensusUserBatchProgram(ConsensusUserBatchProgram&&) noexcept;
   ~ConsensusUserBatchProgram();
@@ -198,7 +191,6 @@ class ConsensusUserBatchProgram {
   const ConsensusQueryParams& params_;
   const PaillierPublicKey& pk1_;
   const PaillierPublicKey& pk2_;
-  LanePool* pool_;
   std::vector<std::unique_ptr<Lane>> lanes_;
 };
 

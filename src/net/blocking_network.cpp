@@ -17,15 +17,10 @@ void BlockingNetwork::send(const std::string& from, const std::string& to,
 
 MessageReader BlockingNetwork::recv(const std::string& to,
                                     const std::string& from) {
-  return recv(to, from, recv_timeout_);
-}
-
-MessageReader BlockingNetwork::recv(const std::string& to,
-                                    const std::string& from,
-                                    std::chrono::milliseconds deadline) {
   std::unique_lock<std::mutex> lock(mutex_);
   auto& queue = queues_[{from, to}];
-  if (!cv_.wait_for(lock, deadline, [&queue] { return !queue.empty(); })) {
+  if (!cv_.wait_for(lock, recv_timeout_,
+                    [&queue] { return !queue.empty(); })) {
     throw RecvTimeoutError("BlockingNetwork::recv timed out waiting for '" +
                            from + "' -> '" + to + "'");
   }

@@ -45,12 +45,6 @@ class BlockingNetwork {
   [[nodiscard]] MessageReader recv(const std::string& to,
                                    const std::string& from);
 
-  /// Same, but with a caller-supplied deadline overriding the network-wide
-  /// default for this one call (BlockingChannel::set_recv_deadline).
-  [[nodiscard]] MessageReader recv(const std::string& to,
-                                   const std::string& from,
-                                   std::chrono::milliseconds deadline);
-
   /// Total messages currently queued (diagnostics; racy by nature).
   [[nodiscard]] std::size_t pending_total() const;
   /// Total bytes ever sent (for cost spot-checks in threaded runs).

@@ -51,7 +51,7 @@ void NetworkChannel::set_byte_counter(std::size_t* counter) {
 
 void NetworkChannel::send(const std::string& to, MessageWriter message) {
   // An empty channel step inherits the network's ambient label, so sync
-  // drivers keep honouring a caller's Network::set_step / StepScope.
+  // drivers keep honouring a caller's Network::set_step.
   if (!step_.empty()) net_.set_step(step_);
   if (byte_counter_ != nullptr) *byte_counter_ += message.size();
   net_.send(self_, to, std::move(message));
@@ -100,9 +100,6 @@ void BlockingChannel::send(const std::string& to, MessageWriter message) {
 }
 
 MessageReader BlockingChannel::recv(const std::string& from) {
-  if (recv_deadline_.has_value()) {
-    return net_.recv(self_, from, *recv_deadline_);
-  }
   return net_.recv(self_, from);
 }
 

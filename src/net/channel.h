@@ -25,7 +25,6 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <string>
 
 #include "net/blocking_network.h"
@@ -149,15 +148,6 @@ class BlockingChannel final : public Channel {
   void set_public_hooks(std::function<void(std::int64_t)> post,
                         std::function<std::int64_t()> await);
 
-  /// Optional per-channel recv deadline (default off = the network-wide
-  /// timeout applies).  Without one, a recv whose peer died blocks until
-  /// BlockingNetwork's default fires; with one, it surfaces ChannelTimeout
-  /// (as RecvTimeoutError) within `deadline` — the same contract as the
-  /// TCP transport's per-recv deadline.
-  void set_recv_deadline(std::optional<std::chrono::milliseconds> deadline) {
-    recv_deadline_ = deadline;
-  }
-
   [[nodiscard]] const std::string& self() const override { return self_; }
   void send(const std::string& to, MessageWriter message) override;
   [[nodiscard]] MessageReader recv(const std::string& from) override;
@@ -173,7 +163,6 @@ class BlockingChannel final : public Channel {
   std::string self_;
   std::string step_;
   TrafficStats* stats_;
-  std::optional<std::chrono::milliseconds> recv_deadline_;
   std::function<void(std::int64_t)> post_hook_;
   std::function<std::int64_t()> await_hook_;
 };

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "obs/clock.h"
-
 namespace pcl {
 
 namespace {
@@ -140,23 +138,6 @@ std::size_t Network::pending_total() const {
   std::size_t total = 0;
   for (const auto& [link, queue] : queues_) total += queue.size();
   return total;
-}
-
-StepScope::StepScope(Network& net, TrafficStats* stats, std::string step)
-    : net_(net),
-      stats_(stats),
-      step_(std::move(step)),
-      previous_step_(net.step()),
-      start_ns_(obs::monotonic_time_ns()) {
-  net_.set_step(step_);
-}
-
-StepScope::~StepScope() {
-  if (stats_ != nullptr) {
-    stats_->add_time(step_, std::chrono::nanoseconds(
-                                obs::monotonic_time_ns() - start_ns_));
-  }
-  net_.set_step(previous_step_);
 }
 
 }  // namespace pcl

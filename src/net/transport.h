@@ -121,21 +121,4 @@ class Network {
   std::vector<TranscriptEntry> transcript_;
 };
 
-/// RAII step scope: sets the network's step label and accumulates wall time
-/// for that step into the stats on destruction.
-class StepScope {
- public:
-  StepScope(Network& net, TrafficStats* stats, std::string step);
-  ~StepScope();
-  StepScope(const StepScope&) = delete;
-  StepScope& operator=(const StepScope&) = delete;
-
- private:
-  Network& net_;
-  TrafficStats* stats_;
-  std::string step_;
-  std::string previous_step_;
-  std::uint64_t start_ns_;
-};
-
 }  // namespace pcl

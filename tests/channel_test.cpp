@@ -220,8 +220,8 @@ TEST(NetworkChannel, StandaloneHasNoBulletin) {
 }
 
 TEST(NetworkChannel, EmptyStepInheritsAmbientNetworkStep) {
-  // Synchronous drivers keep their own StepScope on the Network; a channel
-  // that never sets a step must not clobber it.
+  // Synchronous drivers set their own step on the Network; a channel that
+  // never sets a step must not clobber it.
   TrafficStats stats;
   Network net(&stats);
   net.set_step("ambient");

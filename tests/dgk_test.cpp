@@ -2,10 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <vector>
 
-#include "bigint/montgomery.h"
 #include "bigint/primes.h"
 #include "bigint/rng.h"
 
@@ -114,20 +112,17 @@ TEST(DgkKeygen, ParamsValidated) {
   EXPECT_THROW((void)generate_dgk_key(params, rng), std::invalid_argument);
 }
 
-TEST(DgkKeygen, KeepsSecretModuliOutOfTheSharedCache) {
-  // p, the subgroup orders and every prime candidate are secret (or might
-  // have been): keygen may add only the public n to the process-wide
-  // cache, where zeroizing the key could not reach them.
-  const std::vector<BigInt> before = MontgomeryContext::shared_moduli();
-  DeterministicRng rng(6);
-  const DgkKeyPair key = generate_dgk_key({256, 60, 160}, rng);
-  for (const BigInt& m : MontgomeryContext::shared_moduli()) {
-    if (std::find(before.begin(), before.end(), m) != before.end()) continue;
-    EXPECT_EQ(m, key.pk.n()) << m.to_string();
-  }
-  // Decryption and the zero test run on the key's private context for p.
-  EXPECT_EQ(key.sk.decrypt(key.pk.encrypt(std::uint64_t{7}, rng)), 7u);
-  EXPECT_TRUE(key.sk.is_zero(key.pk.encrypt(std::uint64_t{0}, rng)));
+TEST(DgkKeygen, KeyWithoutContextThrows) {
+  // A default-constructed key has no modulus and no context, and a zeroized
+  // private key has dropped its own: operations throw instead of
+  // dereferencing a missing context.
+  const DgkPublicKey empty;
+  EXPECT_THROW((void)empty.add({BigInt(2)}, {BigInt(3)}), std::logic_error);
+  DeterministicRng rng(7);
+  DgkKeyPair key = generate_dgk_key({160, 30, 64}, rng);
+  const DgkCiphertext c = key.pk.encrypt(std::uint64_t{0}, rng);
+  key.sk.zeroize();
+  EXPECT_THROW((void)key.sk.is_zero(c), std::logic_error);
 }
 
 class DgkParamSweep

@@ -119,9 +119,8 @@ TEST(Framing, GarbageBytesOverBlockingChannelThrowTyped) {
 TEST(Framing, BlockingRecvDeadlineIsSharedTimeoutType) {
   // The blocking transport's deadline surfaces as the SAME ChannelTimeout
   // the TCP transport throws, so callers are transport-agnostic.
-  BlockingNetwork net;
+  BlockingNetwork net(std::chrono::milliseconds(50));
   BlockingChannel a(net, "A");
-  a.set_recv_deadline(std::chrono::milliseconds(50));
   EXPECT_THROW((void)a.recv("B"), ChannelTimeout);
 }
 

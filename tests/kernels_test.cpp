@@ -1,23 +1,23 @@
 // The Montgomery kernel (src/bigint/kernels/) behind MontgomeryContext:
 // checks mul_mod and pow against the naive (a * b) mod m and
 // square-and-multiply oracles at every class of odd width, exercises the
-// final-subtraction carries at word boundaries, and pins the pool and
-// op-count contracts that DESIGN.md §12 documents.  (Suite FixedMontKernel:
-// the kernel's word count is fixed per modulus at construction.)
+// final-subtraction carries at word boundaries, and pins the scratch-wipe
+// and op-count contracts that DESIGN.md §12 documents.  (Suite
+// FixedMontKernel: the kernel's word count is fixed per modulus at
+// construction.)
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <utility>
 #include <vector>
 
-#include "bigint/kernels/limb_pool.h"
+#include "bigint/kernels/cios.h"
 #include "bigint/montgomery.h"
 #include "bigint/rng.h"
 #include "obs/trace.h"
 
 namespace pcl {
 namespace {
-
-using kern::LimbPool;
 
 BigInt odd_modulus_exact(std::size_t bits, Rng& rng) {
   BigInt m = rng.random_bits_exact(bits);
@@ -41,8 +41,9 @@ TEST(FixedMontKernel, EveryOddWidthMatchesNaiveOracle) {
   // largest 64-bit prime), 2 and 3 words with odd 32-bit limb counts
   // among them (96..192 bits), the protocol widths (256..4096 bits), a
   // width off every power of two (1056 bits), 65 words, and 96 words,
-  // whose 6-bit window table outgrows one pool cell.  The exponent
-  // lengths walk every window width from 1 to 6.
+  // the widest, whose 6-bit window table grows the thread's scratch past
+  // every narrower need.  The exponent lengths walk every window width
+  // from 1 to 6.
   DeterministicRng rng(13);
   std::vector<BigInt> moduli = {BigInt(3),
                                 (BigInt(1) << 64) - BigInt(59)};
@@ -154,116 +155,27 @@ TEST(FixedMontKernel, OpCountsArePinned) {
   }
 }
 
-TEST(LimbPool, ReusesCellsAndCountsAllocations) {
-  LimbPool& pool = LimbPool::local();
-  pool.reset_stats();
-  {
-    kern::CellLease warm;  // first lease on a cold list may allocate
-    (void)warm.data();
-  }
-  pool.reset_stats();
-  for (int i = 0; i < 100; ++i) {
-    kern::CellLease lease;
-    lease.data()[0] = static_cast<std::uint64_t>(i);
-  }
-  const kern::PoolStats stats = pool.stats();
-  EXPECT_EQ(stats.acquires, 100u);
-  EXPECT_EQ(stats.fresh_allocs, 0u);  // steady state: zero heap allocations
-  EXPECT_EQ(stats.reuses, 100u);
-  EXPECT_GE(stats.free_cells, 1u);
-}
-
-TEST(LimbPool, SteadyStateKernelOpsAreAllocationFree) {
-  // The pool-level proof of the "zero heap allocations per modmul" claim:
-  // after one warmup op, a burst of kernel operations never takes the
-  // fresh-alloc path.  160 bits is a DGK modulus width of the paper-size
-  // benches, 2048 bits a deployment one.
+TEST(FixedMontKernel, ScratchIsWipedAfterEveryOperation) {
+  // A pow's window table and accumulator are residues mod its modulus; in
+  // a decryption that modulus is the secret p² or q², and any one of those
+  // words with the public ciphertext factors n.  After a pow and a mul_mod
+  // (at a deployment width and a paper one) the calling thread's scratch
+  // must hold no nonzero word.
   DeterministicRng rng(18);
-  for (const std::size_t bits : {160u, 2048u}) {
+  for (const std::size_t bits : {2048u, 160u}) {
     const BigInt m = odd_modulus_exact(bits, rng);
     const MontgomeryContext ctx(m);
     const BigInt a = rng.uniform_below(m);
     const BigInt b = rng.uniform_below(m);
-    (void)ctx.mul_mod(a, b);  // warm the free list
-    LimbPool::local().reset_stats();
-    BigInt acc = a;
-    for (int i = 0; i < 50; ++i) acc = ctx.mul_mod(acc, b);
-    const kern::PoolStats stats = LimbPool::local().stats();
-    EXPECT_GT(stats.acquires, 0u) << bits;
-    EXPECT_EQ(stats.fresh_allocs, 0u) << bits;
-    EXPECT_EQ(stats.reuses, stats.acquires) << bits;
-    // And the arithmetic stayed right.
-    BigInt expected = a;
-    for (int i = 0; i < 50; ++i) expected = (expected * b).mod(m);
-    EXPECT_EQ(acc, expected) << bits;
+    (void)ctx.pow(a, rng.random_bits_exact(bits));
+    (void)ctx.mul_mod(a, b);
+    const std::span<const std::uint64_t> scratch = kern::Cios::thread_scratch();
+    // 2048 bits: 32 words, a 64-entry table plus the temporaries.
+    ASSERT_GE(scratch.size(), 67u * 32u) << bits;
+    EXPECT_TRUE(std::all_of(scratch.begin(), scratch.end(),
+                            [](std::uint64_t w) { return w == 0; }))
+        << bits << "-bit modulus";
   }
-}
-
-TEST(LimbPool, DisableForcesFreshAllocations) {
-  LimbPool& pool = LimbPool::local();
-  LimbPool::set_enabled(false);
-  pool.reset_stats();
-  {
-    kern::CellLease lease;
-    lease.data()[0] = 1;
-  }
-  const kern::PoolStats off = pool.stats();
-  EXPECT_FALSE(off.enabled);
-  EXPECT_EQ(off.fresh_allocs, 1u);  // ablation mode: every lease allocates
-  EXPECT_EQ(off.reuses, 0u);
-  LimbPool::set_enabled(true);
-  EXPECT_TRUE(pool.stats().enabled);
-}
-
-TEST(LimbPool, CellLeaseCarveBoundsChecked) {
-  kern::CellLease lease;
-  std::uint64_t* first = lease.carve(kern::kCellWords / 2);
-  std::uint64_t* second = lease.carve(kern::kCellWords / 2);
-  EXPECT_EQ(second - first,
-            static_cast<std::ptrdiff_t>(kern::kCellWords / 2));
-  EXPECT_THROW((void)lease.carve(1), std::logic_error);
-
-  // A lease wider than one cell is a heap buffer of exactly its size that
-  // never touches the pool.
-  LimbPool::local().reset_stats();
-  {
-    kern::CellLease wide(kern::kCellWords + 1);
-    std::uint64_t* all = wide.carve(kern::kCellWords + 1);
-    all[kern::kCellWords] = 1;
-    EXPECT_THROW((void)wide.carve(1), std::logic_error);
-  }
-  EXPECT_EQ(LimbPool::local().stats().acquires, 0u);
-}
-
-TEST(SharedCacheLru, EvictsLeastRecentlyUsedOnly) {
-  // Fill the cache to capacity, keep the oldest entry warm by touching it,
-  // then overflow: the warm entry must survive (same pointer), while an
-  // untouched early entry is rebuilt on re-lookup (different pointer).
-  DeterministicRng rng(19);
-  const auto fresh_modulus = [&] {
-    BigInt m = rng.random_bits_exact(96);
-    if (m.is_even()) m += BigInt(1);
-    return m;
-  };
-  const BigInt warm = fresh_modulus();
-  const BigInt cold = fresh_modulus();
-  const auto warm_ctx = MontgomeryContext::shared(warm);
-  const auto cold_ctx = MontgomeryContext::shared(cold);
-  // Fill to one below capacity, then touch `warm` so `cold` is the LRU.
-  for (std::size_t i = 0; i + 2 < MontgomeryContext::kSharedCacheCapacity;
-       ++i) {
-    (void)MontgomeryContext::shared(fresh_modulus());
-  }
-  (void)MontgomeryContext::shared(warm);
-  // Two more insertions evict exactly the two least-recent entries; `warm`
-  // was just touched and must still be cached.
-  (void)MontgomeryContext::shared(fresh_modulus());
-  (void)MontgomeryContext::shared(fresh_modulus());
-  EXPECT_EQ(MontgomeryContext::shared(warm).get(), warm_ctx.get());
-  EXPECT_NE(MontgomeryContext::shared(cold).get(), cold_ctx.get());
-  // The evicted context stays usable through its shared_ptr.
-  const BigInt x = rng.uniform_below(cold);
-  EXPECT_EQ(cold_ctx->pow(x, BigInt(3)), BigInt::pow_mod(x, BigInt(3), cold));
 }
 
 }  // namespace

@@ -71,6 +71,34 @@ TEST(KeyIo, ImplausibleDgkParametersRejected) {
   EXPECT_THROW((void)parse_dgk_public_key(bytes), std::invalid_argument);
 }
 
+TEST(KeyIo, EvenPaillierModulusRejected) {
+  // n + 1 of a real key: even, so n² has no Montgomery context and the key
+  // cannot be built.
+  DeterministicRng rng(9);
+  const PaillierKeyPair pai = generate_paillier_key(64, rng);
+  MessageWriter w;
+  w.write_u8(0x50);
+  w.write_u8(1);
+  w.write_bigint(pai.pk.n() + BigInt(1));
+  EXPECT_THROW((void)parse_paillier_public_key(std::move(w).take()),
+               std::invalid_argument);
+}
+
+TEST(KeyIo, EvenDgkModulusRejected) {
+  DeterministicRng rng(10);
+  const DgkKeyPair dgk = generate_dgk_key({160, 30, 64}, rng);
+  MessageWriter w;
+  w.write_u8(0x44);
+  w.write_u8(1);
+  w.write_bigint(dgk.pk.n() + BigInt(1));
+  w.write_bigint(dgk.pk.g());
+  w.write_bigint(dgk.pk.h());
+  w.write_bigint(dgk.pk.u());
+  w.write_u64(dgk.pk.v_bits());
+  EXPECT_THROW((void)parse_dgk_public_key(std::move(w).take()),
+               std::invalid_argument);
+}
+
 TEST(Pki, RegisterAndFetch) {
   DeterministicRng rng(6);
   const PaillierKeyPair s1 = generate_paillier_key(64, rng);

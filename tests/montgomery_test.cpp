@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <vector>
 
 #include "bigint/primes.h"
@@ -84,56 +83,6 @@ TEST(Montgomery, FermatOnLargePrime) {
     const BigInt a = rng.uniform_in(BigInt(2), p - BigInt(2));
     EXPECT_EQ(ctx.pow(a, p - BigInt(1)), BigInt(1));
   }
-}
-
-TEST(Montgomery, SharedCacheReturnsOneContextPerModulus) {
-  DeterministicRng rng(6);
-  BigInt m = rng.random_bits_exact(256);
-  if (m.is_even()) m += BigInt(1);
-  const auto a = MontgomeryContext::shared(m);
-  const auto b = MontgomeryContext::shared(m);
-  ASSERT_NE(a, nullptr);
-  EXPECT_EQ(a.get(), b.get());  // memoized, not rebuilt
-  EXPECT_EQ(a->modulus(), m);
-
-  BigInt other = rng.random_bits_exact(256);
-  if (other.is_even()) other += BigInt(1);
-  EXPECT_NE(MontgomeryContext::shared(other).get(), a.get());
-}
-
-TEST(Montgomery, SharedModuliListsWithoutInserting) {
-  DeterministicRng rng(9);
-  BigInt shared_m = rng.random_bits_exact(192);
-  if (shared_m.is_even()) shared_m += BigInt(1);
-  BigInt private_m = rng.random_bits_exact(192);
-  if (private_m.is_even()) private_m += BigInt(1);
-  (void)MontgomeryContext::shared(shared_m);
-  const MontgomeryContext local(private_m);  // a private context stays out
-  const std::vector<BigInt> listed = MontgomeryContext::shared_moduli();
-  ASSERT_FALSE(listed.empty());
-  EXPECT_EQ(listed.front(), shared_m);  // newest first
-  EXPECT_EQ(std::count(listed.begin(), listed.end(), private_m), 0);
-  EXPECT_EQ(MontgomeryContext::shared_moduli(), listed);
-}
-
-TEST(Montgomery, SharedCacheSurvivesOverflowClear) {
-  // Flood the cache far past its bound (the keygen churn scenario): held
-  // contexts must stay valid and produce correct results even after the
-  // cache is cleared underneath them, and re-lookup works afterwards.
-  DeterministicRng rng(7);
-  BigInt m = rng.random_bits_exact(128);
-  if (m.is_even()) m += BigInt(1);
-  const auto held = MontgomeryContext::shared(m);
-  for (int i = 0; i < 600; ++i) {
-    BigInt churn = rng.random_bits_exact(64);
-    if (churn.is_even()) churn += BigInt(1);
-    (void)MontgomeryContext::shared(churn);
-  }
-  const BigInt base = rng.uniform_below(m);
-  const BigInt exp = rng.random_bits(96);
-  EXPECT_EQ(held->pow(base, exp), BigInt::pow_mod(base, exp, m));
-  EXPECT_EQ(MontgomeryContext::shared(m)->pow(base, exp),
-            held->pow(base, exp));
 }
 
 TEST(Montgomery, WindowedPowMatchesNaiveAtCryptoSizes) {

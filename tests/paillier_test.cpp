@@ -2,10 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <vector>
 
-#include "bigint/montgomery.h"
 #include "bigint/primes.h"
 #include "bigint/rng.h"
 
@@ -203,19 +201,21 @@ TEST(PaillierEdge, DeterministicEncryptionWithFixedRandomness) {
   EXPECT_EQ(key.sk.decrypt(c1), BigInt(7));
 }
 
-TEST(PaillierEdge, KeygenKeepsSecretModuliOutOfTheSharedCache) {
-  // p², q² and every prime candidate Miller–Rabin tried are secret (or
-  // might have been): keygen may add only public moduli to the
-  // process-wide cache, where zeroizing the key could not reach them.
-  const std::vector<BigInt> before = MontgomeryContext::shared_moduli();
-  DeterministicRng rng(6);
-  const auto key = generate_paillier_key(256, rng);
-  for (const BigInt& m : MontgomeryContext::shared_moduli()) {
-    if (std::find(before.begin(), before.end(), m) != before.end()) continue;
-    EXPECT_TRUE(m == key.pk.n() || m == key.pk.n_squared()) << m.to_string();
-  }
-  // Decryption runs on the key's private contexts.
-  EXPECT_EQ(key.sk.decrypt(key.pk.encrypt(BigInt(-42), rng)), BigInt(-42));
+TEST(PaillierEdge, KeyWithoutContextThrows) {
+  // A default-constructed key has no modulus and no context, and a zeroized
+  // private key has dropped its own: operations throw instead of
+  // dereferencing a missing context.  An even n has no context at all.
+  const PaillierPublicKey empty;
+  EXPECT_THROW((void)empty.add({BigInt(2)}, {BigInt(3)}), std::logic_error);
+  EXPECT_THROW((void)empty.scalar_mul({BigInt(2)}, BigInt(3)),
+               std::logic_error);
+  DeterministicRng rng(7);
+  PaillierKeyPair key = generate_paillier_key(64, rng);
+  const PaillierCiphertext c = key.pk.encrypt(BigInt(5), rng);
+  key.sk.zeroize();
+  EXPECT_THROW((void)key.sk.decrypt(c), std::logic_error);
+  EXPECT_THROW(PaillierPublicKey(key.pk.n() + BigInt(1)),
+               std::invalid_argument);
 }
 
 TEST(PaillierEdge, WrongPrivateKeyRejected) {

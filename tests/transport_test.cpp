@@ -220,19 +220,5 @@ TEST(TrafficStats, ConcurrentWritersAndReadersAreRaceFree) {
   EXPECT_NEAR(stats.seconds_for("step"), kThreads * kIters * 2e-6, 1e-9);
 }
 
-TEST(StepScope, RestoresPreviousStepAndRecordsTime) {
-  TrafficStats stats;
-  Network net(&stats);
-  net.set_step("outer");
-  {
-    StepScope scope(net, &stats, "inner");
-    EXPECT_EQ(net.step(), "inner");
-    net.send("S1", "S2", make_message(8));
-  }
-  EXPECT_EQ(net.step(), "outer");
-  EXPECT_EQ(stats.bytes_for("inner"), 8u);
-  EXPECT_GT(stats.seconds_for("inner"), 0.0);
-}
-
 }  // namespace
 }  // namespace pcl

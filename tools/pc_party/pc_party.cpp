@@ -132,9 +132,10 @@ struct Options {
   std::size_t session_workers = 2; ///< per-daemon worker pool size
   /// Offline/online split (DESIGN.md §15): attach a PrecomputeService so
   /// every party draws randomizer/blinding powers from seeded streams.
-  /// --role and --serve measure one query's draws per stream and fill the
-  /// streams of each expected query with exactly that many before
-  /// connecting.
+  /// Every mode measures one query's draws per stream and fills each
+  /// party's streams for each expected query with exactly that many, in
+  /// the process that draws them, before connecting; each party prints
+  /// its service totals at the end.
   bool precompute = false;
 };
 
@@ -171,8 +172,8 @@ int usage(const char* argv0) {
       "  --session-workers N  serving: FIFO worker threads per daemon\n"
       "                       (default 2)\n"
       "  --precompute         offline/online split: draw randomizer powers\n"
-      "                       from precompute streams (--role and --serve\n"
-      "                       fill each expected query's streams with its\n"
+      "                       from precompute streams (every party fills\n"
+      "                       each expected query's streams with its\n"
       "                       measured demand before connecting)\n",
       argv0, argv0, argv0, argv0);
   return 2;
@@ -433,6 +434,19 @@ void write_traffic_json(const Options& opt, const std::string& party,
   write_traffic_json_file(traffic_path(opt, party), party, label, stats);
 }
 
+/// `who`'s service totals: every draw that ran inline is a miss, so a
+/// warm-up that covered the demand leaves none (the warm-pool gates fail
+/// on a nonzero count).
+void print_precompute_totals(const std::string& who,
+                             const pcl::PrecomputeService& precompute) {
+  const pcl::PrecomputeStats totals = precompute.totals();
+  std::printf("pc_party[%s]: precompute totals: generated %llu, hits %llu, "
+              "misses %llu\n",
+              who.c_str(), static_cast<unsigned long long>(totals.generated),
+              static_cast<unsigned long long>(totals.hits),
+              static_cast<unsigned long long>(totals.misses));
+}
+
 /// Runs one party program over TCP and writes its artifacts.  `listener`
 /// may be invalid (pure dialer, or single-role mode where connect() binds
 /// from the endpoint map).  `fail_early` is the fault-injection hook: the
@@ -497,6 +511,9 @@ int run_role(const pcl::ConsensusProtocol& protocol, const Options& opt,
   if (code == 0 && (role == "S1" || role == "S2")) {
     std::printf("pc_party[%s]: label = %s\n", role.c_str(),
                 label.has_value() ? std::to_string(*label).c_str() : "bot");
+  }
+  if (protocol.config().precompute != nullptr) {
+    print_precompute_totals(role, *protocol.config().precompute);
   }
   try {
     write_traffic_json(opt, role, label, stats);
@@ -687,16 +704,7 @@ int serve_role(const pcl::ConsensusProtocol& protocol, const Options& opt,
                  role.c_str());
   }
   server.drain_and_stop();
-  if (precompute != nullptr) {
-    // Every draw a session ran inline is a miss; a warm-up that covered
-    // the demand leaves none.
-    const pcl::PrecomputeStats totals = precompute->totals();
-    std::printf("pc_party[%s]: precompute totals: generated %llu, hits %llu, "
-                "misses %llu\n",
-                role.c_str(), static_cast<unsigned long long>(totals.generated),
-                static_cast<unsigned long long>(totals.hits),
-                static_cast<unsigned long long>(totals.misses));
-  }
+  if (precompute != nullptr) print_precompute_totals(role, *precompute);
   // Post-drain summary artifacts: the aggregate metrics (every session's
   // latency folded in) and the final session table outlive the daemon.
   try {
@@ -840,12 +848,17 @@ int run_all(const Options& opt) {
   // Keys are generated ONCE here; children inherit them through fork, the
   // exact sharing the in-process harness gets from one protocol object.
   // The precompute service is created here too (threadless, so it forks
-  // cleanly): each child's copy serves only that child's party streams,
-  // and the parent's untouched copy serves the parity replay — streams are
+  // cleanly): each child fills and draws from its own copy, and the
+  // parent's untouched copy serves the parity replay — streams are
   // deterministic per (key, seed), so every copy yields the same bytes.
+  // The demand is measured once, before forking: at these widths its
+  // scratch query leaves no thread running (no LanePool start) that a
+  // child would inherit without its threads.
   pcl::PrecomputeService precompute;
   pcl::DeterministicRng keygen(opt.keygen_seed);
   pcl::ConsensusProtocol protocol(make_config(opt, &precompute), keygen);
+  std::map<std::string, pcl::PrecomputeDemand> demand;
+  if (opt.precompute) demand = protocol.precompute_demand();
 
   std::map<std::string, ChildResult> children;
   for (const std::string& role : roles) {
@@ -871,6 +884,11 @@ int run_all(const Options& opt) {
           role == "user:" + std::to_string(opt.fail_user);
       int code = 1;
       try {
+        if (opt.precompute) {
+          // The offline phase, in the process that draws: fill this
+          // party's streams for the query seed before connecting.
+          (void)protocol.warm_precompute(role, opt.seed, demand.at(role));
+        }
         // S1 is the natural introspection host: it coordinates every step,
         // so its registry sees the full protocol schedule.
         code = run_role(protocol, opt, role, votes, std::move(wiring),
@@ -1140,7 +1158,8 @@ int run_serve_all(const Options& opt) {
   // One keygen, shared with both daemons through fork (run_all's trick).
   // The serve-side precompute service is forked threadless into the
   // daemons (each warms its own copy in serve_role) and also serves the
-  // orchestrator's in-process user programs.
+  // orchestrator's in-process user programs, whose streams the orchestrator
+  // fills once the daemons are forked.
   pcl::PrecomputeService precompute;
   pcl::DeterministicRng keygen(opt.keygen_seed);
   pcl::ConsensusProtocol protocol(make_config(opt, &precompute), keygen);
@@ -1191,6 +1210,20 @@ int run_serve_all(const Options& opt) {
   s1_listener.close();
   s2_listener.close();
 
+  // The users' offline phase: every user's streams for every session seed
+  // the client drives, filled with that user's measured demand.
+  if (opt.precompute) {
+    const std::map<std::string, pcl::PrecomputeDemand> demand =
+        protocol.precompute_demand();
+    for (std::size_t i = 0; i < opt.sessions; ++i) {
+      for (std::size_t u = 0; u < opt.users; ++u) {
+        const std::string user = "user:" + std::to_string(u);
+        (void)protocol.warm_precompute(
+            user, pcl::derive_party_seed(opt.seed, i), demand.at(user));
+      }
+    }
+  }
+
   // The session client runs IN the orchestrator: its per-session traffic
   // rows feed the parity gate directly, no artifact round-trip.
   const std::uint64_t start_ns = pcl::obs::monotonic_time_ns();
@@ -1224,6 +1257,7 @@ int run_serve_all(const Options& opt) {
     std::fprintf(stderr, "pc_party: session client failed: %s\n", err.what());
     code = 1;
   }
+  if (opt.precompute) print_precompute_totals("users", precompute);
 
   // Live snapshots + the drain-then-exit quit handshake, then reap.
   for (const std::string role : {"S1", "S2"}) {
