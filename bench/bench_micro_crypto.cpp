@@ -221,32 +221,11 @@ void BM_DgkCompare(benchmark::State& state) {
   std::int64_t x = 12345, y = -9876;
   for (auto _ : state) {
     Network net;
-    benchmark::DoNotOptimize(dgk_compare_geq(net, ctx, x, y, rng, rng));
+    benchmark::DoNotOptimize(dgk_compare_geq(net, ctx, x, y, rng.next_u64()));
     std::swap(x, y);
   }
 }
 BENCHMARK(BM_DgkCompare)->Arg(16)->Arg(32)->Arg(52)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_DgkCompareShared(benchmark::State& state) {
-  // The secret-shared-output variant (one extra bit width, one fewer
-  // message round).
-  DeterministicRng rng(11);
-  DgkParams params;
-  params.n_bits = 192;
-  params.v_bits = 40;
-  params.plaintext_bound = 256;
-  const auto key = generate_dgk_key(params, rng);
-  const std::size_t ell = static_cast<std::size_t>(state.range(0));
-  const DgkCompareContext ctx(key.pk, key.sk, ell);
-  std::int64_t x = 4321, y = -1234;
-  for (auto _ : state) {
-    Network net;
-    benchmark::DoNotOptimize(dgk_compare_geq_shared(net, ctx, x, y, rng, rng));
-    std::swap(x, y);
-  }
-}
-BENCHMARK(BM_DgkCompareShared)->Arg(16)->Arg(32)->Arg(52)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -280,11 +280,10 @@ std::vector<std::uint32_t> Cios::pow(std::span<const std::uint32_t> base,
         mont_mul(acc, acc, acc, t);
         ++muls;
       }
-      const std::size_t v = window_value(wi);
-      if (v != 0) {
-        mont_mul(acc, acc, table + v * w, t);
-        ++muls;
-      }
+      // A zero window multiplies by table[0] = mont(1), so the count
+      // depends on the exponent's length alone.
+      mont_mul(acc, acc, table + window_value(wi) * w, t);
+      ++muls;
     }
   }
   from_mont(acc, one, t);

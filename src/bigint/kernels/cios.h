@@ -15,8 +15,9 @@
 // values below the modulus and get canonical residues back, so R and the
 // word count never leak into a result.  Each operation adds the number of
 // Montgomery multiplies it performed to *mont_muls; that schedule (window
-// table build, squarings, the final conversion) depends only on the
-// exponent, never on the width.
+// table build, squarings, one product per window, the final conversion)
+// depends only on the exponent's bit length, never on its bits or the
+// width.
 //
 // This header is intentionally BigInt-free: values cross as little-endian
 // 32-bit limb spans (the BigInt magnitude format), keeping the kernels

@@ -388,7 +388,7 @@ BlindPermuteSession::Output BlindPermuteSession::run(
       {"S2",
        [&](Channel& chan) { out.s2_seq = s2_.run(chan, s2_holds, mode); }},
   };
-  run_parties_deterministic(net_, parties);
+  run_parties(net_, parties, PartyTransport::kDeterministic);
   return out;
 }
 
@@ -400,7 +400,7 @@ std::size_t BlindPermuteSession::restore(std::size_t permuted_index) {
       {"S2",
        [&](Channel& chan) { s2_index = s2_.restore(chan, permuted_index); }},
   };
-  run_parties_deterministic(net_, parties);
+  run_parties(net_, parties, PartyTransport::kDeterministic);
   if (s1_index != s2_index) throw std::logic_error("restore desync");
   return s1_index;
 }

@@ -25,7 +25,7 @@
 // case.  This class is the query harness: it owns the key material,
 // prepares each party's inputs, derives each party a private Rng from one
 // query seed, and runs the programs over the chosen transport.  With the
-// same seed, the deterministic in-process transport and the threaded
+// same seed, the deterministic and threaded schedules of the in-process
 // transport produce byte-identical per-step traffic.
 //
 // Noise placement (see DESIGN.md): every user adds an independent
@@ -50,11 +50,12 @@
 namespace pcl {
 
 /// Which transport a query runs over.  Results and per-step traffic are
-/// identical; kThreaded runs every party on its own OS thread over a
-/// BlockingNetwork (the deployment shape), kTcp over real loopback TCP
+/// identical.  kInProcess and kThreaded both run the parties over one
+/// in-process Network: kInProcess under the runner's deterministic baton
+/// (the reference shape), kThreaded with every party free on its own OS
+/// thread (the deployment shape).  kTcp runs over real loopback TCP
 /// sockets (one thread per party; the single-process rehearsal of the
-/// pc_party multi-process deployment), kInProcess under the deterministic
-/// baton scheduler (the reference shape).
+/// pc_party multi-process deployment).
 enum class ConsensusTransport { kInProcess, kThreaded, kTcp };
 
 /// How run_batch_seeded executes its queries: a separate one-lane Alg. 5

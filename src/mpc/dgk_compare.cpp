@@ -67,20 +67,11 @@ std::vector<DgkCiphertext> read_ciphertext_batch(MessageReader& msg,
   return out;
 }
 
-std::vector<DgkCiphertext> recv_ciphertext_batch(Channel& chan,
-                                                 const std::string& from,
-                                                 std::size_t expected) {
-  MessageReader msg = chan.recv(from);
-  return read_ciphertext_batch(msg, expected);
-}
-
-/// S1's core: the blinded, permuted c-sequence.  `flipped` selects the
-/// comparison direction (the shared variant's delta == 1 orientation):
-///   flipped == false: c_i = 1 + d_i - e_i + 3W  (tests d < e)
-///   flipped == true:  c_i = 1 - d_i + e_i + 3W  (tests e < d)
+/// S1's core: the blinded, permuted c-sequence c_i = 1 + d_i - e_i + 3W
+/// (some c_i == 0 iff d < e).
 std::vector<DgkCiphertext> build_blinded_sequence(
     const DgkPublicKey& pk, std::uint64_t d,
-    const std::vector<DgkCiphertext>& e_bits, bool flipped, Rng& rng,
+    const std::vector<DgkCiphertext>& e_bits, Rng& rng,
     DgkPowerStream* bank) {
   const std::size_t width = e_bits.size();
   const DgkCiphertext enc_one = encrypt_small(pk, 1, rng, bank);
@@ -92,11 +83,8 @@ std::vector<DgkCiphertext> build_blinded_sequence(
   c_seq.reserve(width);
   for (std::size_t idx = width; idx-- > 0;) {
     const std::uint64_t d_bit = (d >> idx) & 1u;
-    DgkCiphertext c =
-        flipped
-            ? pk.add(encrypt_small(pk, 1 - d_bit, rng, bank), e_bits[idx])
-            : pk.add(encrypt_small(pk, 1 + d_bit, rng, bank),
-                     pk.negate(e_bits[idx]));
+    DgkCiphertext c = pk.add(encrypt_small(pk, 1 + d_bit, rng, bank),
+                             pk.negate(e_bits[idx]));
     c = pk.add(c, pk.scalar_mul(w_sum, BigInt(3)));
     c_seq.push_back(pk.blind_multiplicative(c, rng));
     // w_idx = d_idx XOR e_idx = d_idx + e_idx - 2*d_idx*e_idx; with d_idx
@@ -116,11 +104,6 @@ MessageWriter ciphertext_batch_message(const std::vector<DgkCiphertext>& cts) {
   return msg;
 }
 
-void send_ciphertext_batch(Channel& chan, const std::string& to,
-                           const std::vector<DgkCiphertext>& cts) {
-  chan.send(to, ciphertext_batch_message(cts));
-}
-
 /// S2's core: zero-test the returned sequence; some c_i == 0 iff d < e.
 /// Every element is tested (fanned out at deployment widths, where the
 /// public key decides), and the results fold without a branch.
@@ -133,13 +116,6 @@ bool any_zero_test(const DgkPublicKey& pk, const DgkPrivateKey& sk,
   std::uint8_t any_zero = 0;
   for (const std::uint8_t z : zero) any_zero |= z;
   return any_zero != 0;
-}
-
-void require_shared_width(const DgkPublicKey& pk, std::size_t width) {
-  if (pk.u_value() <= 3 * width + 4) {
-    throw std::invalid_argument(
-        "DGK shared comparison: need u > 3*(ell+1) + 4");
-  }
 }
 
 }  // namespace
@@ -157,7 +133,7 @@ MessageWriter dgk_compare_s1_blind(const DgkPublicKey& pk, std::size_t ell,
   const std::uint64_t d = to_offset_domain(x, ell);
   const std::vector<DgkCiphertext> bits = read_ciphertext_batch(e_bits, ell);
   return ciphertext_batch_message(
-      build_blinded_sequence(pk, d, bits, /*flipped=*/false, rng, bank));
+      build_blinded_sequence(pk, d, bits, rng, bank));
 }
 
 bool dgk_compare_s2_decide(const DgkCompareContext& ctx,
@@ -191,68 +167,25 @@ bool dgk_compare_s2_geq(Channel& chan, const DgkCompareContext& ctx,
   return x_geq_y;
 }
 
-bool dgk_compare_shared_s1(Channel& chan, const DgkPublicKey& pk,
-                           std::size_t ell, std::int64_t x, Rng& rng) {
-  obs::count(obs::Op::kDgkCompare);
-  const std::size_t width = ell + 1;
-  require_shared_width(pk, width);
-  const std::uint64_t d_prime = 2 * to_offset_domain(x, ell) + 1;
-  const bool delta = (rng.next_u64() & 1u) != 0;
-  const std::vector<DgkCiphertext> e_bits =
-      recv_ciphertext_batch(chan, "S2", width);
-  send_ciphertext_batch(
-      chan, "S2",
-      build_blinded_sequence(pk, d_prime, e_bits, delta, rng, nullptr));
-  return !delta;  // (x >= y) = t XOR delta XOR 1
-}
-
-bool dgk_compare_shared_s2(Channel& chan, const DgkCompareContext& ctx,
-                           std::int64_t y, Rng& rng) {
-  const std::size_t width = ctx.ell + 1;
-  require_shared_width(*ctx.pk, width);
-  const std::uint64_t e_prime = 2 * to_offset_domain(y, ctx.ell);
-  chan.send("S1",
-            encrypted_bits_message(*ctx.pk, e_prime, width, rng, nullptr));
-  const std::vector<DgkCiphertext> blinded =
-      recv_ciphertext_batch(chan, "S1", 0);
-  return any_zero_test(*ctx.pk, *ctx.sk, blinded);  // t: kept private
-}
-
 bool dgk_compare_geq(Network& net, const DgkCompareContext& ctx,
-                     std::int64_t x, std::int64_t y, Rng& s1_rng,
-                     Rng& s2_rng) {
+                     std::int64_t x, std::int64_t y, std::uint64_t seed,
+                     PartyTransport schedule) {
   bool s1 = false, s2 = false;
   const Party parties[] = {
       {"S1",
        [&](Channel& chan) {
-         s1 = dgk_compare_s1_geq(chan, *ctx.pk, ctx.ell, x, s1_rng);
+         DeterministicRng rng(derive_party_seed(seed, 0));
+         s1 = dgk_compare_s1_geq(chan, *ctx.pk, ctx.ell, x, rng);
        }},
       {"S2",
-       [&](Channel& chan) { s2 = dgk_compare_s2_geq(chan, ctx, y, s2_rng); }},
+       [&](Channel& chan) {
+         DeterministicRng rng(derive_party_seed(seed, 1));
+         s2 = dgk_compare_s2_geq(chan, ctx, y, rng);
+       }},
   };
-  run_parties_deterministic(net, parties);
+  run_parties(net, parties, schedule);
   if (s1 != s2) throw std::logic_error("DGK result desync");
   return s2;
-}
-
-SharedComparisonBit dgk_compare_geq_shared(Network& net,
-                                           const DgkCompareContext& ctx,
-                                           std::int64_t x, std::int64_t y,
-                                           Rng& s1_rng, Rng& s2_rng) {
-  SharedComparisonBit shares;
-  const Party parties[] = {
-      {"S1",
-       [&](Channel& chan) {
-         shares.s1_share =
-             dgk_compare_shared_s1(chan, *ctx.pk, ctx.ell, x, s1_rng);
-       }},
-      {"S2",
-       [&](Channel& chan) {
-         shares.s2_share = dgk_compare_shared_s2(chan, ctx, y, s2_rng);
-       }},
-  };
-  run_parties_deterministic(net, parties);
-  return shares;
 }
 
 }  // namespace pcl

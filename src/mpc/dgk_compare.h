@@ -21,9 +21,8 @@
 //
 // The protocol is implemented ONCE, as the per-party role functions below
 // written against `Channel` (party names follow the repo-wide convention:
-// the roles talk to "S1"/"S2").  The `Network`-based entry points are thin
-// wrappers that drive both roles through the deterministic party runner;
-// mpc/threaded.h wires the very same roles to real threads.
+// the roles talk to "S1"/"S2").  The `Network`-based driver runs both roles
+// through the party runner, on either of its in-memory schedules.
 // Pooled mode (DESIGN.md §15): the h^r blinding powers that dominate each
 // bit encryption are input-independent, so the role functions optionally
 // draw them from a DgkPowerStream filled offline.  A null stream keeps the
@@ -35,6 +34,7 @@
 #include "crypto/dgk.h"
 #include "crypto/precompute_service.h"
 #include "net/channel.h"
+#include "net/party_runner.h"
 #include "net/transport.h"
 
 namespace pcl {
@@ -67,7 +67,7 @@ struct DgkCompareContext {
                                       DgkPowerStream* bank = nullptr);
 
 // --- Message-slot halves (lane-batched execution) ---------------------------
-// The revealed-output roles above are exactly these functions stitched to
+// The roles above are exactly these functions stitched to
 // the channel in order; mpc/consensus_batch.cpp calls them per lane so one
 // coalesced frame carries every lane's payload for a slot.  Each computes
 // precisely the bytes and Rng draws of the sequential role at that boundary.
@@ -92,42 +92,16 @@ struct DgkCompareContext {
 /// S1 slot 3, read side: the revealed bit.
 [[nodiscard]] bool dgk_compare_read_bit(MessageReader& msg);
 
-/// Shared-output roles (see dgk_compare_geq_shared below): S1's role
-/// returns its share (!delta), S2's role returns its share (t).
-[[nodiscard]] bool dgk_compare_shared_s1(Channel& chan,
-                                         const DgkPublicKey& pk,
-                                         std::size_t ell, std::int64_t x,
-                                         Rng& rng);
-[[nodiscard]] bool dgk_compare_shared_s2(Channel& chan,
-                                         const DgkCompareContext& ctx,
-                                         std::int64_t y, Rng& rng);
+// --- Reference driver -------------------------------------------------------
 
-// --- Synchronous reference drivers -----------------------------------------
-
-/// Runs the comparison over `net` between parties "S1" (holding x, using
-/// `s1_rng`) and "S2" (holding y and the private key, using `s2_rng`).
-/// Returns x >= y.  Throws std::out_of_range if |x| or |y| >= 2^(ell-1).
-[[nodiscard]] bool dgk_compare_geq(Network& net, const DgkCompareContext& ctx,
-                                   std::int64_t x, std::int64_t y,
-                                   Rng& s1_rng, Rng& s2_rng);
-
-/// Secret-shared-output variant (Veugen-style): neither party learns the
-/// comparison result.  S1 ends with share `s1_share`, S2 with `s2_share`,
-/// and  (x >= y) == s1_share XOR s2_share.
-///
-/// Construction: S1 draws a private orientation bit delta and compares
-/// d' = 2d+1 against e' = 2e (never equal, so strictness is unambiguous)
-/// in the delta-chosen direction; S2's zero-test result t then satisfies
-/// (x >= y) = t XOR delta XOR 1, so the shares are (delta XOR 1, t).  S2's
-/// view — a blinded, permuted sequence with at most one zero — is
-/// identically distributed under both orientations, hiding delta.
-/// Requires u > 3*(ell+1) + 4 (one extra bit for the doubling trick).
-struct SharedComparisonBit {
-  bool s1_share = false;  ///< known to S1 only
-  bool s2_share = false;  ///< known to S2 only
-};
-[[nodiscard]] SharedComparisonBit dgk_compare_geq_shared(
+/// Runs the comparison over `net` between parties "S1" (holding x) and
+/// "S2" (holding y and the private key) on `schedule`; S1 draws from
+/// derive_party_seed(seed, 0) and S2 from derive_party_seed(seed, 1), so
+/// no Rng is shared across parties.  Returns x >= y.  Throws
+/// std::out_of_range if |x| or |y| >= 2^(ell-1).
+[[nodiscard]] bool dgk_compare_geq(
     Network& net, const DgkCompareContext& ctx, std::int64_t x,
-    std::int64_t y, Rng& s1_rng, Rng& s2_rng);
+    std::int64_t y, std::uint64_t seed,
+    PartyTransport schedule = PartyTransport::kDeterministic);
 
 }  // namespace pcl

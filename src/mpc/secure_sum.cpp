@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "mpc/he_util.h"
-#include "net/party_runner.h"
 #include "obs/trace.h"
 
 namespace pcl {
@@ -70,7 +69,8 @@ void validate_share_matrix(
 SecureSumResult secure_sum(Network& net, const ServerPaillierKeys& keys,
                            const std::vector<std::vector<std::int64_t>>& to_s1,
                            const std::vector<std::vector<std::int64_t>>& to_s2,
-                           Rng& users_rng, const PackingLayout* packing) {
+                           std::uint64_t seed, const PackingLayout* packing,
+                           PartyTransport schedule) {
   validate_share_matrix(to_s1, to_s2);
   const std::size_t n_users = to_s1.size();
   SecureSumResult out;
@@ -85,12 +85,12 @@ SecureSumResult secure_sum(Network& net, const ServerPaillierKeys& keys,
                      }});
   for (std::size_t u = 0; u < n_users; ++u) {
     parties.push_back({"user:" + std::to_string(u), [&, u](Channel& chan) {
+                         DeterministicRng rng(derive_party_seed(seed, 2 + u));
                          secure_sum_submit(chan, keys.s2.pk, keys.s1.pk,
-                                           to_s1[u], to_s2[u], users_rng,
-                                           packing);
+                                           to_s1[u], to_s2[u], rng, packing);
                        }});
   }
-  run_parties_deterministic(net, parties);
+  run_parties(net, parties, schedule);
   return out;
 }
 

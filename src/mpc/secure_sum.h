@@ -7,8 +7,8 @@
 //
 // The round is implemented once as per-party roles over `Channel`: users run
 // a submit role, servers run a collect role.  The `Network` entry point
-// below drives all parties through the deterministic runner; the threaded
-// deployment (mpc/threaded.h) runs the same roles on real threads.
+// below drives all parties through the party runner, on either of its
+// in-memory schedules.
 #pragma once
 
 #include <cstdint>
@@ -16,6 +16,7 @@
 
 #include "mpc/blind_permute.h"
 #include "net/channel.h"
+#include "net/party_runner.h"
 #include "net/transport.h"
 
 namespace pcl {
@@ -48,7 +49,7 @@ void secure_sum_submit(Channel& chan, const PaillierPublicKey& s1_stream_pk,
 [[nodiscard]] std::vector<PaillierCiphertext> secure_sum_collect(
     Channel& chan, const PaillierPublicKey& pk, std::size_t n_users);
 
-// --- Synchronous reference driver ------------------------------------------
+// --- Reference driver -------------------------------------------------------
 
 struct SecureSumResult {
   /// Aggregate of all users' S1-bound vectors; encrypted under pk2, held
@@ -59,15 +60,18 @@ struct SecureSumResult {
   std::vector<PaillierCiphertext> s2_aggregate;
 };
 
-/// Runs one secure-sum round: user u submits `to_s1[u]` and `to_s2[u]`
-/// (plaintext share vectors, all the same length), each user encrypting with
-/// `users_rng`.  Servers aggregate homomorphically.  With `packing`, every
-/// user submits layout.num_cts ciphertexts per stream, and the aggregates
-/// unpack (after decryption) to the same per-label sums.
+/// Runs one secure-sum round over `net` on `schedule`: user u submits
+/// `to_s1[u]` and `to_s2[u]` (plaintext share vectors, all the same
+/// length), encrypting with its own Rng from derive_party_seed(seed, 2 + u)
+/// (indices 0 and 1 are the servers', as in every party list).  Servers
+/// aggregate homomorphically.  With `packing`, every user submits
+/// layout.num_cts ciphertexts per stream, and the aggregates unpack (after
+/// decryption) to the same per-label sums.
 [[nodiscard]] SecureSumResult secure_sum(
     Network& net, const ServerPaillierKeys& keys,
     const std::vector<std::vector<std::int64_t>>& to_s1,
-    const std::vector<std::vector<std::int64_t>>& to_s2, Rng& users_rng,
-    const PackingLayout* packing = nullptr);
+    const std::vector<std::vector<std::int64_t>>& to_s2, std::uint64_t seed,
+    const PackingLayout* packing = nullptr,
+    PartyTransport schedule = PartyTransport::kDeterministic);
 
 }  // namespace pcl

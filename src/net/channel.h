@@ -6,20 +6,16 @@
 // from named peers, and labels its traffic with the current protocol step so
 // `TrafficStats` (paper Tables I/II) reads identically off every transport.
 //
-// Two implementations are provided:
-//   * NetworkChannel  — over the deterministic in-process `Network`.  The
-//     party runner (net/party_runner.h) installs a wait hook so a recv on an
-//     empty link yields to the peer instead of throwing; standalone (no
-//     hook) it inherits Network's sends-precede-recvs discipline.
-//   * BlockingChannel — over `BlockingNetwork`, for parties on real
-//     threads.  Sends from different parties race, which TrafficStats'
-//     internal lock absorbs.
+// The in-memory implementation is NetworkChannel, a party's endpoint on the
+// in-process `Network`; the party runner (net/party_runner.h) runs it under
+// a deterministic baton or on free threads.  Over TCP the implementations
+// are TcpChannel and the serving daemons' SessionChannel.
 //
 // The one piece of Alg. 5 that is NOT point-to-point is the step-5 verdict:
 // the threshold decision (proceed vs ⊥) is public protocol output, and users
 // learn it out-of-band (a deployment would publish it on a bulletin board —
 // servers never message users).  `post_public` / `await_public` model that
-// bulletin; the runner wires them up.
+// bulletin.
 #pragma once
 
 #include <chrono>
@@ -27,7 +23,6 @@
 #include <functional>
 #include <string>
 
-#include "net/blocking_network.h"
 #include "net/message.h"
 #include "net/transport.h"
 #include "obs/trace.h"
@@ -59,8 +54,7 @@ class Channel {
   /// Out-of-band public bulletin (see file comment).  Posts form an ordered
   /// log: every consumer reads the sequence from its own cursor, one entry
   /// per await_public() call (lane-batched runs post one verdict per
-  /// query).  Throws std::logic_error when the transport has no bulletin
-  /// attached.
+  /// query).
   virtual void post_public(std::int64_t value) = 0;
   [[nodiscard]] virtual std::int64_t await_public() = 0;
 };
@@ -95,24 +89,22 @@ class ChannelStepScope {
   obs::Span span_;  // after step_: named by it, closed while it is alive
 };
 
-/// Channel over the deterministic in-process Network.
+/// A party's endpoint on the in-process Network.  Sends are recorded by the
+/// Network under this channel's step.  Without a wait hook, recv and
+/// await_public block in the Network until data arrives or its deadline
+/// passes.
 class NetworkChannel final : public Channel {
  public:
-  /// `timing_stats` receives add_step_time() calls (traffic accounting is
-  /// Network's own job); may be null.
-  NetworkChannel(Network& net, std::string self,
-                 TrafficStats* timing_stats = nullptr);
+  NetworkChannel(Network& net, std::string self);
 
-  /// Installed by the party runner: called before a recv that would find
-  /// the (from -> self) link empty, so the party can yield until the peer
-  /// has sent.  Without a hook, recv inherits Network's throw-on-empty.
-  void set_wait_hook(std::function<void(const std::string& from)> hook);
-  /// Installed by the party runner: the shared public bulletin.
-  void set_public_hooks(std::function<void(std::int64_t)> post,
-                        std::function<std::int64_t()> await);
-  /// Installed by the party runner: total-bytes counter (runner-owned; all
-  /// writes are serialized by the runner's scheduling).
-  void set_byte_counter(std::size_t* counter);
+  /// Called before every recv or await_public with what the party awaits
+  /// (a peer's name, or "public signal") and a test that holds once the
+  /// wait can complete; returns when it holds.  The party runner's
+  /// deterministic schedule installs one to pass its baton while a party
+  /// waits.
+  using WaitHook = std::function<void(const std::string& awaited,
+                                      const std::function<bool()>& ready)>;
+  void set_wait_hook(WaitHook hook);
 
   [[nodiscard]] const std::string& self() const override { return self_; }
   void send(const std::string& to, MessageWriter message) override;
@@ -128,43 +120,8 @@ class NetworkChannel final : public Channel {
   Network& net_;
   std::string self_;
   std::string step_;
-  TrafficStats* timing_stats_;
-  std::function<void(const std::string&)> wait_hook_;
-  std::function<void(std::int64_t)> post_hook_;
-  std::function<std::int64_t()> await_hook_;
-  std::size_t* byte_counter_ = nullptr;
-};
-
-/// Channel over BlockingNetwork for parties on real threads.  Step-tagged
-/// traffic accounting happens here (BlockingNetwork itself only counts raw
-/// bytes); TrafficStats is internally locked, so concurrent channels may
-/// share one stats object directly.
-class BlockingChannel final : public Channel {
- public:
-  BlockingChannel(BlockingNetwork& net, std::string self,
-                  TrafficStats* stats = nullptr);
-
-  /// Installed by the party runner: the shared public bulletin.
-  void set_public_hooks(std::function<void(std::int64_t)> post,
-                        std::function<std::int64_t()> await);
-
-  [[nodiscard]] const std::string& self() const override { return self_; }
-  void send(const std::string& to, MessageWriter message) override;
-  [[nodiscard]] MessageReader recv(const std::string& from) override;
-  void set_step(std::string step) override { step_ = std::move(step); }
-  [[nodiscard]] const std::string& step() const override { return step_; }
-  void add_step_time(const std::string& step,
-                     std::chrono::nanoseconds elapsed) override;
-  void post_public(std::int64_t value) override;
-  [[nodiscard]] std::int64_t await_public() override;
-
- private:
-  BlockingNetwork& net_;
-  std::string self_;
-  std::string step_;
-  TrafficStats* stats_;
-  std::function<void(std::int64_t)> post_hook_;
-  std::function<std::int64_t()> await_hook_;
+  std::size_t public_cursor_ = 0;  // next bulletin entry to read
+  WaitHook wait_hook_;
 };
 
 }  // namespace pcl

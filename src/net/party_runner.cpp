@@ -6,7 +6,6 @@
 #include <stdexcept>
 #include <thread>
 
-#include "net/blocking_network.h"
 #include "net/tcp_runner.h"
 #include "obs/flight.h"
 
@@ -14,29 +13,35 @@ namespace pcl {
 
 namespace {
 
-/// Thrown through a party program when the deterministic scheduler aborts
-/// the run (deadlock, or a peer failed and the party would wait forever).
+/// Thrown through a party program when the baton scheduler unwinds the
+/// run (deadlock, or a peer failed and the party would wait forever).
 /// Never escapes the runner.
 struct AbortRun {};
 
 constexpr int kScheduler = -1;
 
-/// Cooperative baton scheduler: party programs run on real threads, but a
-/// single mutex/condition-variable pair guarantees at most one is ever
-/// runnable, and the handoff policy (lowest-index runnable party) is
-/// deterministic.  See the header comment for why.
-class DeterministicEngine {
+/// Runs every party on its own thread over one Network, under either
+/// in-memory schedule (see the header comment).  On the deterministic
+/// schedule a single mutex/condition-variable pair guarantees at most one
+/// party is ever runnable, and the handoff policy (lowest-index runnable
+/// party) is deterministic; on the threaded schedule the parties run
+/// freely and wait in the Network.
+class PartyEngine {
  public:
-  DeterministicEngine(Network& net, std::span<const Party> parties,
-                      TrafficStats* timing_stats,
-                      obs::TraceSink* trace = nullptr,
-                      obs::MetricsRegistry* metrics = nullptr)
+  PartyEngine(Network& net, std::span<const Party> parties,
+              PartyTransport schedule, obs::TraceSink* trace = nullptr,
+              obs::MetricsRegistry* metrics = nullptr)
       : net_(net),
         parties_(parties),
-        timing_stats_(timing_stats),
+        baton_(schedule == PartyTransport::kDeterministic),
         trace_(trace),
         metrics_(metrics),
-        states_(parties.size()) {}
+        states_(parties.size()) {
+    if (schedule == PartyTransport::kTcp) {
+      throw std::invalid_argument(
+          "run_parties: a Network runs the in-memory schedules only");
+    }
+  }
 
   void run() {
     std::vector<std::thread> threads;
@@ -44,60 +49,41 @@ class DeterministicEngine {
     for (std::size_t i = 0; i < parties_.size(); ++i) {
       threads.emplace_back([this, i] { party_main(i); });
     }
-    schedule();
+    if (baton_) schedule();
     for (std::thread& t : threads) t.join();
-    rethrow_outcome();
+    net_.reopen();
+    if (first_error_) std::rethrow_exception(first_error_);
+    if (!deadlock_description_.empty()) {
+      throw std::logic_error(deadlock_description_);
+    }
   }
-
-  [[nodiscard]] std::size_t bytes_sent() const { return bytes_sent_; }
 
  private:
   struct PartyState {
     bool done = false;
-    bool blocked_on_link = false;
-    bool blocked_on_public = false;
-    std::string waiting_from;
-    std::size_t public_cursor = 0;  // next bulletin entry to consume
-    std::exception_ptr error;
-    std::size_t error_seq = 0;
+    /// Set while the party waits for the baton: what it awaits, and the
+    /// test that makes it runnable again.
+    const std::string* awaited = nullptr;
+    const std::function<bool()>* ready = nullptr;
   };
 
   void party_main(std::size_t i) {
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      cv_.wait(lock,
-               [&] { return active_ == static_cast<int>(i) || aborting_; });
-      if (aborting_) {
-        states_[i].done = true;
-        cv_.notify_all();
-        return;
-      }
-    }
+    if (baton_ && !wait_first_turn(i)) return;
     const obs::ObserverScope obs_scope(trace_, metrics_, parties_[i].name);
-    NetworkChannel chan(net_, parties_[i].name, timing_stats_);
-    chan.set_byte_counter(&bytes_sent_);
-    chan.set_wait_hook(
-        [this, i](const std::string& from) { wait_for_message(i, from); });
-    chan.set_public_hooks(
-        [this](std::int64_t value) { post_public(value); },
-        [this, i] { return await_public(i); });
+    NetworkChannel chan(net_, parties_[i].name);
+    if (baton_) {
+      chan.set_wait_hook(
+          [this, i](const std::string& awaited,
+                    const std::function<bool()>& ready) {
+            wait_turn(i, awaited, ready);
+          });
+    }
     try {
       parties_[i].run(chan);
     } catch (const AbortRun&) {
-      // Scheduler-induced unwind after a peer failure or deadlock; the
-      // root cause is reported by rethrow_outcome().
+      // Baton-induced unwind after a peer failure or deadlock.
     } catch (...) {
-      // Timeline marker for the flight recorder: a drained post-mortem
-      // trace shows which party's program actually threw.
-      obs::FlightRecorder::note(
-          ("party failed: " + parties_[i].name).c_str());
-      const std::lock_guard<std::mutex> lock(mutex_);
-      states_[i].error = std::current_exception();
-      states_[i].error_seq = next_error_seq_++;
-      // One failed party dooms the run (its peers would wait forever, and
-      // any message they still sent would outlive the protocol); unwind
-      // everyone now so no stale traffic is left behind.
-      aborting_ = true;
+      fail(i, std::current_exception());
     }
     {
       const std::lock_guard<std::mutex> lock(mutex_);
@@ -107,56 +93,60 @@ class DeterministicEngine {
     cv_.notify_all();
   }
 
-  /// Channel wait hook: yield the baton until (from -> self) has a message.
-  void wait_for_message(std::size_t i, const std::string& from) {
+  /// The failure rule: the first error ends the run.  Closing the network
+  /// unwinds every peer waiting in it (threaded schedule) and the abort
+  /// flag every peer waiting for the baton; the errors those unwinds throw
+  /// arrive after the first and are dropped.
+  void fail(std::size_t i, std::exception_ptr error) {
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      if (aborting_) return;
+      first_error_ = std::move(error);
+      aborting_ = true;
+    }
+    // Timeline marker for the flight recorder: a drained post-mortem trace
+    // shows which party's program actually threw.
+    obs::FlightRecorder::note(("party failed: " + parties_[i].name).c_str());
+    net_.close();
+    cv_.notify_all();
+  }
+
+  /// Baton schedule: a party thread's first turn.  False when the run was
+  /// aborted before the party ever ran.
+  bool wait_first_turn(std::size_t i) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    cv_.wait(lock,
+             [&] { return active_ == static_cast<int>(i) || aborting_; });
+    if (!aborting_) return true;
+    states_[i].done = true;
+    lock.unlock();
+    cv_.notify_all();
+    return false;
+  }
+
+  /// Baton schedule's wait hook: yield until `ready()` holds.
+  void wait_turn(std::size_t i, const std::string& awaited,
+                 const std::function<bool()>& ready) {
     std::unique_lock<std::mutex> lock(mutex_);
     PartyState& st = states_[i];
-    while (!net_.has_pending(parties_[i].name, from)) {
-      st.blocked_on_link = true;
-      st.waiting_from = from;
+    while (!ready()) {
+      st.awaited = &awaited;
+      st.ready = &ready;
       active_ = kScheduler;
       cv_.notify_all();
       cv_.wait(lock,
                [&] { return active_ == static_cast<int>(i) || aborting_; });
+      st.awaited = nullptr;
+      st.ready = nullptr;
       if (aborting_) throw AbortRun{};
-      st.blocked_on_link = false;
     }
-  }
-
-  // The bulletin is an ordered log: posts append, and every party consumes
-  // the sequence through its own cursor (one entry per await).  Lane-batched
-  // runs post one verdict per query; a sequential run posts once and each
-  // party awaits once, reproducing the old single-shot behavior.
-  void post_public(std::int64_t value) {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    public_values_.push_back(value);
-  }
-
-  [[nodiscard]] std::int64_t await_public(std::size_t i) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    PartyState& st = states_[i];
-    while (st.public_cursor >= public_values_.size()) {
-      st.blocked_on_public = true;
-      active_ = kScheduler;
-      cv_.notify_all();
-      cv_.wait(lock,
-               [&] { return active_ == static_cast<int>(i) || aborting_; });
-      if (aborting_) throw AbortRun{};
-      st.blocked_on_public = false;
-    }
-    return public_values_[st.public_cursor++];
   }
 
   [[nodiscard]] bool runnable(std::size_t i) const {
     const PartyState& st = states_[i];
     if (st.done) return false;
-    if (st.blocked_on_link) {
-      return net_.has_pending(parties_[i].name, st.waiting_from);
-    }
-    if (st.blocked_on_public) {
-      return st.public_cursor < public_values_.size();
-    }
-    return true;  // not yet started, or ready at a handoff point
+    // Not yet started, ready at a handoff point, or waiting on a condition.
+    return st.ready == nullptr || (*st.ready)();
   }
 
   [[nodiscard]] bool all_done() const {
@@ -170,11 +160,7 @@ class DeterministicEngine {
     std::unique_lock<std::mutex> lock(mutex_);
     for (;;) {
       if (all_done()) return;
-      if (aborting_) {
-        cv_.notify_all();
-        cv_.wait(lock, [&] { return all_done(); });
-        return;
-      }
+      if (aborting_) break;
       int pick = kScheduler;
       for (std::size_t i = 0; i < states_.size(); ++i) {
         if (runnable(i)) {
@@ -189,41 +175,23 @@ class DeterministicEngine {
         for (std::size_t i = 0; i < states_.size(); ++i) {
           const PartyState& st = states_[i];
           if (st.done) continue;
-          deadlock_description_ += " [" + parties_[i].name + " awaits " +
-                                   (st.blocked_on_public ? "public signal"
-                                                         : st.waiting_from) +
-                                   "]";
+          deadlock_description_ +=
+              " [" + parties_[i].name + " awaits " + *st.awaited + "]";
         }
         aborting_ = true;
-        cv_.notify_all();
-        cv_.wait(lock, [&] { return all_done(); });
-        return;
+        break;
       }
       active_ = pick;
       cv_.notify_all();
       cv_.wait(lock, [&] { return active_ == kScheduler; });
     }
-  }
-
-  /// After join: surface the earliest party error (schedule order), else a
-  /// deadlock diagnosis.
-  void rethrow_outcome() {
-    const PartyState* first = nullptr;
-    for (const PartyState& st : states_) {
-      if (st.error &&
-          (first == nullptr || st.error_seq < first->error_seq)) {
-        first = &st;
-      }
-    }
-    if (first != nullptr) std::rethrow_exception(first->error);
-    if (!deadlock_description_.empty()) {
-      throw std::logic_error(deadlock_description_);
-    }
+    cv_.notify_all();
+    cv_.wait(lock, [&] { return all_done(); });
   }
 
   Network& net_;
   std::span<const Party> parties_;
-  TrafficStats* timing_stats_;
+  bool baton_;
   obs::TraceSink* trace_;
   obs::MetricsRegistry* metrics_;
 
@@ -231,97 +199,10 @@ class DeterministicEngine {
   std::condition_variable cv_;
   int active_ = kScheduler;
   bool aborting_ = false;
-  std::vector<std::int64_t> public_values_;  // ordered bulletin log
-  std::size_t next_error_seq_ = 0;
+  std::exception_ptr first_error_;
   std::vector<PartyState> states_;
   std::string deadlock_description_;
-  std::size_t bytes_sent_ = 0;  // written only by the active party
 };
-
-/// Ordered bulletin log for the threaded transport.  Posts append; each
-/// party reads the sequence through its own cursor (captured in its public
-/// hooks), one entry per await.
-class SharedPublicSignal {
- public:
-  explicit SharedPublicSignal(std::chrono::milliseconds timeout)
-      : timeout_(timeout) {}
-
-  void post(std::int64_t value) {
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      values_.push_back(value);
-    }
-    cv_.notify_all();
-  }
-
-  [[nodiscard]] std::int64_t await(std::size_t index) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    if (!cv_.wait_for(lock, timeout_,
-                      [&] { return values_.size() > index; })) {
-      throw RecvTimeoutError(
-          "party runner: timed out awaiting the public signal");
-    }
-    return values_[index];
-  }
-
- private:
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  std::vector<std::int64_t> values_;
-  std::chrono::milliseconds timeout_;
-};
-
-[[nodiscard]] bool is_timeout_error(const std::exception_ptr& error) {
-  try {
-    std::rethrow_exception(error);
-  } catch (const ChannelTimeout&) {  // covers RecvTimeoutError
-    return true;
-  } catch (...) {
-    return false;
-  }
-}
-
-PartyRunReport run_threaded(std::span<const Party> parties,
-                            const PartyRunOptions& options) {
-  BlockingNetwork net(options.recv_timeout);
-  SharedPublicSignal signal(options.recv_timeout);
-  std::vector<std::exception_ptr> errors(parties.size());
-
-  std::vector<std::thread> threads;
-  threads.reserve(parties.size());
-  for (std::size_t i = 0; i < parties.size(); ++i) {
-    threads.emplace_back([&, i] {
-      const obs::ObserverScope obs_scope(options.trace, options.metrics,
-                                         parties[i].name);
-      BlockingChannel chan(net, parties[i].name, options.stats);
-      chan.set_public_hooks(
-          [&signal](std::int64_t value) { signal.post(value); },
-          [&signal, cursor = std::size_t{0}]() mutable {
-            return signal.await(cursor++);
-          });
-      try {
-        parties[i].run(chan);
-      } catch (...) {
-        errors[i] = std::current_exception();
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
-
-  // A party that dies mid-protocol starves its peers into recv timeouts;
-  // prefer the non-timeout error as the root cause.
-  for (const std::exception_ptr& error : errors) {
-    if (error && !is_timeout_error(error)) std::rethrow_exception(error);
-  }
-  for (const std::exception_ptr& error : errors) {
-    if (error) std::rethrow_exception(error);
-  }
-
-  PartyRunReport report;
-  report.undelivered = net.pending_total();
-  report.bytes_sent = net.bytes_sent();
-  return report;
-}
 
 }  // namespace
 
@@ -330,24 +211,20 @@ PartyRunReport run_parties(std::span<const Party> parties,
   if (options.transport == PartyTransport::kTcp) {
     return run_parties_tcp_loopback(parties, options);
   }
-  if (options.transport == PartyTransport::kThreaded) {
-    return run_threaded(parties, options);
-  }
-  Network net(options.stats);
+  Network net(options.stats, options.recv_timeout);
   net.record_transcript(options.record_transcript);
-  DeterministicEngine engine(net, parties, options.stats, options.trace,
-                             options.metrics);
-  engine.run();
+  PartyEngine(net, parties, options.transport, options.trace, options.metrics)
+      .run();
   PartyRunReport report;
   report.transcript = net.transcript();
   report.undelivered = net.pending_total();
-  report.bytes_sent = engine.bytes_sent();
+  report.bytes_sent = net.bytes_sent();
   return report;
 }
 
-void run_parties_deterministic(Network& net, std::span<const Party> parties) {
-  DeterministicEngine engine(net, parties, nullptr);
-  engine.run();
+void run_parties(Network& net, std::span<const Party> parties,
+                 PartyTransport schedule) {
+  PartyEngine(net, parties, schedule).run();
 }
 
 std::uint64_t derive_party_seed(std::uint64_t seed, std::uint64_t index) {

@@ -1,34 +1,40 @@
-// Party runner — executes a set of per-party protocol programs over either
-// transport.
+// Party runner — executes a set of per-party protocol programs.
 //
 // A `Party` is a name plus a program written against `Channel` (see
 // net/channel.h).  The runner owns everything deployment-shaped that the
-// programs must not contain: transport construction, scheduling, the public
-// bulletin, error collection, and traffic/transcript reporting.  Protocol
-// code never constructs a `Network` or `BlockingNetwork` itself (lint rule
-// PC006 enforces this outside src/net/ and the thin runner files).
+// programs must not contain: transport construction, scheduling, error
+// collection, and traffic/transcript reporting.  Protocol code never
+// constructs a `Network` itself (lint rule PC006 enforces this outside
+// src/net/ and the thin runner files).
 //
-// Deterministic transport (`kDeterministic`): parties run as cooperative
-// threads over the in-process `Network`, serialized by a single baton — at
-// most one party executes at any instant, and when a party blocks (recv on
-// an empty link, or awaiting the bulletin) the runnable party with the
-// lowest index resumes.  This makes the interleaving — and therefore the
-// transcript order and every shared-Rng consumption order — a pure function
-// of the protocol, reproducing the synchronous reference drivers exactly
-// while running genuinely unmodified party programs.  The mutex handoffs
-// give every cross-party access a happens-before edge, so the same code is
-// TSan-clean.
+// The two in-memory schedules run one engine over one `Network`, each party
+// on its own thread with a NetworkChannel:
 //
-// Threaded transport (`kThreaded`): one preemptive thread per party over
-// `BlockingNetwork`, interleaving driven by data availability exactly as
-// TCP endpoints would.  Per-step traffic totals are byte-identical to the
-// deterministic transport for the same party programs and seeds (totals are
-// order-independent; payloads depend only on each party's own Rng stream).
+//   * Deterministic (`kDeterministic`): a single baton serializes the
+//     parties — at most one executes at any instant, and when a party waits
+//     (recv on an empty link, or awaiting the bulletin) the runnable party
+//     with the lowest index resumes.  The interleaving — and therefore the
+//     transcript order and every shared-Rng consumption order — is a pure
+//     function of the protocol, and a run where every party waits is
+//     diagnosed as a deadlock with its wait graph.  The mutex handoffs give
+//     every cross-party access a happens-before edge, so the same code is
+//     TSan-clean.
+//   * Threaded (`kThreaded`): the parties run freely, interleaved by data
+//     availability as TCP endpoints would be; waits block in the Network
+//     until its deadline.  Per-step traffic totals are byte-identical to
+//     the deterministic schedule for the same party programs and seeds
+//     (totals are order-independent; payloads depend only on each party's
+//     own Rng stream).
+//
+// Both schedules share one failure rule: the first error a party throws
+// ends the run, every peer blocked in a recv or an await unwinds at once
+// (those unwinds are not errors), and the runner rethrows that first error.
 //
 // TCP transport (`kTcp`): one thread per party over REAL loopback sockets
 // (net/tcp_runner.h) — the single-machine rehearsal of the multi-process
 // deployment that tools/pc_party forks for real.  Same byte-identity
-// contract as kThreaded.
+// contract as kThreaded; it keeps its own root-cause ranking, since a
+// socket peer's failure reaches the others as EOF or a timeout.
 #pragma once
 
 #include <chrono>
@@ -54,9 +60,10 @@ enum class PartyTransport { kDeterministic, kThreaded, kTcp };
 
 struct PartyRunOptions {
   PartyTransport transport = PartyTransport::kDeterministic;
-  /// Receives per-step traffic (both transports) and add_step_time calls.
+  /// Receives per-step traffic (every transport) and add_step_time calls.
   TrafficStats* stats = nullptr;
-  /// Capture per-message metadata (deterministic transport only).
+  /// Capture per-message metadata (in-memory schedules; its order is a
+  /// function of the protocol only under kDeterministic).
   bool record_transcript = false;
   /// Per-recv deadline for the threaded and TCP transports (on kTcp it
   /// also bounds connect/accept/send, so one knob caps every stall).
@@ -70,7 +77,7 @@ struct PartyRunOptions {
 };
 
 struct PartyRunReport {
-  /// Send-ordered metadata (deterministic transport with record_transcript).
+  /// Send-ordered metadata (in-memory schedules with record_transcript).
   std::vector<TranscriptEntry> transcript;
   /// Messages still queued after every party returned (0 for a complete
   /// protocol).
@@ -80,19 +87,20 @@ struct PartyRunReport {
 };
 
 /// Runs the parties over a runner-owned transport chosen by `options`.
-/// Rethrows the root-cause party error if any program throws: on the
-/// deterministic transport the first error in schedule order, on the
-/// threaded transport preferring a non-timeout error (a party that dies
-/// mid-protocol surfaces as its peers' recv timeouts).  Throws
-/// std::logic_error on deadlock (deterministic transport).
+/// On the in-memory schedules a party's error ends the run and is
+/// rethrown (see the file comment); a deterministic run in which every
+/// party waits throws std::logic_error naming the wait graph.  On kTcp the
+/// root-cause error is preferred over the EOFs and timeouts it causes.
 PartyRunReport run_parties(std::span<const Party> parties,
                            const PartyRunOptions& options);
 
-/// Same deterministic engine over a caller-owned Network: the form the
-/// synchronous reference drivers (dgk_compare_geq, secure_sum,
-/// BlindPermuteSession) use, so existing call sites keep their Network,
-/// its ambient step label, and its attached TrafficStats.
-void run_parties_deterministic(Network& net, std::span<const Party> parties);
+/// The same engine over a caller-owned Network, for the reference drivers
+/// (dgk_compare_geq, secure_sum, BlindPermuteSession): the caller keeps
+/// its Network, its ambient step label, its deadline and its attached
+/// TrafficStats.  `schedule` is kDeterministic or kThreaded; kTcp throws
+/// std::invalid_argument.
+void run_parties(Network& net, std::span<const Party> parties,
+                 PartyTransport schedule);
 
 /// Splitmix64-style derivation of one party's seed from a query seed; used
 /// so every transport hands party `index` an identical Rng stream.

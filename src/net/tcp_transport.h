@@ -1,9 +1,10 @@
 // Real POSIX TCP transport — the frame codec, sockets and handshake that
 // every TCP connection in the tree goes through.
 //
-// The in-process transports (Network, BlockingNetwork) model the paper's
-// two-server topology inside one address space; these pieces carry the
-// same party programs across genuine process boundaries:
+// The in-process transport (Network, under either of the party runner's
+// schedules) models the paper's two-server topology inside one address
+// space; these pieces carry the same party programs across genuine process
+// boundaries:
 //
 //   * Frame codec — every unit on the wire is a length-prefixed frame
 //     [kind u8 | step_len u32 | payload_len u32 | step | payload] carrying

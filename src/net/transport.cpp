@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "net/errors.h"
+
 namespace pcl {
 
 namespace {
@@ -107,17 +109,34 @@ void TrafficStats::clear() {
   time_.clear();
 }
 
+void Network::set_step(std::string step) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  step_ = std::move(step);
+}
+
+std::string Network::step() const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return step_;
+}
+
 void Network::send(const std::string& from, const std::string& to,
-                   MessageWriter message) {
+                   MessageWriter message, const std::string& step) {
   std::vector<std::uint8_t> bytes = std::move(message).take();
-  if (stats_ != nullptr) stats_->record_send(step_, from, to, bytes.size());
-  if (record_transcript_) {
-    transcript_.push_back({step_, from, to, bytes.size()});
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    const std::string& label = step.empty() ? step_ : step;
+    if (stats_ != nullptr) stats_->record_send(label, from, to, bytes.size());
+    if (record_transcript_) {
+      transcript_.push_back({label, from, to, bytes.size()});
+    }
+    bytes_sent_ += bytes.size();
+    queues_[{from, to}].push_back(std::move(bytes));
   }
-  queues_[{from, to}].push_back(std::move(bytes));
+  changed_.notify_all();
 }
 
 MessageReader Network::recv(const std::string& to, const std::string& from) {
+  const std::lock_guard<std::mutex> lock(mutex_);
   const auto it = queues_.find({from, to});
   if (it == queues_.end() || it->second.empty()) {
     throw std::logic_error("Network::recv: no pending message from '" + from +
@@ -128,16 +147,92 @@ MessageReader Network::recv(const std::string& to, const std::string& from) {
   return MessageReader(std::move(bytes));
 }
 
+template <typename Ready, typename Describe>
+void Network::wait(std::unique_lock<std::mutex>& lock, Ready ready,
+                   Describe what) {
+  if (!changed_.wait_for(lock, recv_timeout_,
+                         [&] { return ready() || closed_; })) {
+    throw ChannelTimeout("Network: timed out " + what());
+  }
+  if (!ready()) throw ChannelClosed("Network: closed while " + what());
+}
+
+MessageReader Network::wait_recv(const std::string& to,
+                                 const std::string& from) {
+  std::unique_lock<std::mutex> lock(mutex_);
+  auto& queue = queues_[{from, to}];
+  wait(lock, [&queue] { return !queue.empty(); },
+       [&] { return "waiting for '" + from + "' -> '" + to + "'"; });
+  std::vector<std::uint8_t> bytes = std::move(queue.front());
+  queue.pop_front();
+  return MessageReader(std::move(bytes));
+}
+
 bool Network::has_pending(const std::string& to,
                           const std::string& from) const {
+  const std::lock_guard<std::mutex> lock(mutex_);
   const auto it = queues_.find({from, to});
   return it != queues_.end() && !it->second.empty();
 }
 
 std::size_t Network::pending_total() const {
+  const std::lock_guard<std::mutex> lock(mutex_);
   std::size_t total = 0;
   for (const auto& [link, queue] : queues_) total += queue.size();
   return total;
+}
+
+std::size_t Network::bytes_sent() const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return bytes_sent_;
+}
+
+void Network::add_step_time(const std::string& step,
+                            std::chrono::nanoseconds elapsed) {
+  if (stats_ != nullptr) stats_->add_time(step, elapsed);
+}
+
+void Network::post_public(std::int64_t value) {
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    bulletin_.push_back(value);
+  }
+  changed_.notify_all();
+}
+
+bool Network::has_public(std::size_t index) const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return index < bulletin_.size();
+}
+
+std::int64_t Network::await_public(std::size_t index) {
+  std::unique_lock<std::mutex> lock(mutex_);
+  wait(lock, [&] { return index < bulletin_.size(); },
+       [] { return std::string("awaiting the public signal"); });
+  return bulletin_[index];
+}
+
+void Network::close() {
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    closed_ = true;
+  }
+  changed_.notify_all();
+}
+
+void Network::reopen() {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  closed_ = false;
+}
+
+void Network::record_transcript(bool enable) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  record_transcript_ = enable;
+}
+
+std::vector<TranscriptEntry> Network::transcript() const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return transcript_;
 }
 
 }  // namespace pcl

@@ -1,14 +1,19 @@
-// In-process simulated network with full cost accounting.
+// In-process network with full cost accounting — the one in-memory
+// transport.
 //
 // Parties exchange serialized Messages through a Network object.  Every send
-// is tagged with the current protocol step, so the per-step communication
-// table (paper Table II) and per-step timing table (paper Table I) fall out
-// of the same run.  The transport is synchronous and deterministic: a recv
-// pops the oldest pending message on the (from, to) link and throws if none
-// is pending — protocols are driven so sends always precede their recvs.
+// is tagged with the sending party's protocol step, so the per-step
+// communication table (paper Table II) and per-step timing table (paper
+// Table I) fall out of the same run.  A recv pops the oldest pending
+// message on the (from, to) link and throws if none is pending; a wait_recv
+// blocks until one arrives.  The party runner (net/party_runner.h) drives
+// parties over one Network on either schedule: under its deterministic
+// baton every wait is satisfied before it reaches the Network, and on free
+// threads the Network's own waits do the blocking.
 #pragma once
 
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -22,8 +27,9 @@
 namespace pcl {
 
 /// Aggregated traffic and timing per protocol step.  Internally locked:
-/// writers on the threaded transport race each other and readers (a bench
-/// polling totals, a reporting thread), so every accessor takes the mutex.
+/// writers on the threaded schedule and the TCP transport race each other
+/// and readers (a bench polling totals, a reporting thread), so every
+/// accessor takes the mutex.
 class TrafficStats {
  public:
   struct LinkTotals {
@@ -50,7 +56,7 @@ class TrafficStats {
 
   /// One traffic row per (step, from, to) link, in deterministic (sorted)
   /// order.  Comparing two runs' entries checks byte-identical per-step
-  /// traffic — e.g. the in-process vs threaded consensus runners.
+  /// traffic — e.g. the deterministic vs threaded schedules.
   struct Entry {
     std::string step, from, to;
     std::size_t bytes = 0;
@@ -86,39 +92,83 @@ struct TranscriptEntry {
                          const TranscriptEntry&) = default;
 };
 
-/// Synchronous point-to-point message queues between named parties.
+/// Point-to-point message queues between named parties, plus the public
+/// bulletin (see net/channel.h).  One mutex guards the queues, the ambient
+/// step label, the transcript, the byte count and the bulletin log, so
+/// parties on free-running threads can share one Network.
 class Network {
  public:
-  explicit Network(TrafficStats* stats = nullptr) : stats_(stats) {}
+  /// `recv_timeout` bounds every blocking wait (wait_recv, await_public).
+  explicit Network(
+      TrafficStats* stats = nullptr,
+      std::chrono::milliseconds recv_timeout = std::chrono::seconds(30))
+      : stats_(stats), recv_timeout_(recv_timeout) {}
 
-  /// Sets the step label attached to subsequent sends (paper step names,
-  /// e.g. "Secure Comparison (4)").
-  void set_step(std::string step) { step_ = std::move(step); }
-  [[nodiscard]] const std::string& step() const { return step_; }
+  /// Sets the ambient step label (paper step names, e.g. "Secure
+  /// Comparison (4)"): the label of every send made without one.
+  void set_step(std::string step);
+  [[nodiscard]] std::string step() const;
 
+  /// Queues `message` on (from -> to) and records it under `step`, or
+  /// under the ambient label when `step` is empty.
   void send(const std::string& from, const std::string& to,
-            MessageWriter message);
+            MessageWriter message, const std::string& step = {});
+  /// Pops the oldest message on (from -> to); throws std::logic_error when
+  /// none is pending.
   [[nodiscard]] MessageReader recv(const std::string& to,
                                    const std::string& from);
+  /// Blocks until (from -> to) has a message, then pops it.  Throws
+  /// ChannelTimeout past the receive deadline and ChannelClosed while the
+  /// network is closed.
+  [[nodiscard]] MessageReader wait_recv(const std::string& to,
+                                        const std::string& from);
   [[nodiscard]] bool has_pending(const std::string& to,
                                  const std::string& from) const;
   /// Total messages still queued anywhere (protocol-completeness check).
   [[nodiscard]] std::size_t pending_total() const;
+  /// Total payload bytes ever sent.
+  [[nodiscard]] std::size_t bytes_sent() const;
+
+  /// Accumulates a step's wall time into the attached stats (Table I).
+  void add_step_time(const std::string& step,
+                     std::chrono::nanoseconds elapsed);
+
+  /// The bulletin: posts append to one ordered log, which readers walk by
+  /// index.  await_public blocks until entry `index` exists, failing like
+  /// wait_recv.
+  void post_public(std::int64_t value);
+  [[nodiscard]] bool has_public(std::size_t index) const;
+  [[nodiscard]] std::int64_t await_public(std::size_t index);
+
+  /// Makes every blocked and later wait that finds nothing throw
+  /// ChannelClosed, until reopen().  The party runner closes its network
+  /// when a party fails, so peers waiting on that party unwind at once.
+  void close();
+  void reopen();
 
   /// Enables transcript capture (metadata only — no payloads).
-  void record_transcript(bool enable) { record_transcript_ = enable; }
-  [[nodiscard]] const std::vector<TranscriptEntry>& transcript() const {
-    return transcript_;
-  }
+  void record_transcript(bool enable);
+  [[nodiscard]] std::vector<TranscriptEntry> transcript() const;
 
  private:
+  /// Blocks on `lock` until `ready()` holds; throws at the deadline or on
+  /// closure, naming the wait by `what()`.
+  template <typename Ready, typename Describe>
+  void wait(std::unique_lock<std::mutex>& lock, Ready ready, Describe what);
+
+  mutable std::mutex mutex_;
+  std::condition_variable changed_;
   std::map<std::pair<std::string, std::string>,
            std::deque<std::vector<std::uint8_t>>>
       queues_;
+  std::vector<std::int64_t> bulletin_;
   TrafficStats* stats_;
+  std::chrono::milliseconds recv_timeout_;
   std::string step_ = "(unset)";
+  bool closed_ = false;
   bool record_transcript_ = false;
   std::vector<TranscriptEntry> transcript_;
+  std::size_t bytes_sent_ = 0;
 };
 
 }  // namespace pcl

@@ -1,19 +1,23 @@
-// Channel-layer tests: party programs over NetworkChannel/BlockingChannel,
-// the deterministic baton runner, the threaded runner, and the public
-// bulletin.  The cross-transport contract — same parties, same seeds, same
-// per-step traffic — is exercised here on a toy protocol; the full
-// consensus query's version lives in consensus_threaded_test.cpp.
+// Channel-layer tests: party programs over NetworkChannel, the party
+// runner's deterministic and threaded schedules, their one failure rule,
+// and the public bulletin.  The cross-schedule contract — same parties,
+// same seeds, same per-step traffic — is exercised here on a toy protocol;
+// the full consensus query's version lives in consensus_threaded_test.cpp.
 #include "net/channel.h"
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bigint/rng.h"
+#include "net/errors.h"
 #include "net/party_runner.h"
+#include "obs/clock.h"
 
 namespace pcl {
 namespace {
@@ -45,7 +49,7 @@ TEST(PartyRunner, PingPongWithStepTags) {
          chan.send("S1", payload(20));
        }},
   };
-  run_parties_deterministic(net, parties);
+  run_parties(net, parties, PartyTransport::kDeterministic);
   EXPECT_EQ(stats.bytes_for("ping", "S1", "S2"), 10u);
   EXPECT_EQ(stats.bytes_for("pong", "S2", "S1"), 20u);
   EXPECT_EQ(net.pending_total(), 0u);
@@ -123,7 +127,7 @@ TEST(PartyRunner, DeadlockIsDiagnosed) {
       {"S2", [](Channel& chan) { (void)chan.recv("S1"); }},
   };
   try {
-    run_parties_deterministic(net, parties);
+    run_parties(net, parties, PartyTransport::kDeterministic);
     FAIL() << "cyclic waiting must be reported";
   } catch (const std::logic_error& e) {
     const std::string what = e.what();
@@ -145,7 +149,8 @@ TEST(PartyRunner, PartyErrorPropagatesAndUnwindsPeers) {
          s2_finished = true;
        }},
   };
-  EXPECT_THROW(run_parties_deterministic(net, parties), std::runtime_error);
+  EXPECT_THROW(run_parties(net, parties, PartyTransport::kDeterministic),
+               std::runtime_error);
   // The blocked peer was unwound, not left running or completed.
   EXPECT_FALSE(s2_finished);
   EXPECT_EQ(net.pending_total(), 0u);
@@ -159,7 +164,7 @@ TEST(PartyRunner, PublicBulletinReachesEveryAwaiter) {
       {"user:0", [&](Channel& chan) { seen_a = chan.await_public(); }},
       {"user:1", [&](Channel& chan) { seen_b = chan.await_public(); }},
   };
-  run_parties_deterministic(net, parties);
+  run_parties(net, parties, PartyTransport::kDeterministic);
   EXPECT_EQ(seen_a, 7);
   EXPECT_EQ(seen_b, 7);
 }
@@ -185,7 +190,7 @@ TEST(PartyRunner, PublicBulletinIsAnOrderedLog) {
          for (int i = 0; i < 3; ++i) seen_b.push_back(chan.await_public());
        }},
   };
-  run_parties_deterministic(net, parties);
+  run_parties(net, parties, PartyTransport::kDeterministic);
   const std::vector<std::int64_t> want = {1, 2, 3};
   EXPECT_EQ(seen_a, want);
   EXPECT_EQ(seen_b, want);
@@ -212,13 +217,6 @@ TEST(PartyRunner, ThreadedBulletinIsAnOrderedLog) {
   EXPECT_EQ(seen, want);
 }
 
-TEST(NetworkChannel, StandaloneHasNoBulletin) {
-  Network net;
-  NetworkChannel chan(net, "S1");
-  EXPECT_THROW(chan.post_public(1), std::logic_error);
-  EXPECT_THROW((void)chan.await_public(), std::logic_error);
-}
-
 TEST(NetworkChannel, EmptyStepInheritsAmbientNetworkStep) {
   // Synchronous drivers set their own step on the Network; a channel that
   // never sets a step must not clobber it.
@@ -237,7 +235,7 @@ TEST(NetworkChannel, EmptyStepInheritsAmbientNetworkStep) {
 
 TEST(PartyRunner, ThreadedRecvTimeoutPrefersRootCause) {
   // S2 dies with a real error; S1 then starves.  The runner must surface
-  // S2's failure, not S1's secondary RecvTimeoutError.
+  // S2's failure, not S1's secondary unwind.
   const Party parties[] = {
       {"S1", [](Channel& chan) { (void)chan.recv("S2"); }},
       {"S2", [](Channel&) { throw std::invalid_argument("root cause"); }},
@@ -253,6 +251,42 @@ TEST(PartyRunner, ThreadedRecvTimeoutPrefersRootCause) {
   }
 }
 
+TEST(PartyRunner, ThreadedFailureUnwindsBlockedPeerAtOnce) {
+  // S2 fails while S1 is blocked on it.  S1 must unwind at once, without
+  // sitting out its 5 s deadline into a ChannelTimeout, and the run must
+  // report S2's error.
+  bool s1_timed_out = false;
+  const Party parties[] = {
+      {"S1",
+       [&](Channel& chan) {
+         try {
+           (void)chan.recv("S2");
+         } catch (const ChannelTimeout&) {
+           s1_timed_out = true;
+           throw;
+         }
+       }},
+      {"S2",
+       [](Channel&) {
+         // Let S1 reach its recv first.
+         std::this_thread::sleep_for(std::chrono::milliseconds(20));
+         throw std::invalid_argument("root cause");
+       }},
+  };
+  PartyRunOptions options;
+  options.transport = PartyTransport::kThreaded;
+  options.recv_timeout = std::chrono::seconds(5);
+  const std::uint64_t start_ns = obs::monotonic_time_ns();
+  try {
+    (void)run_parties(parties, options);
+    FAIL() << "the failing party's error must propagate";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "root cause");
+  }
+  EXPECT_FALSE(s1_timed_out);
+  EXPECT_LT(obs::monotonic_time_ns() - start_ns, 2'500'000'000u);
+}
+
 TEST(PartyRunner, ThreadedAwaitTimesOutWhenNobodyPosts) {
   const Party parties[] = {
       {"user:0", [](Channel& chan) { (void)chan.await_public(); }},
@@ -260,7 +294,7 @@ TEST(PartyRunner, ThreadedAwaitTimesOutWhenNobodyPosts) {
   PartyRunOptions options;
   options.transport = PartyTransport::kThreaded;
   options.recv_timeout = std::chrono::milliseconds(50);
-  EXPECT_THROW((void)run_parties(parties, options), RecvTimeoutError);
+  EXPECT_THROW((void)run_parties(parties, options), ChannelTimeout);
 }
 
 TEST(PartyRunner, DerivePartySeedSeparatesStreams) {

@@ -292,9 +292,8 @@ TEST(ConsensusPrecompute, PackedSecureSumCutsSubmissionCiphertexts) {
   plain_net.set_step("Secure Sum (2)");
 
   const SecureSumResult packed =
-      secure_sum(packed_net, keys, to_s1, to_s2, rng, &layout);
-  const SecureSumResult plain =
-      secure_sum(plain_net, keys, to_s1, to_s2, rng);
+      secure_sum(packed_net, keys, to_s1, to_s2, 1, &layout);
+  const SecureSumResult plain = secure_sum(plain_net, keys, to_s1, to_s2, 2);
 
   ASSERT_EQ(packed.s1_aggregate.size(), 1u);
   ASSERT_EQ(plain.s1_aggregate.size(), k);

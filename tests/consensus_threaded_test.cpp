@@ -1,9 +1,10 @@
 // Full consensus queries on real threads: every party (S1, S2, |U| users)
-// runs as its own OS thread over a BlockingNetwork, and the result AND the
-// per-step traffic must be byte-identical to the deterministic in-process
-// transport for the same seed.  This is the end-to-end cross-transport
-// contract of the party-program architecture; under the tsan preset it also
-// serves as the data-race check for the whole protocol stack.
+// runs free on its own OS thread over the in-process Network, and the
+// result AND the per-step traffic must be byte-identical to the
+// deterministic schedule for the same seed.  This is the end-to-end
+// cross-transport contract of the party-program architecture; under the
+// tsan preset it also serves as the data-race check for the whole protocol
+// stack.
 #include <gtest/gtest.h>
 
 #include <optional>

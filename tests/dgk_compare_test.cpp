@@ -20,7 +20,7 @@ class DgkCompareTest : public ::testing::Test {
   bool compare(std::int64_t x, std::int64_t y, std::size_t ell) {
     Network net;
     const DgkCompareContext ctx(key_.pk, key_.sk, ell);
-    const bool result = dgk_compare_geq(net, ctx, x, y, rng_, rng_);
+    const bool result = dgk_compare_geq(net, ctx, x, y, rng_.next_u64());
     EXPECT_EQ(net.pending_total(), 0u);
     return result;
   }
@@ -89,77 +89,12 @@ TEST_F(DgkCompareTest, ContextValidation) {
   EXPECT_NO_THROW((void)DgkCompareContext(small_key.pk, small_key.sk, 4));
 }
 
-TEST_F(DgkCompareTest, SharedOutputExhaustiveSmallRange) {
-  const DgkCompareContext ctx(key_.pk, key_.sk, 5);
-  for (std::int64_t x = -8; x < 8; ++x) {
-    for (std::int64_t y = -8; y < 8; ++y) {
-      Network net;
-      const SharedComparisonBit shares =
-          dgk_compare_geq_shared(net, ctx, x, y, rng_, rng_);
-      EXPECT_EQ(shares.s1_share ^ shares.s2_share, x >= y)
-          << x << " vs " << y;
-      EXPECT_EQ(net.pending_total(), 0u);
-    }
-  }
-}
-
-TEST_F(DgkCompareTest, SharedOutputEqualityAndBoundaries) {
-  const DgkCompareContext ctx(key_.pk, key_.sk, 12);
-  for (const std::int64_t v : {0ll, 1ll, -1ll, 2047ll, -2048ll}) {
-    Network net;
-    const auto eq = dgk_compare_geq_shared(net, ctx, v, v, rng_, rng_);
-    EXPECT_TRUE(eq.s1_share ^ eq.s2_share) << v;  // x >= x
-    if (v + 1 < 2048) {
-      const auto lt = dgk_compare_geq_shared(net, ctx, v, v + 1, rng_, rng_);
-      EXPECT_FALSE(lt.s1_share ^ lt.s2_share) << v;
-    }
-  }
-}
-
-TEST_F(DgkCompareTest, SharedOutputSharesLookRandomIndividually) {
-  // Each party's share alone must carry no information: across repeated
-  // runs with the SAME inputs, S1's share (a fresh coin each run) must
-  // take both values.
-  const DgkCompareContext ctx(key_.pk, key_.sk, 8);
-  int s1_true = 0, s2_true = 0;
-  const int runs = 60;
-  for (int i = 0; i < runs; ++i) {
-    Network net;
-    const auto shares = dgk_compare_geq_shared(net, ctx, 5, 3, rng_, rng_);
-    EXPECT_TRUE(shares.s1_share ^ shares.s2_share);
-    s1_true += shares.s1_share ? 1 : 0;
-    s2_true += shares.s2_share ? 1 : 0;
-  }
-  EXPECT_GT(s1_true, runs / 5);
-  EXPECT_LT(s1_true, runs * 4 / 5);
-  EXPECT_GT(s2_true, runs / 5);
-  EXPECT_LT(s2_true, runs * 4 / 5);
-}
-
-TEST_F(DgkCompareTest, SharedOutputPlaintextSpaceValidated) {
-  // u ~ 211: ell = 62 needs u > 3*63+4 = 193 OK for plain but the shared
-  // variant needs one more bit's worth of headroom at the widest ell.
-  DeterministicRng rng(42);
-  DgkParams tiny;
-  tiny.n_bits = 160;
-  tiny.v_bits = 30;
-  tiny.plaintext_bound = 100;  // u = 101: plain ok at ell=31, shared not at 32
-  const DgkKeyPair small_key = generate_dgk_key(tiny, rng);
-  const std::uint64_t u = small_key.pk.u_value();
-  const std::size_t ell_max_plain = (u - 5) / 3;
-  const DgkCompareContext ctx(small_key.pk, small_key.sk, ell_max_plain);
-  Network net;
-  EXPECT_THROW(
-      (void)dgk_compare_geq_shared(net, ctx, 0, 0, rng, rng),
-      std::invalid_argument);
-}
-
 TEST_F(DgkCompareTest, CommunicationIsTwoCiphertextRounds) {
   TrafficStats stats;
   Network net(&stats);
   net.set_step("cmp");
   const DgkCompareContext ctx(key_.pk, key_.sk, 16);
-  (void)dgk_compare_geq(net, ctx, 3, 5, rng_, rng_);
+  (void)dgk_compare_geq(net, ctx, 3, 5, 7);
   // S2->S1: bits + result bit; S1->S2: blinded sequence.
   EXPECT_EQ(stats.messages_for("cmp", "S2", "S1"), 2u);
   EXPECT_EQ(stats.messages_for("cmp", "S1", "S2"), 1u);

@@ -9,7 +9,6 @@
 #include <thread>
 #include <vector>
 
-#include "net/blocking_network.h"
 #include "net/channel.h"
 #include "net/errors.h"
 #include "net/message.h"
@@ -103,12 +102,12 @@ TEST(Framing, FramingErrorIsAChannelError) {
   }
 }
 
-TEST(Framing, GarbageBytesOverBlockingChannelThrowTyped) {
+TEST(Framing, GarbageBytesOverNetworkChannelThrowTyped) {
   // Corrupted payload delivered through a real channel: the receiving
   // party's parse fails with FramingError, not UB.
-  BlockingNetwork net;
-  BlockingChannel a(net, "A");
-  BlockingChannel b(net, "B");
+  Network net;
+  NetworkChannel a(net, "A");
+  NetworkChannel b(net, "B");
   MessageWriter w;
   w.write_u64(std::uint64_t{1} << 62);  // claims far more than is present
   a.send("B", std::move(w));
@@ -117,10 +116,11 @@ TEST(Framing, GarbageBytesOverBlockingChannelThrowTyped) {
 }
 
 TEST(Framing, BlockingRecvDeadlineIsSharedTimeoutType) {
-  // The blocking transport's deadline surfaces as the SAME ChannelTimeout
-  // the TCP transport throws, so callers are transport-agnostic.
-  BlockingNetwork net(std::chrono::milliseconds(50));
-  BlockingChannel a(net, "A");
+  // The in-memory channel's receive deadline surfaces as the SAME
+  // ChannelTimeout the TCP transport throws, so callers are
+  // transport-agnostic.
+  Network net(nullptr, std::chrono::milliseconds(50));
+  NetworkChannel a(net, "A");
   EXPECT_THROW((void)a.recv("B"), ChannelTimeout);
 }
 

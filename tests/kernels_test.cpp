@@ -122,13 +122,15 @@ TEST(FixedMontKernel, PowExponentEdgeCases) {
 }
 
 TEST(FixedMontKernel, OpCountsArePinned) {
-  // The multiply schedule depends on the exponent alone, never on the
-  // width.  e = 2^300 - 1 takes 5-bit windows: one to_mont and 30 more
-  // table entries, 59 x 5 squarings, 59 window multiplies and one
-  // from_mont = 386.  mul_mod is one to_mont plus one multiply; e = 0 is
-  // the final from_mont alone.
+  // The multiply schedule depends on the exponent's length alone, never
+  // on its bits or the width.  A 300-bit e takes 5-bit windows: one
+  // to_mont and 30 more table entries, 59 x 5 squarings, 59 window
+  // multiplies and one from_mont = 386, whether its windows are all ones
+  // (2^300 - 1) or all zero below the top (2^299).  mul_mod is one
+  // to_mont plus one multiply; e = 0 is the final from_mont alone.
   DeterministicRng rng(17);
   const BigInt e = (BigInt(1) << 300) - BigInt(1);
+  const BigInt sparse = BigInt(1) << 299;
   for (const BigInt& m :
        {BigInt(3), odd_modulus_exact(160, rng), odd_modulus_exact(1024, rng),
         odd_modulus_exact(4160, rng)}) {
@@ -144,6 +146,9 @@ TEST(FixedMontKernel, OpCountsArePinned) {
                        reg.total(obs::Op::kBigIntModExp)};
     };
     EXPECT_EQ(count_ops([&] { (void)ctx.pow(base, e); }),
+              (std::pair<std::uint64_t, std::uint64_t>{386, 1}))
+        << m.bit_length();
+    EXPECT_EQ(count_ops([&] { (void)ctx.pow(base, sparse); }),
               (std::pair<std::uint64_t, std::uint64_t>{386, 1}))
         << m.bit_length();
     EXPECT_EQ(count_ops([&] { (void)ctx.mul_mod(base, base); }),

@@ -74,12 +74,10 @@ TEST(Robustness, CompareBitWidthContractEnforced) {
   const DgkKeyPair key = generate_dgk_key(params, rng);
   const DgkCompareContext ctx(key.pk, key.sk, 10);
   Network net;
-  EXPECT_THROW((void)dgk_compare_geq(net, ctx, 512, 0, rng, rng),
-               std::out_of_range);
+  EXPECT_THROW((void)dgk_compare_geq(net, ctx, 512, 0, 1), std::out_of_range);
   // A failed comparison must not leave stale traffic that would desync the
   // next protocol round.
-  EXPECT_THROW((void)dgk_compare_geq(net, ctx, 0, -513, rng, rng),
-               std::out_of_range);
+  EXPECT_THROW((void)dgk_compare_geq(net, ctx, 0, -513, 2), std::out_of_range);
   EXPECT_EQ(net.pending_total(), 0u);
 }
 
@@ -89,7 +87,7 @@ TEST(Robustness, SecureSumRejectsForeignCiphertextSizes) {
   Network net;
   // Ragged user submissions are rejected before any aggregation happens.
   EXPECT_THROW(
-      (void)secure_sum(net, keys, {{1, 2}, {3}}, {{1, 2}, {3, 4}}, rng),
+      (void)secure_sum(net, keys, {{1, 2}, {3}}, {{1, 2}, {3, 4}}, 1),
       std::invalid_argument);
 }
 

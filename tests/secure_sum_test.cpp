@@ -33,7 +33,7 @@ TEST_F(SecureSumTest, AggregatesShareVectors) {
     }
   }
   Network net;
-  const SecureSumResult result = secure_sum(net, keys_, to_s1, to_s2, rng_);
+  const SecureSumResult result = secure_sum(net, keys_, to_s1, to_s2, 1);
   EXPECT_EQ(decrypt_vector(keys_.s2.sk, result.s1_aggregate), expect_a);
   EXPECT_EQ(decrypt_vector(keys_.s1.sk, result.s2_aggregate), expect_b);
   EXPECT_EQ(net.pending_total(), 0u);
@@ -55,7 +55,7 @@ TEST_F(SecureSumTest, SharedVotesReconstructAcrossServers) {
     to_s2[u] = sv.b;
   }
   Network net;
-  const SecureSumResult result = secure_sum(net, keys_, to_s1, to_s2, rng_);
+  const SecureSumResult result = secure_sum(net, keys_, to_s1, to_s2, 1);
   const auto agg_a = decrypt_vector(keys_.s2.sk, result.s1_aggregate);
   const auto agg_b = decrypt_vector(keys_.s1.sk, result.s2_aggregate);
   EXPECT_EQ(reconstruct_vector(agg_a, agg_b), histogram);
@@ -64,7 +64,7 @@ TEST_F(SecureSumTest, SharedVotesReconstructAcrossServers) {
 TEST_F(SecureSumTest, SingleUser) {
   Network net;
   const SecureSumResult result =
-      secure_sum(net, keys_, {{1, -2, 3}}, {{4, 5, -6}}, rng_);
+      secure_sum(net, keys_, {{1, -2, 3}}, {{4, 5, -6}}, 1);
   EXPECT_EQ(decrypt_vector(keys_.s2.sk, result.s1_aggregate),
             (std::vector<std::int64_t>{1, -2, 3}));
   EXPECT_EQ(decrypt_vector(keys_.s1.sk, result.s2_aggregate),
@@ -73,11 +73,11 @@ TEST_F(SecureSumTest, SingleUser) {
 
 TEST_F(SecureSumTest, InputValidation) {
   Network net;
-  EXPECT_THROW((void)secure_sum(net, keys_, {}, {}, rng_),
+  EXPECT_THROW((void)secure_sum(net, keys_, {}, {}, 1),
                std::invalid_argument);
-  EXPECT_THROW((void)secure_sum(net, keys_, {{1}}, {{1}, {2}}, rng_),
+  EXPECT_THROW((void)secure_sum(net, keys_, {{1}}, {{1}, {2}}, 1),
                std::invalid_argument);
-  EXPECT_THROW((void)secure_sum(net, keys_, {{1}, {2, 3}}, {{1}, {2}}, rng_),
+  EXPECT_THROW((void)secure_sum(net, keys_, {{1}, {2, 3}}, {{1}, {2}}, 1),
                std::invalid_argument);
 }
 
@@ -88,7 +88,7 @@ TEST_F(SecureSumTest, TrafficCountsUserToServerMessages) {
   const std::size_t users = 5;
   std::vector<std::vector<std::int64_t>> to_s1(users, {1, 2, 3});
   std::vector<std::vector<std::int64_t>> to_s2(users, {4, 5, 6});
-  (void)secure_sum(net, keys_, to_s1, to_s2, rng_);
+  (void)secure_sum(net, keys_, to_s1, to_s2, 1);
   EXPECT_EQ(stats.messages_for("Secure Sum (2)", "user", "S1"), users);
   EXPECT_EQ(stats.messages_for("Secure Sum (2)", "user", "S2"), users);
   EXPECT_EQ(stats.messages_for("Secure Sum (2)", "S"), 0u);

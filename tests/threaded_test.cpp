@@ -1,9 +1,10 @@
-// Threaded party-routine tests: the concurrent deployment path must compute
-// exactly what the synchronous reference implementations compute.
-#include "mpc/threaded.h"
-
+// Threaded-schedule tests: the sub-protocol drivers run with every party on
+// its own thread must compute exactly what the plaintext oracles compute.
 #include <gtest/gtest.h>
 
+#include "mpc/dgk_compare.h"
+#include "mpc/he_util.h"
+#include "mpc/secure_sum.h"
 #include "mpc/sharing.h"
 
 namespace pcl {
@@ -19,6 +20,21 @@ class ThreadedTest : public ::testing::Test {
     dgk_ = generate_dgk_key(params, rng_);
     paillier_ = generate_server_paillier_keys(64, rng_);
   }
+
+  static bool compare(const DgkCompareContext& ctx, std::int64_t x,
+                      std::int64_t y, std::uint64_t seed) {
+    Network net;
+    return dgk_compare_geq(net, ctx, x, y, seed, PartyTransport::kThreaded);
+  }
+
+  static SecureSumResult sum(Network& net, const ServerPaillierKeys& keys,
+                             const std::vector<std::vector<std::int64_t>>& a,
+                             const std::vector<std::vector<std::int64_t>>& b,
+                             std::uint64_t seed) {
+    return secure_sum(net, keys, a, b, seed, nullptr,
+                      PartyTransport::kThreaded);
+  }
+
   DeterministicRng rng_;
   DgkKeyPair dgk_;
   ServerPaillierKeys paillier_;
@@ -32,19 +48,18 @@ TEST_F(ThreadedTest, CompareMatchesOracleOnSweep) {
         vals.uniform_in(BigInt(-500000), BigInt(500000)).to_int64();
     const std::int64_t y =
         vals.uniform_in(BigInt(-500000), BigInt(500000)).to_int64();
-    EXPECT_EQ(dgk_compare_geq_threaded(ctx, x, y, 1000 + i), x >= y)
-        << x << " vs " << y;
+    EXPECT_EQ(compare(ctx, x, y, 1000 + i), x >= y) << x << " vs " << y;
   }
 }
 
 TEST_F(ThreadedTest, CompareEdgeCases) {
   const DgkCompareContext ctx(dgk_.pk, dgk_.sk, 10);
-  EXPECT_TRUE(dgk_compare_geq_threaded(ctx, 7, 7, 1));
-  EXPECT_TRUE(dgk_compare_geq_threaded(ctx, -511, -512, 2));
-  EXPECT_FALSE(dgk_compare_geq_threaded(ctx, -512, 511, 3));
-  EXPECT_THROW((void)dgk_compare_geq_threaded(ctx, 512, 0, 4),
+  EXPECT_TRUE(compare(ctx, 7, 7, 1));
+  EXPECT_TRUE(compare(ctx, -511, -512, 2));
+  EXPECT_FALSE(compare(ctx, -512, 511, 3));
+  EXPECT_THROW((void)compare(ctx, 512, 0, 4),
                std::out_of_range);
-  EXPECT_THROW((void)dgk_compare_geq_threaded(ctx, 0, -513, 5),
+  EXPECT_THROW((void)compare(ctx, 0, -513, 5),
                std::out_of_range);
 }
 
@@ -65,11 +80,11 @@ TEST_F(ThreadedTest, SecureSumMatchesPlainTotals) {
       expect_b[i] += vb;
     }
   }
-  const ThreadedSecureSumResult result =
-      secure_sum_threaded(paillier_, to_s1, to_s2, 99);
-  EXPECT_EQ(result.s2_key_totals, expect_a);
-  EXPECT_EQ(result.s1_key_totals, expect_b);
-  EXPECT_GT(result.bytes_on_wire, users * k * 12);
+  Network net;
+  const SecureSumResult result = sum(net, paillier_, to_s1, to_s2, 99);
+  EXPECT_EQ(decrypt_vector(paillier_.s2.sk, result.s1_aggregate), expect_a);
+  EXPECT_EQ(decrypt_vector(paillier_.s1.sk, result.s2_aggregate), expect_b);
+  EXPECT_GT(net.bytes_sent(), users * k * 12);
 }
 
 TEST_F(ThreadedTest, SecureSumReconstructsSharedVotes) {
@@ -87,52 +102,19 @@ TEST_F(ThreadedTest, SecureSumReconstructsSharedVotes) {
     to_s1[u] = sv.a;
     to_s2[u] = sv.b;
   }
-  const ThreadedSecureSumResult result =
-      secure_sum_threaded(paillier_, to_s1, to_s2, 123);
-  EXPECT_EQ(reconstruct_vector(result.s2_key_totals, result.s1_key_totals),
-            histogram);
+  Network net;
+  const SecureSumResult result = sum(net, paillier_, to_s1, to_s2, 123);
+  EXPECT_EQ(
+      reconstruct_vector(decrypt_vector(paillier_.s2.sk, result.s1_aggregate),
+                         decrypt_vector(paillier_.s1.sk, result.s2_aggregate)),
+      histogram);
 }
 
 TEST_F(ThreadedTest, SecureSumValidation) {
-  EXPECT_THROW((void)secure_sum_threaded(paillier_, {}, {}, 1),
+  Network net;
+  EXPECT_THROW((void)sum(net, paillier_, {}, {}, 1), std::invalid_argument);
+  EXPECT_THROW((void)sum(net, paillier_, {{1, 2}}, {{1}}, 1),
                std::invalid_argument);
-  EXPECT_THROW(
-      (void)secure_sum_threaded(paillier_, {{1, 2}}, {{1}}, 1),
-      std::invalid_argument);
-}
-
-TEST(BlockingNetworkTest, RecvBlocksUntilSend) {
-  BlockingNetwork net;
-  std::int64_t received = 0;
-  std::thread reader([&] {
-    MessageReader msg = net.recv("B", "A");
-    received = msg.read_i64();
-  });
-  // Give the reader a chance to block first.
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  MessageWriter w;
-  w.write_i64(4242);
-  net.send("A", "B", std::move(w));
-  reader.join();
-  EXPECT_EQ(received, 4242);
-  EXPECT_EQ(net.pending_total(), 0u);
-}
-
-TEST(BlockingNetworkTest, RecvTimesOutOnMissingSend) {
-  BlockingNetwork net(std::chrono::milliseconds(50));
-  EXPECT_THROW((void)net.recv("B", "A"), std::runtime_error);
-}
-
-TEST(BlockingNetworkTest, FifoPerLink) {
-  BlockingNetwork net;
-  for (std::int64_t i = 0; i < 5; ++i) {
-    MessageWriter w;
-    w.write_i64(i);
-    net.send("A", "B", std::move(w));
-  }
-  for (std::int64_t i = 0; i < 5; ++i) {
-    EXPECT_EQ(net.recv("B", "A").read_i64(), i);
-  }
 }
 
 }  // namespace

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <thread>
+
+#include "net/errors.h"
 
 namespace pcl {
 namespace {
@@ -49,6 +52,40 @@ TEST(Network, PendingTotal) {
   EXPECT_EQ(net.pending_total(), 3u);
   (void)net.recv("S1", "user:0");
   EXPECT_EQ(net.pending_total(), 2u);
+}
+
+TEST(Network, WaitRecvBlocksUntilSend) {
+  Network net;
+  std::int64_t received = 0;
+  std::thread reader([&] {
+    MessageReader msg = net.wait_recv("B", "A");
+    received = msg.read_i64();
+  });
+  // Give the reader a chance to block first.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  MessageWriter w;
+  w.write_i64(4242);
+  net.send("A", "B", std::move(w));
+  reader.join();
+  EXPECT_EQ(received, 4242);
+  EXPECT_EQ(net.pending_total(), 0u);
+}
+
+TEST(Network, WaitRecvTimesOutOnMissingSend) {
+  Network net(nullptr, std::chrono::milliseconds(50));
+  EXPECT_THROW((void)net.wait_recv("B", "A"), ChannelTimeout);
+}
+
+TEST(Network, WaitRecvIsFifoPerLink) {
+  Network net;
+  for (std::int64_t i = 0; i < 5; ++i) {
+    MessageWriter w;
+    w.write_i64(i);
+    net.send("A", "B", std::move(w));
+  }
+  for (std::int64_t i = 0; i < 5; ++i) {
+    EXPECT_EQ(net.wait_recv("B", "A").read_i64(), i);
+  }
 }
 
 TEST(TrafficStats, BytesPerStepAndCategory) {

@@ -2,25 +2,25 @@
 #include <chrono>
 
 namespace pcl {
-class Network {};
-class BlockingNetwork {
+class Network {
  public:
-  explicit BlockingNetwork(std::chrono::milliseconds) {}
+  Network() = default;
+  explicit Network(std::chrono::milliseconds) {}
 };
 
 void forbidden_local_transport() {
   Network net;
-  BlockingNetwork blocking(std::chrono::milliseconds(10));
+  Network deadline(std::chrono::milliseconds(10));
   Network* heap = new Network();
   delete heap;
   (void)net;
-  (void)blocking;
+  (void)deadline;
 }
 
 // Taking an existing transport by reference is allowed — only construction
 // is the runner's privilege.
-void allowed_reference(Network& net, const BlockingNetwork& blocking) {
+void allowed_reference(Network& net, const Network& other) {
   (void)net;
-  (void)blocking;
+  (void)other;
 }
 }  // namespace pcl

@@ -17,9 +17,9 @@
 //                           includes.
 //   PC005 whitespace        no trailing whitespace, tab indentation, CR
 //                           endings; files end with a newline.
-//   PC006 transport-owner   Network/BlockingNetwork construction only in
-//                           src/net/; TCP transport types only in
-//                           src/net/tcp* and tools/pc_party/.
+//   PC006 transport-owner   Network construction only in src/net/; TCP
+//                           transport types only in src/net/tcp* and
+//                           tools/pc_party/.
 //   PC007 raw-timing        raw clock sources outside src/obs/ are banned;
 //                           time through obs::monotonic_time_ns().
 //   PC008 secret-taint      intra-procedural taint dataflow in src/crypto
@@ -301,8 +301,7 @@ void rule_direct_network_construction(const std::string& rel,
                                       const LexedFile& ft,
                                       bool force_in_scope,
                                       std::vector<Finding>& out) {
-  static const std::vector<std::string> kNetworkTypes = {"BlockingNetwork",
-                                                         "Network"};
+  static const std::vector<std::string> kNetworkTypes = {"Network"};
   static const std::vector<std::string> kTcpTypes = {
       "TcpChannel", "TcpListener", "TcpSocket"};
   if (force_in_scope ||

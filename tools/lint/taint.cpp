@@ -50,12 +50,14 @@ const std::set<std::string>& laundering_calls() {
 }
 
 // Variable-time BigInt entry points (sinks when fed a tainted argument).
-// pow_mod is deliberately absent: it routes through the fixed-window
-// Montgomery kernel whose schedule depends only on operand *sizes*.
+// `pow` and `pow_mod` both run Cios::pow: its multiply count follows the
+// exponent's length, but each product's final subtraction and each
+// window's table index still depend on the data, so neither spelling is
+// constant-time.
 const std::set<std::string>& variable_time_calls() {
   static const std::set<std::string> s = {
       "gcd", "lcm", "extended_gcd", "invert_mod", "div_mod", "to_string",
-      "pow",
+      "pow", "pow_mod",
   };
   return s;
 }

@@ -739,6 +739,82 @@ struct ChildResult {
   bool killed = false;  ///< true if WE killed it on deadline overrun
 };
 
+/// Reaps every child, polling until the monotonic clock passes
+/// `deadline_ns`; then the survivors are SIGKILLed and reaped as killed.
+/// Returns whether the deadline was hit.
+bool reap_children(std::map<std::string, ChildResult>& children,
+                   std::uint64_t deadline_ns) {
+  std::size_t live = children.size();
+  while (live > 0) {
+    for (auto& [role, child] : children) {
+      if (child.reaped) continue;
+      int status = 0;
+      const pid_t r = waitpid(child.pid, &status, WNOHANG);
+      if (r == 0) continue;
+      child.reaped = true;
+      --live;
+      if (r < 0) {
+        child.code = 1;
+      } else if (WIFEXITED(status)) {
+        child.code = WEXITSTATUS(status);
+      } else if (WIFSIGNALED(status)) {
+        child.code = 128 + WTERMSIG(status);
+      }
+    }
+    if (live == 0) break;
+    if (pcl::obs::monotonic_time_ns() > deadline_ns) {
+      for (auto& [role, child] : children) {
+        if (child.reaped) continue;
+        kill(child.pid, SIGKILL);
+        child.killed = true;
+        int status = 0;
+        waitpid(child.pid, &status, 0);
+        child.reaped = true;
+        child.code = 128 + SIGKILL;
+      }
+      return true;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  return false;
+}
+
+/// Compares the merged multi-process traffic rows `got` with the in-process
+/// replay's `expect`, printing each difference as "<prefix>: ..." with the
+/// merged side labeled `side`.  Each (step, from, to) row lives in exactly
+/// one file (recorded at the sender), so sorting the union reproduces
+/// traffic_entries() order.  Returns the number of differences.
+int diff_traffic(const std::vector<pcl::TrafficStats::Entry>& expect,
+                 std::vector<pcl::TrafficStats::Entry> got,
+                 const std::string& prefix, const char* side) {
+  std::sort(got.begin(), got.end(),
+            [](const pcl::TrafficStats::Entry& a,
+               const pcl::TrafficStats::Entry& b) {
+              return std::tie(a.step, a.from, a.to) <
+                     std::tie(b.step, b.from, b.to);
+            });
+  int failures = 0;
+  if (expect.size() != got.size()) {
+    std::fprintf(stderr, "%s: %zu traffic rows in-process vs %zu merged\n",
+                 prefix.c_str(), expect.size(), got.size());
+    ++failures;
+  }
+  for (std::size_t i = 0; i < expect.size() && i < got.size(); ++i) {
+    if (expect[i] == got[i]) continue;
+    std::fprintf(stderr,
+                 "%s: row %zu differs:\n"
+                 "  in-process  %s %s->%s bytes=%zu msgs=%zu\n"
+                 "  %s  %s %s->%s bytes=%zu msgs=%zu\n",
+                 prefix.c_str(), i, expect[i].step.c_str(),
+                 expect[i].from.c_str(), expect[i].to.c_str(),
+                 expect[i].bytes, expect[i].messages, side,
+                 got[i].step.c_str(), got[i].from.c_str(), got[i].to.c_str(),
+                 got[i].bytes, got[i].messages);
+    ++failures;
+  }
+  return failures;
+}
+
 /// Loads traffic-<party>.json back and appends its rows to `out`.  Returns
 /// the file's label field (nullopt = JSON null = the paper's bot).
 std::optional<int> load_traffic_json(
@@ -776,7 +852,7 @@ int check_parity(pcl::ConsensusProtocol& protocol, const Options& opt,
                  const std::vector<std::string>& roles) {
   const auto reference = protocol.run_query_seeded(
       votes, opt.seed, pcl::ConsensusTransport::kInProcess);
-  std::vector<pcl::TrafficStats::Entry> expect =
+  const std::vector<pcl::TrafficStats::Entry> expect =
       protocol.stats().traffic_entries();
 
   std::vector<pcl::TrafficStats::Entry> got;
@@ -787,14 +863,6 @@ int check_parity(pcl::ConsensusProtocol& protocol, const Options& opt,
     if (role == "S1") s1_label = label;
     if (role == "S2") s2_label = label;
   }
-  // Each (step, from, to) row lives in exactly one file (recorded at the
-  // sender), so sorting the union reproduces traffic_entries() order.
-  const auto by_key = [](const pcl::TrafficStats::Entry& a,
-                         const pcl::TrafficStats::Entry& b) {
-    return std::tie(a.step, a.from, a.to) < std::tie(b.step, b.from, b.to);
-  };
-  std::sort(got.begin(), got.end(), by_key);
-
   int failures = 0;
   if (reference.label != s1_label || reference.label != s2_label) {
     std::fprintf(stderr,
@@ -805,23 +873,7 @@ int check_parity(pcl::ConsensusProtocol& protocol, const Options& opt,
                  s2_label ? std::to_string(*s2_label).c_str() : "bot");
     ++failures;
   }
-  if (expect.size() != got.size()) {
-    std::fprintf(stderr, "parity: %zu traffic rows in-process vs %zu merged\n",
-                 expect.size(), got.size());
-    ++failures;
-  }
-  for (std::size_t i = 0; i < expect.size() && i < got.size(); ++i) {
-    if (expect[i] == got[i]) continue;
-    std::fprintf(stderr,
-                 "parity: row %zu differs:\n"
-                 "  in-process  %s %s->%s bytes=%zu msgs=%zu\n"
-                 "  multi-proc  %s %s->%s bytes=%zu msgs=%zu\n",
-                 i, expect[i].step.c_str(), expect[i].from.c_str(),
-                 expect[i].to.c_str(), expect[i].bytes, expect[i].messages,
-                 got[i].step.c_str(), got[i].from.c_str(), got[i].to.c_str(),
-                 got[i].bytes, got[i].messages);
-    ++failures;
-  }
+  failures += diff_traffic(expect, std::move(got), "parity", "multi-proc");
   if (failures != 0) return 1;
   std::printf("parity OK: %zu traffic rows byte-identical, label = %s\n",
               expect.size(),
@@ -916,45 +968,7 @@ int run_all(const Options& opt) {
       60'000'000'000ull +
       static_cast<std::uint64_t>(opt.admin.empty() ? 0 : opt.linger_ms) *
           1'000'000ull;
-  std::size_t live = children.size();
-  bool deadline_hit = false;
-  while (live > 0) {
-    for (auto& [role, child] : children) {
-      if (child.reaped) continue;
-      int status = 0;
-      const pid_t r = waitpid(child.pid, &status, WNOHANG);
-      if (r == 0) continue;
-      child.reaped = true;
-      --live;
-      if (r < 0) {
-        child.code = 1;
-      } else if (WIFEXITED(status)) {
-        child.code = WEXITSTATUS(status);
-      } else if (WIFSIGNALED(status)) {
-        child.code = 128 + WTERMSIG(status);
-      }
-    }
-    if (live == 0) break;
-    if (pcl::obs::monotonic_time_ns() - start_ns > budget_ns) {
-      deadline_hit = true;
-      for (auto& [role, child] : children) {
-        if (!child.reaped) {
-          kill(child.pid, SIGKILL);
-          child.killed = true;
-        }
-      }
-      for (auto& [role, child] : children) {
-        if (child.reaped) continue;
-        int status = 0;
-        waitpid(child.pid, &status, 0);
-        child.reaped = true;
-        child.code = 128 + SIGKILL;
-      }
-      live = 0;
-      break;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  }
+  const bool deadline_hit = reap_children(children, start_ns + budget_ns);
   const double elapsed_ms =
       static_cast<double>(pcl::obs::monotonic_time_ns() - start_ns) / 1e6;
 
@@ -1058,11 +1072,6 @@ int check_session_parity(pcl::ConsensusProtocol& protocol, const Options& opt,
   for (const pcl::TrafficStats::Entry& e : outcome.traffic->traffic_entries()) {
     got.push_back(e);
   }
-  const auto by_key = [](const pcl::TrafficStats::Entry& a,
-                         const pcl::TrafficStats::Entry& b) {
-    return std::tie(a.step, a.from, a.to) < std::tie(b.step, b.from, b.to);
-  };
-  std::sort(got.begin(), got.end(), by_key);
 
   int failures = 0;
   if (reference.label != outcome.label || reference.label != s1_label) {
@@ -1075,26 +1084,9 @@ int check_session_parity(pcl::ConsensusProtocol& protocol, const Options& opt,
         s1_label ? std::to_string(*s1_label).c_str() : "bot");
     ++failures;
   }
-  if (expect.size() != got.size()) {
-    std::fprintf(stderr,
-                 "session %u parity: %zu traffic rows in-process vs %zu "
-                 "merged\n",
-                 outcome.info.id, expect.size(), got.size());
-    ++failures;
-  }
-  for (std::size_t i = 0; i < expect.size() && i < got.size(); ++i) {
-    if (expect[i] == got[i]) continue;
-    std::fprintf(stderr,
-                 "session %u parity: row %zu differs:\n"
-                 "  in-process  %s %s->%s bytes=%zu msgs=%zu\n"
-                 "  serve-mode  %s %s->%s bytes=%zu msgs=%zu\n",
-                 outcome.info.id, i, expect[i].step.c_str(),
-                 expect[i].from.c_str(), expect[i].to.c_str(),
-                 expect[i].bytes, expect[i].messages, got[i].step.c_str(),
-                 got[i].from.c_str(), got[i].to.c_str(), got[i].bytes,
-                 got[i].messages);
-    ++failures;
-  }
+  failures += diff_traffic(
+      expect, std::move(got),
+      "session " + std::to_string(outcome.info.id) + " parity", "serve-mode");
   return failures == 0 ? 0 : 1;
 }
 
@@ -1267,41 +1259,10 @@ int run_serve_all(const Options& opt) {
       pcl::obs::monotonic_time_ns() +
       static_cast<std::uint64_t>(opt.recv_timeout_ms) * 3'000'000ull +
       60'000'000'000ull;
-  std::size_t live = children.size();
-  while (live > 0) {
-    for (auto& [role, child] : children) {
-      if (child.reaped) continue;
-      int status = 0;
-      const pid_t r = waitpid(child.pid, &status, WNOHANG);
-      if (r == 0) continue;
-      child.reaped = true;
-      --live;
-      if (r < 0) {
-        child.code = 1;
-      } else if (WIFEXITED(status)) {
-        child.code = WEXITSTATUS(status);
-      } else if (WIFSIGNALED(status)) {
-        child.code = 128 + WTERMSIG(status);
-      }
-    }
-    if (live == 0) break;
-    if (pcl::obs::monotonic_time_ns() > reap_deadline_ns) {
-      for (auto& [role, child] : children) {
-        if (child.reaped) continue;
-        kill(child.pid, SIGKILL);
-        child.killed = true;
-        int status = 0;
-        waitpid(child.pid, &status, 0);
-        child.reaped = true;
-        child.code = 128 + SIGKILL;
-      }
-      live = 0;
-      std::fprintf(stderr, "pc_party: FAIL: daemons missed the reap "
-                           "deadline\n");
-      code = 1;
-      break;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  if (reap_children(children, reap_deadline_ns)) {
+    std::fprintf(stderr, "pc_party: FAIL: daemons missed the reap "
+                         "deadline\n");
+    code = 1;
   }
   const double elapsed_ms =
       static_cast<double>(pcl::obs::monotonic_time_ns() - start_ns) / 1e6;
