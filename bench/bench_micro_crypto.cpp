@@ -11,7 +11,6 @@
 #include "crypto/dgk.h"
 #include "crypto/paillier.h"
 #include "mpc/dgk_compare.h"
-#include "net/transport.h"
 
 namespace {
 
@@ -219,9 +218,14 @@ void BM_DgkCompare(benchmark::State& state) {
   const std::size_t ell = static_cast<std::size_t>(state.range(0));
   const DgkCompareContext ctx(key.pk, key.sk, ell);
   std::int64_t x = 12345, y = -9876;
+  // The message-slot halves in protocol order, each message handed to the
+  // peer's half directly: the comparison's crypto and serialization only.
   for (auto _ : state) {
-    Network net;
-    benchmark::DoNotOptimize(dgk_compare_geq(net, ctx, x, y, rng.next_u64()));
+    MessageReader e_bits(dgk_compare_s2_bits(ctx, y, rng).take());
+    MessageReader blinded(
+        dgk_compare_s1_blind(key.pk, ell, x, e_bits, rng).take());
+    MessageWriter reply;
+    benchmark::DoNotOptimize(dgk_compare_s2_decide(ctx, blinded, reply));
     std::swap(x, y);
   }
 }

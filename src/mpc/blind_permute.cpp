@@ -1,10 +1,10 @@
 #include "mpc/blind_permute.h"
 
 #include <stdexcept>
+#include <string>
 
 #include "core/secrecy.h"
 #include "mpc/he_util.h"
-#include "net/party_runner.h"
 #include "obs/trace.h"
 
 namespace pcl {
@@ -42,6 +42,17 @@ void validate_holds(std::size_t holds, std::size_t k,
   }
 }
 
+/// A peer's plaintext vector of the k values the geometry fixes, or
+/// FramingError.
+std::vector<std::int64_t> read_values(MessageReader& msg, std::size_t k) {
+  std::vector<std::int64_t> values = msg.read_i64_vector();
+  if (values.size() != k) {
+    throw FramingError("BlindPermute: expected " + std::to_string(k) +
+                       " values, got " + std::to_string(values.size()));
+  }
+  return values;
+}
+
 }  // namespace
 
 ServerPaillierKeys generate_server_paillier_keys(std::size_t key_bits,
@@ -75,18 +86,6 @@ BlindPermuteS1::BlindPermuteS1(const PaillierKeyPair& own,
   }
 }
 
-std::vector<std::int64_t> BlindPermuteS1::run(
-    Channel& chan, const std::vector<PaillierCiphertext>& holds,
-    BlindPermuteMaskMode mode) {
-  chan.send("S2", round_open(holds, mode));
-  MessageReader permuted = chan.recv("S2");
-  std::vector<std::int64_t> out_seq;
-  chan.send("S2", round_permute(permuted, out_seq));
-  MessageReader blinded = chan.recv("S2");
-  chan.send("S2", round_close(blinded));
-  return out_seq;
-}
-
 MessageWriter BlindPermuteS1::round_open(
     const std::vector<PaillierCiphertext>& holds, BlindPermuteMaskMode mode) {
   validate_holds(holds.size(), k_, packing_);
@@ -113,7 +112,7 @@ MessageWriter BlindPermuteS1::round_open(
 MessageWriter BlindPermuteS1::round_permute(MessageReader& msg,
                                             std::vector<std::int64_t>& out_seq) {
   // -- Step 3: permute with pi1 -> pi(a + r); reply E_pk1[±r1]. --------------
-  out_seq = pi_.apply(msg.read_i64_vector());
+  out_seq = pi_.apply(read_values(msg, k_));
   const std::vector<std::int64_t> signed_r1 =
       mode_ == BlindPermuteMaskMode::kOppositeSign ? negated(round_r1_)
                                                    : round_r1_;
@@ -125,7 +124,7 @@ MessageWriter BlindPermuteS1::round_permute(MessageReader& msg,
     // carry — from here on the two modes share a wire format.  u2 is S2's
     // fresh mask, so the plaintexts are blinded shares to us.
     const std::vector<PaillierCiphertext> piggyback =
-        read_ciphertext_vector(msg);
+        read_ciphertext_vector(msg, packing_->num_cts);
     std::vector<std::int64_t> masked_b =
         decrypt_packed_vector(own_.sk, *packing_, piggyback, packed_addends_);
     for (std::size_t i = 0; i < k_; ++i) masked_b[i] += signed_r1[i];
@@ -141,9 +140,9 @@ MessageWriter BlindPermuteS1::round_permute(MessageReader& msg,
 MessageWriter BlindPermuteS1::round_close(MessageReader& msg) {
   // -- Step 5: decrypt, re-encrypt under pk2, strip r3, permute. -------------
   const std::vector<std::int64_t> blinded =
-      decrypt_vector(own_.sk, read_ciphertext_vector(msg));
+      decrypt_vector(own_.sk, read_ciphertext_vector(msg, k_));
   const std::vector<PaillierCiphertext> enc_neg_r3 =
-      read_ciphertext_vector(msg);
+      read_ciphertext_vector(msg, k_);
   std::vector<PaillierCiphertext> reenc =
       encrypt_vector(peer_pk_, blinded, rng_, peer_stream_);
   reenc = add_vectors(peer_pk_, reenc, enc_neg_r3);
@@ -153,21 +152,10 @@ MessageWriter BlindPermuteS1::round_close(MessageReader& msg) {
   return reply;
 }
 
-std::size_t BlindPermuteS1::restore(Channel& chan) {
-  MessageReader onehot = chan.recv("S2");
-  chan.send("S2", restore_mask(onehot));
-  MessageReader masked = chan.recv("S2");
-  chan.send("S2", restore_strip(masked));
-  MessageReader sealed = chan.recv("S2");
-  chan.send("S2", restore_decrypt(sealed));
-  MessageReader revealed = chan.recv("S2");
-  return restore_index(revealed);
-}
-
 MessageWriter BlindPermuteS1::restore_mask(MessageReader& msg) {
   obs::count(obs::Op::kRestorationReveal);
   // -- Step 2: undo pi1, add mask r1. ----------------------------------------
-  std::vector<PaillierCiphertext> seq = read_ciphertext_vector(msg);
+  std::vector<PaillierCiphertext> seq = read_ciphertext_vector(msg, k_);
   seq = pi_.apply_inverse(seq);
   restore_r1_ = random_mask_vector(k_, mask_bits_, rng_);
   seq = add_plain_vector(peer_pk_, seq, restore_r1_, rng_, peer_stream_);
@@ -178,7 +166,7 @@ MessageWriter BlindPermuteS1::restore_mask(MessageReader& msg) {
 
 MessageWriter BlindPermuteS1::restore_strip(MessageReader& msg) {
   // -- Step 4: strip r1, re-encrypt under pk1. -------------------------------
-  std::vector<std::int64_t> seq = msg.read_i64_vector();
+  std::vector<std::int64_t> seq = read_values(msg, k_);
   for (std::size_t i = 0; i < k_; ++i) seq[i] -= restore_r1_[i];
   MessageWriter reply;
   write_ciphertext_vector(reply,
@@ -189,7 +177,7 @@ MessageWriter BlindPermuteS1::restore_strip(MessageReader& msg) {
 MessageWriter BlindPermuteS1::restore_decrypt(MessageReader& msg) {
   // -- Step 6: decrypt and return the masked one-hot. ------------------------
   const std::vector<std::int64_t> masked =
-      decrypt_vector(own_.sk, read_ciphertext_vector(msg));
+      decrypt_vector(own_.sk, read_ciphertext_vector(msg, k_));
   MessageWriter reply;
   // pc_declassify: each entry is one-hot bit + r2, with r2 a fresh uniform
   // mask drawn by S2 and unknown to S1's peer; the sum reveals nothing about
@@ -200,7 +188,11 @@ MessageWriter BlindPermuteS1::restore_decrypt(MessageReader& msg) {
 
 std::size_t BlindPermuteS1::restore_index(MessageReader& msg) {
   // -- Step 7 (S2 side) reveals the original index. --------------------------
-  return msg.read_u64();
+  const std::uint64_t index = msg.read_u64();
+  if (index >= k_) {
+    throw FramingError("restore: revealed index out of range");
+  }
+  return index;
 }
 
 BlindPermuteS2::BlindPermuteS2(const PaillierKeyPair& own,
@@ -226,27 +218,16 @@ BlindPermuteS2::BlindPermuteS2(const PaillierKeyPair& own,
   }
 }
 
-std::vector<std::int64_t> BlindPermuteS2::run(
-    Channel& chan, const std::vector<PaillierCiphertext>& holds,
-    BlindPermuteMaskMode mode) {
-  validate_holds(holds.size(), k_, packing_);
-  MessageReader masked = chan.recv("S1");
-  chan.send("S1", round_permute(masked, holds));
-  MessageReader enc_mask = chan.recv("S1");
-  chan.send("S1", round_blind(enc_mask, holds, mode));
-  MessageReader sealed = chan.recv("S1");
-  return round_output(sealed);
-}
-
 MessageWriter BlindPermuteS2::round_permute(
     MessageReader& msg, const std::vector<PaillierCiphertext>& holds) {
   // -- Step 2: decrypt, add r2, permute with pi2, return plaintext. ----------
   std::vector<std::int64_t> seq;
   if (packing_ != nullptr) {
-    seq = decrypt_packed_vector(own_.sk, *packing_, read_ciphertext_vector(msg),
+    seq = decrypt_packed_vector(own_.sk, *packing_,
+                                read_ciphertext_vector(msg, packing_->num_cts),
                                 packed_addends_);
   } else {
-    seq = decrypt_vector(own_.sk, read_ciphertext_vector(msg));
+    seq = decrypt_vector(own_.sk, read_ciphertext_vector(msg, k_));
   }
   round_r2_ = random_mask_vector(k_, mask_bits_, rng_);
   for (std::size_t i = 0; i < k_; ++i) seq[i] += round_r2_[i];
@@ -272,7 +253,8 @@ MessageWriter BlindPermuteS2::round_blind(
     MessageReader& msg, const std::vector<PaillierCiphertext>& holds,
     BlindPermuteMaskMode mode) {
   // -- Step 4: E_pk1[b ± r1 ± r2], permute by pi2, blind with r3. ------------
-  const std::vector<PaillierCiphertext> enc_r1 = read_ciphertext_vector(msg);
+  const std::vector<PaillierCiphertext> enc_r1 =
+      read_ciphertext_vector(msg, k_);
   std::vector<PaillierCiphertext> seq;
   const std::vector<std::int64_t> signed_r2 =
       mode == BlindPermuteMaskMode::kOppositeSign ? negated(round_r2_)
@@ -280,9 +262,6 @@ MessageWriter BlindPermuteS2::round_blind(
   if (packing_ != nullptr) {
     // Packed: enc_r1 is already E_pk1[b + u2 ± r1]; strip u2 while the
     // ±r2 mask goes on.
-    if (enc_r1.size() != k_) {
-      throw std::invalid_argument("BlindPermute: sequence length mismatch");
-    }
     std::vector<std::int64_t> delta(k_);
     for (std::size_t i = 0; i < k_; ++i) delta[i] = signed_r2[i] - round_u2_[i];
     seq = add_plain_vector(peer_pk_, enc_r1, delta, rng_, peer_stream_);
@@ -304,20 +283,7 @@ MessageWriter BlindPermuteS2::round_blind(
 
 std::vector<std::int64_t> BlindPermuteS2::round_output(MessageReader& msg) {
   // -- Step 6: decrypt -> pi(b ± r). -----------------------------------------
-  return decrypt_vector(own_.sk, read_ciphertext_vector(msg));
-}
-
-std::size_t BlindPermuteS2::restore(Channel& chan,
-                                    std::size_t permuted_index) {
-  chan.send("S1", restore_open(permuted_index));
-  MessageReader masked = chan.recv("S1");
-  chan.send("S1", restore_reveal(masked));
-  MessageReader stripped = chan.recv("S1");
-  chan.send("S1", restore_unpermute(stripped));
-  MessageReader revealed = chan.recv("S1");
-  std::size_t index = k_;
-  chan.send("S1", restore_finish(revealed, index));
-  return index;
+  return decrypt_vector(own_.sk, read_ciphertext_vector(msg, k_));
 }
 
 MessageWriter BlindPermuteS2::restore_open(std::size_t permuted_index) {
@@ -336,7 +302,7 @@ MessageWriter BlindPermuteS2::restore_open(std::size_t permuted_index) {
 MessageWriter BlindPermuteS2::restore_reveal(MessageReader& msg) {
   // -- Step 3: decrypt the masked vector, return it in plaintext. ------------
   const std::vector<std::int64_t> masked =
-      decrypt_vector(own_.sk, read_ciphertext_vector(msg));
+      decrypt_vector(own_.sk, read_ciphertext_vector(msg, k_));
   MessageWriter reply;
   // pc_declassify: the vector was masked with S1's fresh uniform r1 before
   // it reached S2's key, so the plaintexts S2 returns are blinded shares.
@@ -346,7 +312,7 @@ MessageWriter BlindPermuteS2::restore_reveal(MessageReader& msg) {
 
 MessageWriter BlindPermuteS2::restore_unpermute(MessageReader& msg) {
   // -- Step 5: undo pi2, add mask r2. ----------------------------------------
-  std::vector<PaillierCiphertext> seq = read_ciphertext_vector(msg);
+  std::vector<PaillierCiphertext> seq = read_ciphertext_vector(msg, k_);
   seq = pi_.apply_inverse(seq);
   restore_r2_ = random_mask_vector(k_, mask_bits_, rng_);
   seq = add_plain_vector(peer_pk_, seq, restore_r2_, rng_, peer_stream_);
@@ -359,7 +325,7 @@ MessageWriter BlindPermuteS2::restore_finish(MessageReader& msg,
                                              std::size_t& index) {
   // -- Step 7: strip r2, locate the 1, broadcast the index. ------------------
   index = k_;
-  std::vector<std::int64_t> onehot = msg.read_i64_vector();
+  std::vector<std::int64_t> onehot = read_values(msg, k_);
   for (std::size_t i = 0; i < k_; ++i) {
     onehot[i] -= restore_r2_[i];
     if (onehot[i] == 1) index = i;
@@ -368,45 +334,6 @@ MessageWriter BlindPermuteS2::restore_finish(MessageReader& msg,
   MessageWriter reply;
   reply.write_u64(index);
   return reply;
-}
-
-BlindPermuteSession::BlindPermuteSession(Network& net,
-                                         const ServerPaillierKeys& keys,
-                                         std::size_t k, std::size_t mask_bits,
-                                         Rng& s1_rng, Rng& s2_rng)
-    : net_(net),
-      s1_(keys.s1, keys.s2.pk, k, mask_bits, s1_rng),
-      s2_(keys.s2, keys.s1.pk, k, mask_bits, s2_rng) {}
-
-BlindPermuteSession::Output BlindPermuteSession::run(
-    const std::vector<PaillierCiphertext>& s1_holds,
-    const std::vector<PaillierCiphertext>& s2_holds, MaskMode mode) {
-  Output out;
-  const Party parties[] = {
-      {"S1",
-       [&](Channel& chan) { out.s1_seq = s1_.run(chan, s1_holds, mode); }},
-      {"S2",
-       [&](Channel& chan) { out.s2_seq = s2_.run(chan, s2_holds, mode); }},
-  };
-  run_parties(net_, parties, PartyTransport::kDeterministic);
-  return out;
-}
-
-std::size_t BlindPermuteSession::restore(std::size_t permuted_index) {
-  std::size_t s1_index = 0;
-  std::size_t s2_index = 0;
-  const Party parties[] = {
-      {"S1", [&](Channel& chan) { s1_index = s1_.restore(chan); }},
-      {"S2",
-       [&](Channel& chan) { s2_index = s2_.restore(chan, permuted_index); }},
-  };
-  run_parties(net_, parties, PartyTransport::kDeterministic);
-  if (s1_index != s2_index) throw std::logic_error("restore desync");
-  return s1_index;
-}
-
-Permutation BlindPermuteSession::composed_permutation_for_testing() const {
-  return s1_.pi().compose_after(s2_.pi());
 }
 
 }  // namespace pcl

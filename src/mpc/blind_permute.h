@@ -16,13 +16,19 @@
 //                     where the comparison subtracts S2's value at the same
 //                     position and a same-sign mask cancels).
 //
-// The protocol is implemented once as two role classes over `Channel` —
-// BlindPermuteS1 and BlindPermuteS2 — each constructed from that server's
-// own key material and Rng only.  A role object retains its private
-// permutation so the same composed pi can be applied to multiple sequence
-// pairs (the vote sequence and the threshold sequence must stay aligned)
-// and so Restoration can unwind it afterwards.  BlindPermuteSession is the
-// synchronous reference driver pairing both roles over a `Network`.
+// The protocol is implemented once, as two role classes — BlindPermuteS1
+// and BlindPermuteS2 — each constructed from that server's own key
+// material and Rng only.  Their members are the message-slot halves: each
+// computes one server's work at one message boundary of Alg. 2 or Alg. 3,
+// reading the peer's message and returning its own.  The lane-batched
+// programs (mpc/consensus_batch.cpp) call them per lane in protocol order,
+// so one coalesced frame carries every lane's payload for a slot.  A role
+// object retains its private permutation so the same composed pi can be
+// applied to multiple sequence pairs (the vote sequence and the threshold
+// sequence must stay aligned) and so Restoration can unwind it afterwards.
+// Every half that reads a peer's vector requires the length the public
+// query geometry fixes for that slot (k, or layout.num_cts packed) and
+// throws FramingError otherwise.
 // Packed lanes (DESIGN.md §15): when both roles are constructed with the
 // same PackingLayout, the held aggregates are layout.num_cts packed
 // ciphertexts instead of k.  The first two slots then carry packed
@@ -41,8 +47,7 @@
 #include "crypto/paillier.h"
 #include "mpc/party_precompute.h"
 #include "mpc/permutation.h"
-#include "net/channel.h"
-#include "net/transport.h"
+#include "net/message.h"
 
 namespace pcl {
 
@@ -74,21 +79,9 @@ class BlindPermuteS1 {
                  std::size_t packed_addends = 0,
                  const PartyPrecompute* pre = nullptr);
 
-  /// Alg. 2 on one sequence pair (fresh masks, persistent pi1): returns
-  /// pi(a + r), known to S1 only.
-  [[nodiscard]] std::vector<std::int64_t> run(
-      Channel& chan, const std::vector<PaillierCiphertext>& holds,
-      BlindPermuteMaskMode mode);
-
-  /// Alg. 3, S1 side: learns the restored original index from S2.
-  [[nodiscard]] std::size_t restore(Channel& chan);
-
-  // --- Message-slot halves (lane-batched execution) -------------------------
-  // run()/restore() are exactly these halves stitched to the channel in
-  // order; mpc/consensus_batch.cpp calls them per lane so one coalesced
-  // frame can carry every lane's payload for a slot.  Each half computes
-  // precisely what the sequential protocol exchanges at that boundary, so
-  // per-lane bytes and Rng draws match the sequential run bit for bit.
+  // --- Alg. 2, one sequence pair (fresh masks, persistent pi1) ---------------
+  // S1 sends slots 1, 3 and 5; S2 sends slots 2, 4 and 6.  S1 ends with
+  // pi(a + r) (slot 3's `out_seq`), S2 with pi(b ± r) (slot 6).
 
   /// Slot 1 (S1 -> S2): draws this round's r1, returns E_pk2[a + r1]
   /// (packed mode: layout.num_cts ciphertexts, r1 composed plaintext-side).
@@ -104,13 +97,16 @@ class BlindPermuteS1 {
   /// r3 and applies pi1; returns the result for S2 to decrypt.
   [[nodiscard]] MessageWriter round_close(MessageReader& msg);
 
+  // --- Alg. 3: S2 sends slots 1, 3, 5 and 7; S1 sends slots 2, 4 and 6 ------
+
   /// Restoration slot 2: undoes pi1 and masks with a fresh r1.
   [[nodiscard]] MessageWriter restore_mask(MessageReader& msg);
   /// Restoration slot 4: strips r1, re-encrypts under pk1.
   [[nodiscard]] MessageWriter restore_strip(MessageReader& msg);
   /// Restoration slot 6: decrypts and returns the masked one-hot.
   [[nodiscard]] MessageWriter restore_decrypt(MessageReader& msg);
-  /// Restoration slot 7 (read side): the revealed original index.
+  /// Restoration slot 7 (read side): the revealed original index.  Throws
+  /// FramingError unless it is below k.
   [[nodiscard]] std::size_t restore_index(MessageReader& msg);
 
   [[nodiscard]] const Permutation& pi() const { return pi_; }
@@ -142,17 +138,7 @@ class BlindPermuteS2 {
                  std::size_t packed_addends = 0,
                  const PartyPrecompute* pre = nullptr);
 
-  /// Alg. 2: returns pi(b ± r), known to S2 only.
-  [[nodiscard]] std::vector<std::int64_t> run(
-      Channel& chan, const std::vector<PaillierCiphertext>& holds,
-      BlindPermuteMaskMode mode);
-
-  /// Alg. 3, S2 side: maps `permuted_index` back to the original index and
-  /// broadcasts it (only that index is revealed to both servers).
-  [[nodiscard]] std::size_t restore(Channel& chan, std::size_t permuted_index);
-
-  // --- Message-slot halves (lane-batched execution) -------------------------
-  // Mirror of BlindPermuteS1's halves; see the comment there.
+  // Mirror of BlindPermuteS1's halves; see the comments there.
 
   /// Slot 2: decrypts S1's masked sequence, adds a fresh r2, permutes with
   /// pi2, returns the plaintexts.  Packed mode: the decrypt unpacks
@@ -171,7 +157,9 @@ class BlindPermuteS2 {
   /// Slot 6 (read side): decrypts to pi(b ± r).
   [[nodiscard]] std::vector<std::int64_t> round_output(MessageReader& msg);
 
-  /// Restoration slot 1: the one-hot at `permuted_index`, under pk2.
+  /// Restoration slot 1: the one-hot at `permuted_index`, under pk2.  Alg.
+  /// 3 maps that position back to the original index and reveals only the
+  /// index, to both servers.
   [[nodiscard]] MessageWriter restore_open(std::size_t permuted_index);
   /// Restoration slot 3: decrypts S1's masked vector, returns plaintexts.
   [[nodiscard]] MessageWriter restore_reveal(MessageReader& msg);
@@ -198,42 +186,6 @@ class BlindPermuteS2 {
   std::vector<std::int64_t> round_r2_;    // current Alg. 2 round's mask
   std::vector<std::int64_t> round_u2_;    // packed mode: piggyback mask
   std::vector<std::int64_t> restore_r2_;  // current Alg. 3 mask
-};
-
-// --- Synchronous reference driver ------------------------------------------
-
-class BlindPermuteSession {
- public:
-  using MaskMode = BlindPermuteMaskMode;
-
-  /// Draws pi1 from s1_rng and pi2 from s2_rng for sequences of length k.
-  BlindPermuteSession(Network& net, const ServerPaillierKeys& keys,
-                      std::size_t k, std::size_t mask_bits, Rng& s1_rng,
-                      Rng& s2_rng);
-
-  struct Output {
-    std::vector<std::int64_t> s1_seq;  ///< pi(a + r), known to S1 only
-    std::vector<std::int64_t> s2_seq;  ///< pi(b ± r), known to S2 only
-  };
-
-  /// Runs Alg. 2 on one sequence pair with fresh masks.  May be called
-  /// multiple times; every call reuses the same pi1/pi2 so outputs align.
-  [[nodiscard]] Output run(const std::vector<PaillierCiphertext>& s1_holds,
-                           const std::vector<PaillierCiphertext>& s2_holds,
-                           MaskMode mode);
-
-  /// Runs Alg. 3: maps a position in the permuted sequence back to the
-  /// original index, revealing only that index to both servers.
-  [[nodiscard]] std::size_t restore(std::size_t permuted_index);
-
-  /// Test oracle: the composed permutation (not available to either server
-  /// in a real deployment).
-  [[nodiscard]] Permutation composed_permutation_for_testing() const;
-
- private:
-  Network& net_;
-  BlindPermuteS1 s1_;
-  BlindPermuteS2 s2_;
 };
 
 }  // namespace pcl

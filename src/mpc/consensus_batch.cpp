@@ -9,7 +9,6 @@
 #include "mpc/dgk_compare.h"
 #include "mpc/he_util.h"
 #include "mpc/lane_pool.h"
-#include "mpc/secure_sum.h"
 #include "mpc/sharing.h"
 #include "obs/trace.h"
 
@@ -91,7 +90,7 @@ std::vector<MessageReader> unpack_lanes(const LaneSet& set,
   }
   const std::uint64_t count = frame.read_u64();
   if (count != set.size()) {
-    throw std::logic_error("lane-batched frame: lane count mismatch");
+    throw FramingError("lane-batched frame: lane count mismatch");
   }
   parts.reserve(set.size());
   for (std::size_t i = 0; i < set.size(); ++i) {
@@ -186,18 +185,22 @@ std::vector<T*> members_of(const std::vector<LaneT*>& lanes,
 // --- Batched secure sum (steps 2 and 6) -------------------------------------
 
 /// Server side: one frame per user, each carrying every live lane's share
-/// vector; per-lane aggregation order (user 0, 1, ...) matches
-/// secure_sum_collect exactly.
+/// vector (K ciphertexts, or layout.num_cts packed); each lane folds its
+/// users' vectors in index order (user 0, 1, ...) by ciphertext
+/// multiplication (paper Eq. 1).
 void batch_collect(Channel& chan, const PaillierPublicKey& pk,
-                   std::size_t n_users, const LaneSet& set,
+                   const ConsensusQueryParams& params, const LaneSet& set,
                    const std::vector<std::vector<PaillierCiphertext>*>& aggs) {
-  for (std::size_t u = 0; u < n_users; ++u) {
+  const std::size_t width =
+      params.packed ? params.packing.num_cts : params.num_classes;
+  for (std::size_t u = 0; u < params.num_users; ++u) {
     std::vector<MessageReader> parts =
         unpack_lanes(set, chan.recv("user:" + std::to_string(u)));
     for_each_lane(set, [&](std::size_t i) {
       const LaneSpan span(set.ctx[i]);
       if (u == 0) obs::count(obs::Op::kSecureSumCollect);
-      std::vector<PaillierCiphertext> shares = read_ciphertext_vector(parts[i]);
+      std::vector<PaillierCiphertext> shares =
+          read_ciphertext_vector(parts[i], width);
       *aggs[i] = u == 0 ? std::move(shares) : add_vectors(pk, *aggs[i], shares);
     });
   }
@@ -397,8 +400,9 @@ std::vector<std::optional<std::size_t>> ConsensusS1BatchProgram::run(
   // ---- Step 2: Secure Sum of votes and threshold sequences. ---------------
   {
     ChannelStepScope scope(chan, "Secure Sum (2)", Timing::kTimed);
-    batch_collect(chan, peer_pk_, n, set, members_of(live, &Lane::votes_agg));
-    batch_collect(chan, peer_pk_, n, set,
+    batch_collect(chan, peer_pk_, params_, set,
+                  members_of(live, &Lane::votes_agg));
+    batch_collect(chan, peer_pk_, params_, set,
                   members_of(live, &Lane::thresh_agg));
   }
 
@@ -485,7 +489,8 @@ std::vector<std::optional<std::size_t>> ConsensusS1BatchProgram::run(
   // ---- Step 6: Secure Sum of noisy votes (surviving lanes only). ----------
   {
     ChannelStepScope scope(chan, "Secure Sum (6)", Timing::kTimed);
-    batch_collect(chan, peer_pk_, n, set, members_of(live, &Lane::noisy_agg));
+    batch_collect(chan, peer_pk_, params_, set,
+                  members_of(live, &Lane::noisy_agg));
   }
 
   // ---- Step 7: Blind-and-Permute under a fresh pi' per lane. --------------
@@ -592,8 +597,9 @@ std::vector<std::optional<std::size_t>> ConsensusS2BatchProgram::run(
   // S1 times every step; S2's scopes only label its own sends.
   {
     ChannelStepScope scope(chan, "Secure Sum (2)", Timing::kUntimed);
-    batch_collect(chan, peer_pk_, n, set, members_of(live, &Lane::votes_agg));
-    batch_collect(chan, peer_pk_, n, set,
+    batch_collect(chan, peer_pk_, params_, set,
+                  members_of(live, &Lane::votes_agg));
+    batch_collect(chan, peer_pk_, params_, set,
                   members_of(live, &Lane::thresh_agg));
   }
 
@@ -666,7 +672,8 @@ std::vector<std::optional<std::size_t>> ConsensusS2BatchProgram::run(
 
   {
     ChannelStepScope scope(chan, "Secure Sum (6)", Timing::kUntimed);
-    batch_collect(chan, peer_pk_, n, set, members_of(live, &Lane::noisy_agg));
+    batch_collect(chan, peer_pk_, params_, set,
+                  members_of(live, &Lane::noisy_agg));
   }
 
   for (Lane* lane : live) {

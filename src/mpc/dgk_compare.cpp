@@ -1,12 +1,13 @@
 #include "mpc/dgk_compare.h"
 
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/secrecy.h"
 #include "mpc/lane_pool.h"
 #include "mpc/permutation.h"
-#include "net/party_runner.h"
 #include "obs/trace.h"
 
 namespace pcl {
@@ -56,14 +57,17 @@ MessageWriter encrypted_bits_message(const DgkPublicKey& pk, std::uint64_t e,
   return msg;
 }
 
+/// A peer's ciphertext batch: exactly `ell` of them, or FramingError.
 std::vector<DgkCiphertext> read_ciphertext_batch(MessageReader& msg,
-                                                 std::size_t expected) {
-  const std::uint64_t count = msg.read_u64();
-  if (expected != 0 && count != expected) {
-    throw std::logic_error("DGK bit count mismatch");
+                                                 std::size_t ell) {
+  std::vector<BigInt> values = msg.read_bigint_vector();
+  if (values.size() != ell) {
+    throw FramingError("DGK comparison: expected " + std::to_string(ell) +
+                       " ciphertexts, got " + std::to_string(values.size()));
   }
-  std::vector<DgkCiphertext> out(count);
-  for (std::uint64_t i = 0; i < count; ++i) out[i] = {msg.read_bigint()};
+  std::vector<DgkCiphertext> out;
+  out.reserve(values.size());
+  for (BigInt& v : values) out.push_back({std::move(v)});
   return out;
 }
 
@@ -138,7 +142,8 @@ MessageWriter dgk_compare_s1_blind(const DgkPublicKey& pk, std::size_t ell,
 
 bool dgk_compare_s2_decide(const DgkCompareContext& ctx,
                            MessageReader& blinded, MessageWriter& reply) {
-  const std::vector<DgkCiphertext> c_seq = read_ciphertext_batch(blinded, 0);
+  const std::vector<DgkCiphertext> c_seq =
+      read_ciphertext_batch(blinded, ctx.ell);
   const bool x_geq_y = !any_zero_test(*ctx.pk, *ctx.sk, c_seq);
   // pc_declassify: the comparison bit is the DGK protocol's defined output
   // for S2 — the one sanctioned release of this subprotocol.
@@ -147,45 +152,5 @@ bool dgk_compare_s2_decide(const DgkCompareContext& ctx,
 }
 
 bool dgk_compare_read_bit(MessageReader& msg) { return msg.read_u8() != 0; }
-
-bool dgk_compare_s1_geq(Channel& chan, const DgkPublicKey& pk,
-                        std::size_t ell, std::int64_t x, Rng& rng,
-                        DgkPowerStream* bank) {
-  MessageReader e_bits = chan.recv("S2");
-  chan.send("S2", dgk_compare_s1_blind(pk, ell, x, e_bits, rng, bank));
-  MessageReader result = chan.recv("S2");
-  return dgk_compare_read_bit(result);
-}
-
-bool dgk_compare_s2_geq(Channel& chan, const DgkCompareContext& ctx,
-                        std::int64_t y, Rng& rng, DgkPowerStream* bank) {
-  chan.send("S1", dgk_compare_s2_bits(ctx, y, rng, bank));
-  MessageReader blinded = chan.recv("S1");
-  MessageWriter reply;
-  const bool x_geq_y = dgk_compare_s2_decide(ctx, blinded, reply);
-  chan.send("S1", std::move(reply));
-  return x_geq_y;
-}
-
-bool dgk_compare_geq(Network& net, const DgkCompareContext& ctx,
-                     std::int64_t x, std::int64_t y, std::uint64_t seed,
-                     PartyTransport schedule) {
-  bool s1 = false, s2 = false;
-  const Party parties[] = {
-      {"S1",
-       [&](Channel& chan) {
-         DeterministicRng rng(derive_party_seed(seed, 0));
-         s1 = dgk_compare_s1_geq(chan, *ctx.pk, ctx.ell, x, rng);
-       }},
-      {"S2",
-       [&](Channel& chan) {
-         DeterministicRng rng(derive_party_seed(seed, 1));
-         s2 = dgk_compare_s2_geq(chan, ctx, y, rng);
-       }},
-  };
-  run_parties(net, parties, schedule);
-  if (s1 != s2) throw std::logic_error("DGK result desync");
-  return s2;
-}
 
 }  // namespace pcl

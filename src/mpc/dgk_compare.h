@@ -19,23 +19,23 @@
 //   4. S2 zero-tests each ciphertext: some c_i == 0  iff  d < e.
 //      S2 reveals the bit; both output x >= y == !(d < e).
 //
-// The protocol is implemented ONCE, as the per-party role functions below
-// written against `Channel` (party names follow the repo-wide convention:
-// the roles talk to "S1"/"S2").  The `Network`-based driver runs both roles
-// through the party runner, on either of its in-memory schedules.
+// The protocol is implemented once, as the message-slot halves below: each
+// computes one party's work at one message boundary (S2's bits, S1's
+// blinded sequence, S2's decision, S1 reading the bit), taking the peer's
+// message and returning its own.  The lane-batched programs
+// (mpc/consensus_batch.cpp) call them per lane in that order, so one
+// coalesced frame carries every lane's payload for a slot.
 // Pooled mode (DESIGN.md §15): the h^r blinding powers that dominate each
-// bit encryption are input-independent, so the role functions optionally
-// draw them from a DgkPowerStream filled offline.  A null stream keeps the
-// original fresh-randomness path bit for bit.
+// bit encryption are input-independent, so the halves optionally draw them
+// from a DgkPowerStream filled offline.  A null stream keeps the
+// fresh-randomness path bit for bit.
 #pragma once
 
 #include <cstdint>
 
 #include "crypto/dgk.h"
 #include "crypto/precompute_service.h"
-#include "net/channel.h"
-#include "net/party_runner.h"
-#include "net/transport.h"
+#include "net/message.h"
 
 namespace pcl {
 
@@ -50,27 +50,12 @@ struct DgkCompareContext {
   std::size_t ell;
 };
 
-// --- Per-party roles (each takes only the party's own secrets) -------------
-
-/// S1's role: holds x and the public key only.  Receives S2's encrypted
-/// bits, returns the blinded permuted sequence, receives the revealed bit.
-/// Returns x >= y.
-[[nodiscard]] bool dgk_compare_s1_geq(Channel& chan, const DgkPublicKey& pk,
-                                      std::size_t ell, std::int64_t x,
-                                      Rng& rng,
-                                      DgkPowerStream* bank = nullptr);
-
-/// S2's role: holds y and the private key.  Returns x >= y.
-[[nodiscard]] bool dgk_compare_s2_geq(Channel& chan,
-                                      const DgkCompareContext& ctx,
-                                      std::int64_t y, Rng& rng,
-                                      DgkPowerStream* bank = nullptr);
-
-// --- Message-slot halves (lane-batched execution) ---------------------------
-// The roles above are exactly these functions stitched to
-// the channel in order; mpc/consensus_batch.cpp calls them per lane so one
-// coalesced frame carries every lane's payload for a slot.  Each computes
-// precisely the bytes and Rng draws of the sequential role at that boundary.
+// --- Message-slot halves, in protocol order ---------------------------------
+// Each half takes only its party's own secrets: S1 holds x and the public
+// key, S2 holds y and the private key.  The halves that take x or y throw
+// std::out_of_range if it lies outside [-2^(ell-1), 2^(ell-1)), and the
+// ones that read a peer's ciphertexts throw FramingError unless exactly
+// ell arrive.
 
 /// S2 slot 1: DGK-encrypts e's bits (counts kDgkCompareBit).
 [[nodiscard]] MessageWriter dgk_compare_s2_bits(const DgkCompareContext& ctx,
@@ -91,17 +76,5 @@ struct DgkCompareContext {
                                          MessageWriter& reply);
 /// S1 slot 3, read side: the revealed bit.
 [[nodiscard]] bool dgk_compare_read_bit(MessageReader& msg);
-
-// --- Reference driver -------------------------------------------------------
-
-/// Runs the comparison over `net` between parties "S1" (holding x) and
-/// "S2" (holding y and the private key) on `schedule`; S1 draws from
-/// derive_party_seed(seed, 0) and S2 from derive_party_seed(seed, 1), so
-/// no Rng is shared across parties.  Returns x >= y.  Throws
-/// std::out_of_range if |x| or |y| >= 2^(ell-1).
-[[nodiscard]] bool dgk_compare_geq(
-    Network& net, const DgkCompareContext& ctx, std::int64_t x,
-    std::int64_t y, std::uint64_t seed,
-    PartyTransport schedule = PartyTransport::kDeterministic);
 
 }  // namespace pcl

@@ -1,6 +1,8 @@
 #include "mpc/he_util.h"
 
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "crypto/precompute_service.h"
 #include "mpc/lane_pool.h"
@@ -68,6 +70,15 @@ std::vector<PaillierCiphertext> add_plain_vector(
   return out;
 }
 
+std::vector<PaillierCiphertext> secure_sum_encrypt_stream(
+    const PaillierPublicKey& pk, const std::vector<std::int64_t>& values,
+    Rng& rng, const PackingLayout* packing, PaillierPowerStream* stream) {
+  if (packing != nullptr) {
+    return encrypt_packed_vector(pk, *packing, values, 1, rng, stream);
+  }
+  return encrypt_vector(pk, values, rng, stream);
+}
+
 std::vector<PaillierCiphertext> encrypt_packed_vector(
     const PaillierPublicKey& pk, const PackingLayout& layout,
     std::span<const std::int64_t> values, std::size_t addend_count, Rng& rng,
@@ -116,11 +127,16 @@ void write_ciphertext_vector(MessageWriter& w,
   for (const PaillierCiphertext& c : cts) w.write_bigint(c.value);
 }
 
-std::vector<PaillierCiphertext> read_ciphertext_vector(MessageReader& r) {
-  const std::uint64_t n = r.read_u64();
+std::vector<PaillierCiphertext> read_ciphertext_vector(MessageReader& r,
+                                                       std::size_t count) {
+  std::vector<BigInt> values = r.read_bigint_vector();
+  if (values.size() != count) {
+    throw FramingError("ciphertext vector: expected " + std::to_string(count) +
+                       ", got " + std::to_string(values.size()));
+  }
   std::vector<PaillierCiphertext> out;
-  out.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) out.push_back({r.read_bigint()});
+  out.reserve(values.size());
+  for (BigInt& v : values) out.push_back({std::move(v)});
   return out;
 }
 

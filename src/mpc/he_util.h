@@ -1,4 +1,8 @@
-// Vector helpers over Paillier ciphertexts shared by the MPC sub-protocols.
+// Vector helpers over Paillier ciphertexts shared by the MPC sub-protocols,
+// including the users' half of secure sum (paper Alg. 5 steps 2 and 6,
+// Eq. 4): each user encrypts its S1-bound share vector under S2's key and
+// its S2-bound vector under S1's key with secure_sum_encrypt_stream, and
+// each server folds the vectors it receives with add_vectors (Eq. 1).
 //
 // Every helper that encrypts takes an optional PaillierPowerStream
 // (crypto/precompute_service.h): with one, each randomizer power is the
@@ -40,6 +44,15 @@ namespace pcl {
     std::span<const std::int64_t> delta, Rng& rng,
     PaillierPowerStream* stream = nullptr);
 
+/// One user's secure-sum submission to one server: `values` encrypted
+/// under `pk` (the other server's key, so the receiving server cannot
+/// decrypt what it aggregates) — packed into layout.num_cts ciphertexts
+/// when `packing` is non-null, else one per value — with powers from
+/// `stream` if non-null, else fresh from `rng`.
+[[nodiscard]] std::vector<PaillierCiphertext> secure_sum_encrypt_stream(
+    const PaillierPublicKey& pk, const std::vector<std::int64_t>& values,
+    Rng& rng, const PackingLayout* packing, PaillierPowerStream* stream);
+
 // --- Packed lanes (DESIGN.md §15) ------------------------------------------
 // All L per-label values of one vector ride in layout.num_cts ciphertexts
 // instead of L.  Slot arithmetic stays additive as long as each slot's
@@ -67,9 +80,13 @@ namespace pcl {
     const PaillierPrivateKey& sk, const PackingLayout& layout,
     std::span<const PaillierCiphertext> cts, std::size_t addend_count);
 
+/// Wire form: a u64 count, then each ciphertext as a BigInt.  The reader
+/// takes the count the public query geometry fixes for the vector (k, or
+/// layout.num_cts packed) and throws FramingError on any other, and on a
+/// count the remaining bytes cannot back before it allocates.
 void write_ciphertext_vector(MessageWriter& w,
                              std::span<const PaillierCiphertext> cts);
 [[nodiscard]] std::vector<PaillierCiphertext> read_ciphertext_vector(
-    MessageReader& r);
+    MessageReader& r, std::size_t count);
 
 }  // namespace pcl

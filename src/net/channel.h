@@ -1,10 +1,10 @@
 // Channel — the per-party view of a transport.
 //
-// A protocol party program (see mpc/consensus_batch.h and the role functions
-// in mpc/dgk_compare.h, mpc/secure_sum.h, mpc/blind_permute.h) is written
-// once against this interface: it knows its own name, sends to and receives
-// from named peers, and labels its traffic with the current protocol step so
-// `TrafficStats` (paper Tables I/II) reads identically off every transport.
+// A protocol party program (the lane-batched Alg. 5 programs of
+// mpc/consensus_batch.h) is written once against this interface: it knows
+// its own name, sends to and receives from named peers, and labels its
+// traffic with the current protocol step so `TrafficStats` (paper Tables
+// I/II) reads identically off every transport.
 //
 // The in-memory implementation is NetworkChannel, a party's endpoint on the
 // in-process `Network`; the party runner (net/party_runner.h) runs it under
@@ -40,9 +40,8 @@ class Channel {
   virtual void send(const std::string& to, MessageWriter message) = 0;
   [[nodiscard]] virtual MessageReader recv(const std::string& from) = 0;
 
-  /// Step label attached to subsequent sends (empty = inherit the
-  /// transport's ambient label).  Prefer ChannelStepScope over calling this
-  /// directly.
+  /// Step label attached to subsequent sends (empty = kUnsetStep, see
+  /// net/transport.h).  Prefer ChannelStepScope over calling this directly.
   virtual void set_step(std::string step) = 0;
   [[nodiscard]] virtual const std::string& step() const = 0;
 

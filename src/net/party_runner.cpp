@@ -29,19 +29,14 @@ constexpr int kScheduler = -1;
 class PartyEngine {
  public:
   PartyEngine(Network& net, std::span<const Party> parties,
-              PartyTransport schedule, obs::TraceSink* trace = nullptr,
-              obs::MetricsRegistry* metrics = nullptr)
+              PartyTransport schedule, obs::TraceSink* trace,
+              obs::MetricsRegistry* metrics)
       : net_(net),
         parties_(parties),
         baton_(schedule == PartyTransport::kDeterministic),
         trace_(trace),
         metrics_(metrics),
-        states_(parties.size()) {
-    if (schedule == PartyTransport::kTcp) {
-      throw std::invalid_argument(
-          "run_parties: a Network runs the in-memory schedules only");
-    }
-  }
+        states_(parties.size()) {}
 
   void run() {
     std::vector<std::thread> threads;
@@ -51,7 +46,6 @@ class PartyEngine {
     }
     if (baton_) schedule();
     for (std::thread& t : threads) t.join();
-    net_.reopen();
     if (first_error_) std::rethrow_exception(first_error_);
     if (!deadlock_description_.empty()) {
       throw std::logic_error(deadlock_description_);
@@ -220,11 +214,6 @@ PartyRunReport run_parties(std::span<const Party> parties,
   report.undelivered = net.pending_total();
   report.bytes_sent = net.bytes_sent();
   return report;
-}
-
-void run_parties(Network& net, std::span<const Party> parties,
-                 PartyTransport schedule) {
-  PartyEngine(net, parties, schedule).run();
 }
 
 std::uint64_t derive_party_seed(std::uint64_t seed, std::uint64_t index) {

@@ -7,8 +7,9 @@
 // constructs a `Network` itself (lint rule PC006 enforces this outside
 // src/net/ and the thin runner files).
 //
-// The two in-memory schedules run one engine over one `Network`, each party
-// on its own thread with a NetworkChannel:
+// The two in-memory schedules run one engine over one `Network` that the
+// runner builds for the run, each party on its own thread with a
+// NetworkChannel:
 //
 //   * Deterministic (`kDeterministic`): a single baton serializes the
 //     parties — at most one executes at any instant, and when a party waits
@@ -86,21 +87,14 @@ struct PartyRunReport {
   std::size_t bytes_sent = 0;
 };
 
-/// Runs the parties over a runner-owned transport chosen by `options`.
+/// Runs the parties over a transport the runner builds, chosen by
+/// `options`.
 /// On the in-memory schedules a party's error ends the run and is
 /// rethrown (see the file comment); a deterministic run in which every
 /// party waits throws std::logic_error naming the wait graph.  On kTcp the
 /// root-cause error is preferred over the EOFs and timeouts it causes.
 PartyRunReport run_parties(std::span<const Party> parties,
                            const PartyRunOptions& options);
-
-/// The same engine over a caller-owned Network, for the reference drivers
-/// (dgk_compare_geq, secure_sum, BlindPermuteSession): the caller keeps
-/// its Network, its ambient step label, its deadline and its attached
-/// TrafficStats.  `schedule` is kDeterministic or kThreaded; kTcp throws
-/// std::invalid_argument.
-void run_parties(Network& net, std::span<const Party> parties,
-                 PartyTransport schedule);
 
 /// Splitmix64-style derivation of one party's seed from a query seed; used
 /// so every transport hands party `index` an identical Rng stream.

@@ -6,13 +6,6 @@
 
 namespace pcl {
 
-namespace {
-
-// Matches the other transports' fallback label (net/channel.cpp).
-const std::string kUnsetStep = "(unset)";
-
-}  // namespace
-
 SessionChannel::SessionChannel(SessionMux& mux, SessionRoutes routes,
                                TrafficStats* stats)
     : mux_(mux), routes_(std::move(routes)), stats_(stats) {}

@@ -210,17 +210,6 @@ std::size_t SessionManager::active() const {
   return active_.size();
 }
 
-std::vector<const obs::MetricsRegistry*> SessionManager::metrics_views()
-    const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  std::vector<const obs::MetricsRegistry*> views;
-  views.push_back(&aggregate_);
-  for (const auto& [id, act] : active_) {
-    if (act.obs != nullptr) views.push_back(&act.obs->metrics);
-  }
-  return views;
-}
-
 obs::JsonValue SessionManager::metrics_json(const std::string& source) const {
   // The whole aggregation runs under the lock: finish() erases a session's
   // registry from active_ under this same mutex before freeing it, so no

@@ -139,12 +139,6 @@ class SessionManager {
   [[nodiscard]] std::vector<SessionRecord> list() const;
   [[nodiscard]] std::size_t active() const;
 
-  /// Points at every live MetricsRegistry: the manager's aggregate (closed
-  /// sessions fold their latency in) plus each ACTIVE session's own.  Valid
-  /// until the next session closes; take under a quiet moment (tests,
-  /// single-threaded callers).  The admin path uses metrics_json() instead.
-  [[nodiscard]] std::vector<const obs::MetricsRegistry*> metrics_views() const;
-
   /// Aggregate "pc-metrics-v1" snapshot built entirely under the manager's
   /// lock, so it is safe against concurrent session teardown — this is what
   /// the admin "metrics" command serves on a live daemon.

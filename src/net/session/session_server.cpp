@@ -24,53 +24,33 @@ namespace {
   return frame;
 }
 
-[[nodiscard]] std::string json_escape(const std::string& in) {
-  std::string out;
-  out.reserve(in.size());
-  for (const char c : in) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      out += ' ';
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 std::string build_sessions_json(const std::string& role, std::size_t active,
                                 const std::vector<SessionRecord>& records) {
-  std::string out = "{\n  \"schema\": \"pc-sessions-v1\",\n  \"source\": \"";
-  out += json_escape(role);
-  out += "\",\n  \"active\": ";
-  out += std::to_string(active);
-  out += ",\n  \"sessions\": [";
-  bool first = true;
+  using obs::JsonValue;
+  JsonValue::Array rows;
+  rows.reserve(records.size());
   for (const SessionRecord& r : records) {
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += "    {\"id\": ";
-    out += std::to_string(r.info.id);
-    out += ", \"state\": \"";
-    out += r.state == SessionState::kRunning
-               ? "running"
-               : (r.state == SessionState::kDone ? "done" : "failed");
-    out += "\", \"status\": \"";
-    out += json_escape(r.status);
-    out += "\", \"label\": ";
-    out += r.label.has_value() ? std::to_string(*r.label) : std::string("null");
-    out += ", \"elapsed_ms\": ";
     const std::uint64_t end =
         r.closed_ns != 0 ? r.closed_ns : obs::monotonic_time_ns();
-    out += std::to_string((end - r.opened_ns) / 1'000'000ull);
-    out += "}";
+    const std::uint64_t elapsed_ms = (end - r.opened_ns) / 1'000'000;
+    JsonValue::Object row;
+    row["id"] = JsonValue(std::uint64_t{r.info.id});
+    row["state"] = r.state == SessionState::kRunning
+                       ? "running"
+                       : (r.state == SessionState::kDone ? "done" : "failed");
+    row["status"] = r.status;
+    row["label"] = r.label.has_value() ? JsonValue(*r.label) : JsonValue();
+    row["elapsed_ms"] = JsonValue(elapsed_ms);
+    rows.emplace_back(std::move(row));
   }
-  out += first ? "]\n}\n" : "\n  ]\n}\n";
-  return out;
+  JsonValue::Object doc;
+  doc["schema"] = "pc-sessions-v1";
+  doc["source"] = role;
+  doc["active"] = JsonValue(std::uint64_t{active});
+  doc["sessions"] = std::move(rows);
+  return JsonValue(std::move(doc)).dump(2) + "\n";
 }
 
 SessionServer::SessionServer(SessionServerConfig config, Program program,

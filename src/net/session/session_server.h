@@ -78,13 +78,6 @@ class SessionServer {
   [[nodiscard]] std::vector<SessionRecord> sessions() const {
     return manager_.list();
   }
-  [[nodiscard]] std::size_t active_sessions() const {
-    return manager_.active();
-  }
-  [[nodiscard]] std::vector<const obs::MetricsRegistry*> metrics_views()
-      const {
-    return manager_.metrics_views();
-  }
   /// Teardown-safe aggregate snapshot for the admin "metrics" command.
   [[nodiscard]] obs::JsonValue metrics_json() const {
     return manager_.metrics_json(config_.role);

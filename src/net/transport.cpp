@@ -109,22 +109,12 @@ void TrafficStats::clear() {
   time_.clear();
 }
 
-void Network::set_step(std::string step) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  step_ = std::move(step);
-}
-
-std::string Network::step() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return step_;
-}
-
 void Network::send(const std::string& from, const std::string& to,
                    MessageWriter message, const std::string& step) {
   std::vector<std::uint8_t> bytes = std::move(message).take();
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    const std::string& label = step.empty() ? step_ : step;
+    const std::string& label = step.empty() ? kUnsetStep : step;
     if (stats_ != nullptr) stats_->record_send(label, from, to, bytes.size());
     if (record_transcript_) {
       transcript_.push_back({label, from, to, bytes.size()});
@@ -218,11 +208,6 @@ void Network::close() {
     closed_ = true;
   }
   changed_.notify_all();
-}
-
-void Network::reopen() {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  closed_ = false;
 }
 
 void Network::record_transcript(bool enable) {

@@ -6,10 +6,11 @@
 // communication table (paper Table II) and per-step timing table (paper
 // Table I) fall out of the same run.  A recv pops the oldest pending
 // message on the (from, to) link and throws if none is pending; a wait_recv
-// blocks until one arrives.  The party runner (net/party_runner.h) drives
-// parties over one Network on either schedule: under its deterministic
-// baton every wait is satisfied before it reaches the Network, and on free
-// threads the Network's own waits do the blocking.
+// blocks until one arrives.  The party runner (net/party_runner.h) builds
+// one Network per run and drives the parties over it on either schedule:
+// under its deterministic baton every wait is satisfied before it reaches
+// the Network, and on free threads the Network's own waits do the
+// blocking.
 #pragma once
 
 #include <chrono>
@@ -25,6 +26,9 @@
 #include "obs/export.h"
 
 namespace pcl {
+
+/// The step label of a send made without one, on every transport.
+inline const std::string kUnsetStep = "(unset)";
 
 /// Aggregated traffic and timing per protocol step.  Internally locked:
 /// writers on the threaded schedule and the TCP transport race each other
@@ -93,9 +97,9 @@ struct TranscriptEntry {
 };
 
 /// Point-to-point message queues between named parties, plus the public
-/// bulletin (see net/channel.h).  One mutex guards the queues, the ambient
-/// step label, the transcript, the byte count and the bulletin log, so
-/// parties on free-running threads can share one Network.
+/// bulletin (see net/channel.h).  One mutex guards the queues, the
+/// transcript, the byte count and the bulletin log, so parties on
+/// free-running threads can share one Network.
 class Network {
  public:
   /// `recv_timeout` bounds every blocking wait (wait_recv, await_public).
@@ -104,13 +108,9 @@ class Network {
       std::chrono::milliseconds recv_timeout = std::chrono::seconds(30))
       : stats_(stats), recv_timeout_(recv_timeout) {}
 
-  /// Sets the ambient step label (paper step names, e.g. "Secure
-  /// Comparison (4)"): the label of every send made without one.
-  void set_step(std::string step);
-  [[nodiscard]] std::string step() const;
-
-  /// Queues `message` on (from -> to) and records it under `step`, or
-  /// under the ambient label when `step` is empty.
+  /// Queues `message` on (from -> to) and records it under `step` (paper
+  /// step names, e.g. "Secure Comparison (4)"), or under kUnsetStep when
+  /// `step` is empty.
   void send(const std::string& from, const std::string& to,
             MessageWriter message, const std::string& step = {});
   /// Pops the oldest message on (from -> to); throws std::logic_error when
@@ -141,10 +141,9 @@ class Network {
   [[nodiscard]] std::int64_t await_public(std::size_t index);
 
   /// Makes every blocked and later wait that finds nothing throw
-  /// ChannelClosed, until reopen().  The party runner closes its network
-  /// when a party fails, so peers waiting on that party unwind at once.
+  /// ChannelClosed.  The party runner closes its network when a party
+  /// fails, so peers waiting on that party unwind at once.
   void close();
-  void reopen();
 
   /// Enables transcript capture (metadata only — no payloads).
   void record_transcript(bool enable);
@@ -164,7 +163,6 @@ class Network {
   std::vector<std::int64_t> bulletin_;
   TrafficStats* stats_;
   std::chrono::milliseconds recv_timeout_;
-  std::string step_ = "(unset)";
   bool closed_ = false;
   bool record_transcript_ = false;
   std::vector<TranscriptEntry> transcript_;

@@ -4,11 +4,67 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
 
 #include "mpc/he_util.h"
 
 namespace pcl {
 namespace {
+
+MessageReader deliver(MessageWriter message) {
+  return MessageReader(std::move(message).take());
+}
+
+/// Both servers' roles, run through the message slots in protocol order as
+/// the lane programs run them, each message handed straight to the peer.
+struct ServerPair {
+  ServerPair(const ServerPaillierKeys& keys, std::size_t k,
+             std::size_t mask_bits, Rng& s1_rng, Rng& s2_rng)
+      : s1(keys.s1, keys.s2.pk, k, mask_bits, s1_rng),
+        s2(keys.s2, keys.s1.pk, k, mask_bits, s2_rng) {}
+
+  struct Output {
+    std::vector<std::int64_t> s1_seq;  ///< pi(a + r), known to S1 only
+    std::vector<std::int64_t> s2_seq;  ///< pi(b ± r), known to S2 only
+  };
+
+  /// Alg. 2's six slots on one sequence pair.
+  Output run(const std::vector<PaillierCiphertext>& s1_holds,
+             const std::vector<PaillierCiphertext>& s2_holds,
+             BlindPermuteMaskMode mode) {
+    Output out;
+    MessageReader masked = deliver(s1.round_open(s1_holds, mode));
+    MessageReader permuted = deliver(s2.round_permute(masked, s2_holds));
+    MessageReader enc_mask = deliver(s1.round_permute(permuted, out.s1_seq));
+    MessageReader blinded = deliver(s2.round_blind(enc_mask, s2_holds, mode));
+    MessageReader sealed = deliver(s1.round_close(blinded));
+    out.s2_seq = s2.round_output(sealed);
+    return out;
+  }
+
+  /// Alg. 3's eight slots: both servers must learn the same index.
+  std::size_t restore(std::size_t permuted_index) {
+    MessageReader onehot = deliver(s2.restore_open(permuted_index));
+    MessageReader masked = deliver(s1.restore_mask(onehot));
+    MessageReader revealed = deliver(s2.restore_reveal(masked));
+    MessageReader stripped = deliver(s1.restore_strip(revealed));
+    MessageReader remasked = deliver(s2.restore_unpermute(stripped));
+    MessageReader decrypted = deliver(s1.restore_decrypt(remasked));
+    std::size_t s2_index = 0;
+    MessageReader index = deliver(s2.restore_finish(decrypted, s2_index));
+    const std::size_t s1_index = s1.restore_index(index);
+    EXPECT_EQ(s1_index, s2_index);
+    return s1_index;
+  }
+
+  /// Test oracle: the composed permutation, which neither server knows.
+  [[nodiscard]] Permutation composed() const {
+    return s1.pi().compose_after(s2.pi());
+  }
+
+  BlindPermuteS1 s1;
+  BlindPermuteS2 s2;
+};
 
 class BlindPermuteTest : public ::testing::Test {
  protected:
@@ -34,10 +90,8 @@ TEST_F(BlindPermuteTest, OppositeSignMasksCancelInReconstruction) {
   const std::vector<std::int64_t> b = {7, 70, -700, 7000, 70000};
   const auto [ea, eb] = encrypt_pair(a, b);
 
-  Network net;
-  BlindPermuteSession session(net, keys_, a.size(), 30, rng_, rng_);
-  const auto out =
-      session.run(ea, eb, BlindPermuteSession::MaskMode::kOppositeSign);
+  ServerPair servers(keys_, a.size(), 30, rng_, rng_);
+  const auto out = servers.run(ea, eb, BlindPermuteMaskMode::kOppositeSign);
 
   // (a+r)_i + (b-r)_i == c_i: the permuted reconstruction must be a
   // permutation of the original sums.
@@ -47,11 +101,10 @@ TEST_F(BlindPermuteTest, OppositeSignMasksCancelInReconstruction) {
     reconstructed[i] = out.s1_seq[i] + out.s2_seq[i];
     expected[i] = a[i] + b[i];
   }
-  const Permutation pi = session.composed_permutation_for_testing();
+  const Permutation pi = servers.composed();
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(reconstructed[i], expected[pi[i]]);
   }
-  EXPECT_EQ(net.pending_total(), 0u);
 }
 
 TEST_F(BlindPermuteTest, SameSignMasksCancelInCrossServerDifference) {
@@ -59,12 +112,10 @@ TEST_F(BlindPermuteTest, SameSignMasksCancelInCrossServerDifference) {
   const std::vector<std::int64_t> y = {5, -6, 7, -8};
   const auto [ex, ey] = encrypt_pair(x, y);
 
-  Network net;
-  BlindPermuteSession session(net, keys_, x.size(), 30, rng_, rng_);
-  const auto out = session.run(ex, ey,
-                               BlindPermuteSession::MaskMode::kSameSign);
+  ServerPair servers(keys_, x.size(), 30, rng_, rng_);
+  const auto out = servers.run(ex, ey, BlindPermuteMaskMode::kSameSign);
   // (x+r)_i - (y+r)_i == x_i - y_i at every permuted position.
-  const Permutation pi = session.composed_permutation_for_testing();
+  const Permutation pi = servers.composed();
   for (std::size_t i = 0; i < x.size(); ++i) {
     EXPECT_EQ(out.s1_seq[i] - out.s2_seq[i], x[pi[i]] - y[pi[i]]);
   }
@@ -80,13 +131,10 @@ TEST_F(BlindPermuteTest, SequencePairsShareOnePermutation) {
   const auto [ea1, eb1] = encrypt_pair(a1, b1);
   const auto [ea2, eb2] = encrypt_pair(a2, b2);
 
-  Network net;
-  BlindPermuteSession session(net, keys_, 6, 30, rng_, rng_);
-  const auto out1 =
-      session.run(ea1, eb1, BlindPermuteSession::MaskMode::kOppositeSign);
-  const auto out2 =
-      session.run(ea2, eb2, BlindPermuteSession::MaskMode::kOppositeSign);
-  const Permutation pi = session.composed_permutation_for_testing();
+  ServerPair servers(keys_, 6, 30, rng_, rng_);
+  const auto out1 = servers.run(ea1, eb1, BlindPermuteMaskMode::kOppositeSign);
+  const auto out2 = servers.run(ea2, eb2, BlindPermuteMaskMode::kOppositeSign);
+  const Permutation pi = servers.composed();
   for (std::size_t i = 0; i < 6; ++i) {
     EXPECT_EQ(out1.s1_seq[i] + out1.s2_seq[i], a1[pi[i]] + b1[pi[i]]);
     EXPECT_EQ(out2.s1_seq[i] + out2.s2_seq[i], a2[pi[i]] + b2[pi[i]]);
@@ -99,10 +147,8 @@ TEST_F(BlindPermuteTest, MasksActuallyDistortIndividualSequences) {
   const std::vector<std::int64_t> a = {0, 0, 0, 0, 0, 0, 0, 0};
   const std::vector<std::int64_t> b = {0, 0, 0, 0, 0, 0, 0, 0};
   const auto [ea, eb] = encrypt_pair(a, b);
-  Network net;
-  BlindPermuteSession session(net, keys_, 8, 30, rng_, rng_);
-  const auto out =
-      session.run(ea, eb, BlindPermuteSession::MaskMode::kOppositeSign);
+  ServerPair servers(keys_, 8, 30, rng_, rng_);
+  const auto out = servers.run(ea, eb, BlindPermuteMaskMode::kOppositeSign);
   // With all-zero inputs the outputs are +r and -r: non-zero with
   // overwhelming probability, and exact negations of each other.
   bool any_nonzero = false;
@@ -121,41 +167,65 @@ TEST_F(BlindPermuteTest, RestorationRecoversOriginalIndex) {
     b[i] = static_cast<std::int64_t>(i);
   }
   const auto [ea, eb] = encrypt_pair(a, b);
-  Network net;
-  BlindPermuteSession session(net, keys_, k, 30, rng_, rng_);
-  (void)session.run(ea, eb, BlindPermuteSession::MaskMode::kOppositeSign);
-  const Permutation pi = session.composed_permutation_for_testing();
+  ServerPair servers(keys_, k, 30, rng_, rng_);
+  (void)servers.run(ea, eb, BlindPermuteMaskMode::kOppositeSign);
+  const Permutation pi = servers.composed();
   for (std::size_t pos = 0; pos < k; ++pos) {
-    EXPECT_EQ(session.restore(pos), pi[pos]);
+    EXPECT_EQ(servers.restore(pos), pi[pos]);
   }
-  EXPECT_EQ(net.pending_total(), 0u);
 }
 
 TEST_F(BlindPermuteTest, RestoreValidatesIndex) {
-  Network net;
-  BlindPermuteSession session(net, keys_, 4, 30, rng_, rng_);
-  EXPECT_THROW((void)session.restore(4), std::invalid_argument);
+  ServerPair servers(keys_, 4, 30, rng_, rng_);
+  EXPECT_THROW((void)servers.restore(4), std::invalid_argument);
+}
+
+TEST_F(BlindPermuteTest, RestoreIndexRejectsIndexAtK) {
+  // Slot 7 releases S2's index as the label: S1 accepts only [0, k).
+  BlindPermuteS1 s1(keys_.s1, keys_.s2.pk, 4, 30, rng_);
+  MessageWriter at_k;
+  at_k.write_u64(4);
+  MessageReader bad = deliver(std::move(at_k));
+  EXPECT_THROW((void)s1.restore_index(bad), FramingError);
+  MessageWriter last;
+  last.write_u64(3);
+  MessageReader good = deliver(std::move(last));
+  EXPECT_EQ(s1.restore_index(good), 3u);
+}
+
+TEST_F(BlindPermuteTest, PeerSequenceOfWrongLengthIsFramingError) {
+  // k = 4 fixes every slot's length; S2 must not decrypt and return a
+  // shorter sequence, nor S1 index past a short one.
+  ServerPair servers(keys_, 4, 30, rng_, rng_);
+  const std::vector<std::int64_t> three = {1, 2, 3};
+  MessageWriter short_cts;
+  write_ciphertext_vector(short_cts, encrypt_vector(keys_.s2.pk, three, rng_));
+  const std::vector<std::uint8_t> bytes = std::move(short_cts).take();
+  MessageReader sealed(bytes);
+  EXPECT_THROW((void)servers.s2.round_output(sealed), FramingError);
+  MessageReader masked(bytes);
+  EXPECT_THROW((void)servers.s2.restore_reveal(masked), FramingError);
+  MessageWriter short_values;
+  short_values.write_i64_vector(three);
+  MessageReader revealed = deliver(std::move(short_values));
+  EXPECT_THROW((void)servers.s1.restore_strip(revealed), FramingError);
 }
 
 TEST_F(BlindPermuteTest, LengthMismatchRejected) {
   const auto [ea, eb] = encrypt_pair({1, 2, 3}, {4, 5, 6});
-  Network net;
-  BlindPermuteSession session(net, keys_, 4, 30, rng_, rng_);
-  EXPECT_THROW((void)session.run(ea, eb,
-                                 BlindPermuteSession::MaskMode::kSameSign),
+  ServerPair servers(keys_, 4, 30, rng_, rng_);
+  EXPECT_THROW((void)servers.run(ea, eb, BlindPermuteMaskMode::kSameSign),
                std::invalid_argument);
-  EXPECT_THROW(BlindPermuteSession(net, keys_, 0, 30, rng_, rng_),
-               std::invalid_argument);
+  EXPECT_THROW(ServerPair(keys_, 0, 30, rng_, rng_), std::invalid_argument);
 }
 
 TEST_F(BlindPermuteTest, PermutationIsNontrivialAcrossSessions) {
   // Statistical: across many sessions of size 6, the composed permutation
   // should not always be the identity.
-  Network net;
   int identity_count = 0;
   for (int trial = 0; trial < 20; ++trial) {
-    BlindPermuteSession session(net, keys_, 6, 30, rng_, rng_);
-    const Permutation pi = session.composed_permutation_for_testing();
+    ServerPair servers(keys_, 6, 30, rng_, rng_);
+    const Permutation pi = servers.composed();
     bool is_identity = true;
     for (std::size_t i = 0; i < 6; ++i) is_identity &= pi[i] == i;
     identity_count += is_identity ? 1 : 0;

@@ -32,7 +32,6 @@ MessageWriter payload(std::size_t bytes) {
 
 TEST(PartyRunner, PingPongWithStepTags) {
   TrafficStats stats;
-  Network net(&stats);
   const Party parties[] = {
       {"S1",
        [](Channel& chan) {
@@ -49,10 +48,12 @@ TEST(PartyRunner, PingPongWithStepTags) {
          chan.send("S1", payload(20));
        }},
   };
-  run_parties(net, parties, PartyTransport::kDeterministic);
+  PartyRunOptions options;
+  options.stats = &stats;
+  const PartyRunReport report = run_parties(parties, options);
   EXPECT_EQ(stats.bytes_for("ping", "S1", "S2"), 10u);
   EXPECT_EQ(stats.bytes_for("pong", "S2", "S1"), 20u);
-  EXPECT_EQ(net.pending_total(), 0u);
+  EXPECT_EQ(report.undelivered, 0u);
 }
 
 TEST(PartyRunner, SchedulingIsDeterministic) {
@@ -121,13 +122,12 @@ TEST(PartyRunner, ThreadedAndDeterministicTrafficAgree) {
 }
 
 TEST(PartyRunner, DeadlockIsDiagnosed) {
-  Network net;
   const Party parties[] = {
       {"S1", [](Channel& chan) { (void)chan.recv("S2"); }},
       {"S2", [](Channel& chan) { (void)chan.recv("S1"); }},
   };
   try {
-    run_parties(net, parties, PartyTransport::kDeterministic);
+    (void)run_parties(parties, PartyRunOptions{});
     FAIL() << "cyclic waiting must be reported";
   } catch (const std::logic_error& e) {
     const std::string what = e.what();
@@ -138,7 +138,6 @@ TEST(PartyRunner, DeadlockIsDiagnosed) {
 }
 
 TEST(PartyRunner, PartyErrorPropagatesAndUnwindsPeers) {
-  Network net;
   bool s2_finished = false;
   const Party parties[] = {
       {"S1",
@@ -149,22 +148,20 @@ TEST(PartyRunner, PartyErrorPropagatesAndUnwindsPeers) {
          s2_finished = true;
        }},
   };
-  EXPECT_THROW(run_parties(net, parties, PartyTransport::kDeterministic),
+  EXPECT_THROW((void)run_parties(parties, PartyRunOptions{}),
                std::runtime_error);
   // The blocked peer was unwound, not left running or completed.
   EXPECT_FALSE(s2_finished);
-  EXPECT_EQ(net.pending_total(), 0u);
 }
 
 TEST(PartyRunner, PublicBulletinReachesEveryAwaiter) {
-  Network net;
   std::int64_t seen_a = -1, seen_b = -1;
   const Party parties[] = {
       {"S1", [](Channel& chan) { chan.post_public(7); }},
       {"user:0", [&](Channel& chan) { seen_a = chan.await_public(); }},
       {"user:1", [&](Channel& chan) { seen_b = chan.await_public(); }},
   };
-  run_parties(net, parties, PartyTransport::kDeterministic);
+  (void)run_parties(parties, PartyRunOptions{});
   EXPECT_EQ(seen_a, 7);
   EXPECT_EQ(seen_b, 7);
 }
@@ -172,7 +169,6 @@ TEST(PartyRunner, PublicBulletinReachesEveryAwaiter) {
 TEST(PartyRunner, PublicBulletinIsAnOrderedLog) {
   // Multi-post: the bulletin is an ordered log, and every consumer walks it
   // through its own cursor (lane-batched runs post one verdict per query).
-  Network net;
   std::vector<std::int64_t> seen_a, seen_b;
   const Party parties[] = {
       {"S1",
@@ -190,7 +186,7 @@ TEST(PartyRunner, PublicBulletinIsAnOrderedLog) {
          for (int i = 0; i < 3; ++i) seen_b.push_back(chan.await_public());
        }},
   };
-  run_parties(net, parties, PartyTransport::kDeterministic);
+  (void)run_parties(parties, PartyRunOptions{});
   const std::vector<std::int64_t> want = {1, 2, 3};
   EXPECT_EQ(seen_a, want);
   EXPECT_EQ(seen_b, want);
@@ -217,15 +213,16 @@ TEST(PartyRunner, ThreadedBulletinIsAnOrderedLog) {
   EXPECT_EQ(seen, want);
 }
 
-TEST(NetworkChannel, EmptyStepInheritsAmbientNetworkStep) {
-  // Synchronous drivers set their own step on the Network; a channel that
-  // never sets a step must not clobber it.
+TEST(NetworkChannel, StepLessSendRecordsUnset) {
+  // A send made outside any step is recorded as "(unset)", the label every
+  // transport gives it, so a step-less send reads the same everywhere.
   TrafficStats stats;
   Network net(&stats);
-  net.set_step("ambient");
+  net.record_transcript(true);
   NetworkChannel chan(net, "S1");
   chan.send("S2", payload(4));
-  EXPECT_EQ(stats.bytes_for("ambient", "S1", "S2"), 4u);
+  EXPECT_EQ(stats.bytes_for("(unset)", "S1", "S2"), 4u);
+  EXPECT_EQ(net.transcript().front().step, "(unset)");
   {
     ChannelStepScope scope(chan, "explicit");
     chan.send("S2", payload(8));

@@ -1,8 +1,15 @@
 // Secure comparison protocol tests: exhaustive small ranges, signed and
-// boundary sweeps, and the plaintext oracle property x >= y.
+// boundary sweeps, and the plaintext oracle property x >= y.  Every
+// comparison runs the four message-slot halves in protocol order, as the
+// lane programs do, handing each message straight to the peer's half.
 #include "mpc/dgk_compare.h"
 
 #include <gtest/gtest.h>
+
+#include <utility>
+#include <vector>
+
+#include "net/party_runner.h"
 
 namespace pcl {
 namespace {
@@ -17,12 +24,24 @@ class DgkCompareTest : public ::testing::Test {
     key_ = generate_dgk_key(params, rng_);
   }
 
+  /// S1 holds x and draws from derive_party_seed(seed, 0); S2 holds y and
+  /// the private key and draws from derive_party_seed(seed, 1).  Both
+  /// sides must learn the same bit, and every message must be consumed.
   bool compare(std::int64_t x, std::int64_t y, std::size_t ell) {
-    Network net;
     const DgkCompareContext ctx(key_.pk, key_.sk, ell);
-    const bool result = dgk_compare_geq(net, ctx, x, y, rng_.next_u64());
-    EXPECT_EQ(net.pending_total(), 0u);
-    return result;
+    const std::uint64_t seed = rng_.next_u64();
+    DeterministicRng s1_rng(derive_party_seed(seed, 0));
+    DeterministicRng s2_rng(derive_party_seed(seed, 1));
+    MessageReader e_bits(dgk_compare_s2_bits(ctx, y, s2_rng).take());
+    MessageReader blinded(
+        dgk_compare_s1_blind(key_.pk, ell, x, e_bits, s1_rng).take());
+    MessageWriter reply;
+    const bool s2_result = dgk_compare_s2_decide(ctx, blinded, reply);
+    MessageReader bit(std::move(reply).take());
+    const bool s1_result = dgk_compare_read_bit(bit);
+    EXPECT_EQ(s1_result, s2_result);
+    EXPECT_TRUE(e_bits.exhausted() && blinded.exhausted() && bit.exhausted());
+    return s2_result;
   }
 
   DeterministicRng rng_;
@@ -90,16 +109,65 @@ TEST_F(DgkCompareTest, ContextValidation) {
 }
 
 TEST_F(DgkCompareTest, CommunicationIsTwoCiphertextRounds) {
-  TrafficStats stats;
-  Network net(&stats);
-  net.set_step("cmp");
-  const DgkCompareContext ctx(key_.pk, key_.sk, 16);
-  (void)dgk_compare_geq(net, ctx, 3, 5, 7);
-  // S2->S1: bits + result bit; S1->S2: blinded sequence.
-  EXPECT_EQ(stats.messages_for("cmp", "S2", "S1"), 2u);
-  EXPECT_EQ(stats.messages_for("cmp", "S1", "S2"), 1u);
-  // Each direction carries ell ciphertexts of ~n/8 bytes each.
-  EXPECT_GT(stats.bytes_for("cmp", "S1", "S2"), 16u * 12u);
+  // S2 -> S1: ell bit ciphertexts; S1 -> S2: ell blinded ciphertexts;
+  // S2 -> S1: the one-byte result.
+  const std::size_t ell = 16;
+  const DgkCompareContext ctx(key_.pk, key_.sk, ell);
+  DeterministicRng s1_rng(derive_party_seed(7, 0));
+  DeterministicRng s2_rng(derive_party_seed(7, 1));
+  const auto ciphertext_count = [](const std::vector<std::uint8_t>& bytes) {
+    MessageReader r(bytes);
+    const std::size_t n = r.read_bigint_vector().size();
+    EXPECT_TRUE(r.exhausted());
+    return n;
+  };
+
+  const std::vector<std::uint8_t> bits =
+      dgk_compare_s2_bits(ctx, 5, s2_rng).take();
+  EXPECT_EQ(ciphertext_count(bits), ell);
+  MessageReader e_bits(bits);
+  const std::vector<std::uint8_t> blinded =
+      dgk_compare_s1_blind(key_.pk, ell, 3, e_bits, s1_rng).take();
+  EXPECT_EQ(ciphertext_count(blinded), ell);
+  // Each ciphertext is ~n/8 bytes.
+  EXPECT_GT(blinded.size(), ell * 12u);
+  MessageReader blinded_in(blinded);
+  MessageWriter reply;
+  EXPECT_FALSE(dgk_compare_s2_decide(ctx, blinded_in, reply));
+  EXPECT_EQ(reply.size(), 1u);
+}
+
+TEST_F(DgkCompareTest, DecideRejectsOversizedCount) {
+  // A count of 2^62 cannot be backed by the message: rejected as framing
+  // before anything is allocated.
+  const DgkCompareContext ctx(key_.pk, key_.sk, 8);
+  MessageWriter w;
+  w.write_u64(std::uint64_t{1} << 62);
+  MessageReader blinded(std::move(w).take());
+  MessageWriter reply;
+  EXPECT_THROW((void)dgk_compare_s2_decide(ctx, blinded, reply), FramingError);
+  EXPECT_EQ(reply.size(), 0u);
+}
+
+TEST_F(DgkCompareTest, DecideRejectsEmptySequence) {
+  // An empty sequence contains no zero, so accepting it would decide
+  // x >= y without testing anything.  S2 requires exactly ell.
+  const DgkCompareContext ctx(key_.pk, key_.sk, 8);
+  MessageWriter w;
+  w.write_u64(0);
+  MessageReader blinded(std::move(w).take());
+  MessageWriter reply;
+  EXPECT_THROW((void)dgk_compare_s2_decide(ctx, blinded, reply), FramingError);
+  EXPECT_EQ(reply.size(), 0u);
+}
+
+TEST_F(DgkCompareTest, BlindRejectsWrongBitCount) {
+  // S1 likewise takes exactly ell bit ciphertexts from S2.
+  const DgkCompareContext narrow(key_.pk, key_.sk, 8);
+  DeterministicRng rng(3);
+  MessageReader e_bits(dgk_compare_s2_bits(narrow, 1, rng).take());
+  EXPECT_THROW((void)dgk_compare_s1_blind(key_.pk, 9, 1, e_bits, rng),
+               FramingError);
 }
 
 }  // namespace

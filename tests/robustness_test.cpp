@@ -6,9 +6,10 @@
 #include "crypto/dgk.h"
 #include "mpc/blind_permute.h"
 #include "mpc/consensus.h"
+#include "mpc/consensus_batch.h"
 #include "mpc/dgk_compare.h"
 #include "mpc/he_util.h"
-#include "mpc/secure_sum.h"
+#include "net/party_runner.h"
 
 namespace pcl {
 namespace {
@@ -20,7 +21,23 @@ TEST(Robustness, TruncatedCiphertextVectorMessage) {
   w.write_u64(5);  // claims five ciphertexts
   w.write_bigint(key.pk.encrypt(BigInt(1), rng).value);  // delivers one
   MessageReader r(std::move(w).take());
-  EXPECT_THROW((void)read_ciphertext_vector(r), FramingError);
+  EXPECT_THROW((void)read_ciphertext_vector(r, 5), FramingError);
+}
+
+TEST(Robustness, CiphertextVectorCountBeyondMessage) {
+  // A count of 2^62 is rejected as framing before anything is allocated,
+  // and so is a well-formed vector of a length the geometry does not fix.
+  MessageWriter w;
+  w.write_u64(std::uint64_t{1} << 62);
+  MessageReader r(std::move(w).take());
+  EXPECT_THROW((void)read_ciphertext_vector(r, 3), FramingError);
+  DeterministicRng rng(1);
+  const PaillierKeyPair key = generate_paillier_key(64, rng);
+  const std::vector<std::int64_t> values = {1, 2};
+  MessageWriter two;
+  write_ciphertext_vector(two, encrypt_vector(key.pk, values, rng));
+  MessageReader r2(std::move(two).take());
+  EXPECT_THROW((void)read_ciphertext_vector(r2, 3), FramingError);
 }
 
 TEST(Robustness, GarbageBytesAsMessage) {
@@ -73,22 +90,41 @@ TEST(Robustness, CompareBitWidthContractEnforced) {
   params.plaintext_bound = 200;
   const DgkKeyPair key = generate_dgk_key(params, rng);
   const DgkCompareContext ctx(key.pk, key.sk, 10);
-  Network net;
-  EXPECT_THROW((void)dgk_compare_geq(net, ctx, 512, 0, 1), std::out_of_range);
-  // A failed comparison must not leave stale traffic that would desync the
-  // next protocol round.
-  EXPECT_THROW((void)dgk_compare_geq(net, ctx, 0, -513, 2), std::out_of_range);
-  EXPECT_EQ(net.pending_total(), 0u);
+  // S1's x out of range fails at S1's slot, S2's y at S2's first slot.
+  MessageReader e_bits(dgk_compare_s2_bits(ctx, 0, rng).take());
+  EXPECT_THROW((void)dgk_compare_s1_blind(key.pk, 10, 512, e_bits, rng),
+               std::out_of_range);
+  EXPECT_THROW((void)dgk_compare_s2_bits(ctx, -513, rng), std::out_of_range);
 }
 
-TEST(Robustness, SecureSumRejectsForeignCiphertextSizes) {
-  DeterministicRng rng(5);
-  ServerPaillierKeys keys = generate_server_paillier_keys(64, rng);
-  Network net;
-  // Ragged user submissions are rejected before any aggregation happens.
-  EXPECT_THROW(
-      (void)secure_sum(net, keys, {{1, 2}, {3}}, {{1, 2}, {3, 4}}, 1),
-      std::invalid_argument);
+TEST(Robustness, SecureSumRejectsSubmissionOfWrongWidth) {
+  // The public geometry fixes each user's share vector at K ciphertexts:
+  // S1 rejects a shorter one as framing where it comes off the wire
+  // instead of folding it into the aggregate.
+  DeterministicRng rng(9);
+  const ServerPaillierKeys keys = generate_server_paillier_keys(64, rng);
+  DgkParams dgk_params;
+  dgk_params.n_bits = 160;
+  dgk_params.v_bits = 30;
+  dgk_params.plaintext_bound = 160;
+  const DgkKeyPair dgk = generate_dgk_key(dgk_params, rng);
+  ConsensusQueryParams params;
+  params.num_classes = 3;
+  params.num_users = 1;
+  params.share_bits = 20;
+  params.compare_bits = 30;
+  ConsensusS1BatchProgram s1(params, keys.s1, keys.s2.pk, dgk.pk, {1});
+  const std::vector<std::int64_t> two = {1, 2};
+  const Party parties[] = {
+      {"S1", [&](Channel& chan) { (void)s1.run(chan); }},
+      {"user:0",
+       [&](Channel& chan) {
+         MessageWriter w;
+         write_ciphertext_vector(w, encrypt_vector(keys.s2.pk, two, rng));
+         chan.send("S1", std::move(w));
+       }},
+  };
+  EXPECT_THROW((void)run_parties(parties, PartyRunOptions{}), FramingError);
 }
 
 TEST(Robustness, ConsensusRejectsVotesOutOfRangeMidBatch) {
@@ -118,16 +154,28 @@ TEST(Robustness, BlindPermuteRejectsMismatchedKeyMaterial) {
   // contract with overwhelming probability, so the mismatch is caught.
   ServerPaillierKeys keys = generate_server_paillier_keys(128, rng);
   ServerPaillierKeys other = generate_server_paillier_keys(128, rng);
-  Network net;
-  BlindPermuteSession session(net, keys, 3, 20, rng, rng);
+  BlindPermuteS1 s1(keys.s1, keys.s2.pk, 3, 20, rng);
+  BlindPermuteS2 s2(keys.s2, keys.s1.pk, 3, 20, rng);
   // Ciphertexts produced under the wrong keys decrypt to garbage that
   // overflows the int64 plaintext contract (probability ~1) or throws —
-  // either way the session must not silently succeed with wrong values.
+  // either way Alg. 2's slots must not silently succeed with wrong values.
   const std::vector<std::int64_t> vals = {1, 2, 3};
   const auto wrong_a = encrypt_vector(other.s2.pk, vals, rng);
   const auto wrong_b = encrypt_vector(other.s1.pk, vals, rng);
-  EXPECT_ANY_THROW((void)session.run(
-      wrong_a, wrong_b, BlindPermuteSession::MaskMode::kOppositeSign));
+  const auto mode = BlindPermuteMaskMode::kOppositeSign;
+  const auto deliver = [](MessageWriter m) {
+    return MessageReader(std::move(m).take());
+  };
+  const auto alg2 = [&] {
+    std::vector<std::int64_t> s1_seq;
+    MessageReader masked = deliver(s1.round_open(wrong_a, mode));
+    MessageReader permuted = deliver(s2.round_permute(masked, wrong_b));
+    MessageReader enc_mask = deliver(s1.round_permute(permuted, s1_seq));
+    MessageReader blinded = deliver(s2.round_blind(enc_mask, wrong_b, mode));
+    MessageReader sealed = deliver(s1.round_close(blinded));
+    (void)s2.round_output(sealed);
+  };
+  EXPECT_ANY_THROW(alg2());
 }
 
 TEST(Robustness, SegmentedTransportMatchesDirectBigint) {

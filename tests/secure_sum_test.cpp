@@ -1,12 +1,53 @@
-#include "mpc/secure_sum.h"
-
+// Secure sum (paper Alg. 5 steps 2 and 6, Eq. 4) through the calls the lane
+// programs make: each user encrypts its two share vectors with
+// secure_sum_encrypt_stream, and each server reads the vectors off the wire
+// and folds them with add_vectors.
 #include <gtest/gtest.h>
 
+#include <utility>
+
+#include "mpc/blind_permute.h"
 #include "mpc/he_util.h"
 #include "mpc/sharing.h"
+#include "net/party_runner.h"
 
 namespace pcl {
 namespace {
+
+struct Aggregates {
+  std::vector<PaillierCiphertext> s1;  ///< under pk2, held by S1
+  std::vector<PaillierCiphertext> s2;  ///< under pk1, held by S2
+};
+
+/// One user's submission to one server, as the server reads it off the
+/// wire: one ciphertext per value.
+std::vector<PaillierCiphertext> submit(const PaillierPublicKey& pk,
+                                       const std::vector<std::int64_t>& values,
+                                       Rng& rng) {
+  MessageWriter w;
+  write_ciphertext_vector(
+      w, secure_sum_encrypt_stream(pk, values, rng, nullptr, nullptr));
+  MessageReader r(std::move(w).take());
+  return read_ciphertext_vector(r, values.size());
+}
+
+/// User u encrypts `to_s1[u]` under S2's key and `to_s2[u]` under S1's key
+/// from its own Rng, derive_party_seed(seed, 2 + u); each server folds the
+/// users' vectors in index order.
+Aggregates secure_sum(const ServerPaillierKeys& keys,
+                      const std::vector<std::vector<std::int64_t>>& to_s1,
+                      const std::vector<std::vector<std::int64_t>>& to_s2,
+                      std::uint64_t seed) {
+  Aggregates agg;
+  for (std::size_t u = 0; u < to_s1.size(); ++u) {
+    DeterministicRng rng(derive_party_seed(seed, 2 + u));
+    std::vector<PaillierCiphertext> a = submit(keys.s2.pk, to_s1[u], rng);
+    std::vector<PaillierCiphertext> b = submit(keys.s1.pk, to_s2[u], rng);
+    agg.s1 = u == 0 ? std::move(a) : add_vectors(keys.s2.pk, agg.s1, a);
+    agg.s2 = u == 0 ? std::move(b) : add_vectors(keys.s1.pk, agg.s2, b);
+  }
+  return agg;
+}
 
 class SecureSumTest : public ::testing::Test {
  protected:
@@ -32,11 +73,9 @@ TEST_F(SecureSumTest, AggregatesShareVectors) {
       expect_b[i] += vb;
     }
   }
-  Network net;
-  const SecureSumResult result = secure_sum(net, keys_, to_s1, to_s2, 1);
-  EXPECT_EQ(decrypt_vector(keys_.s2.sk, result.s1_aggregate), expect_a);
-  EXPECT_EQ(decrypt_vector(keys_.s1.sk, result.s2_aggregate), expect_b);
-  EXPECT_EQ(net.pending_total(), 0u);
+  const Aggregates result = secure_sum(keys_, to_s1, to_s2, 1);
+  EXPECT_EQ(decrypt_vector(keys_.s2.sk, result.s1), expect_a);
+  EXPECT_EQ(decrypt_vector(keys_.s1.sk, result.s2), expect_b);
 }
 
 TEST_F(SecureSumTest, SharedVotesReconstructAcrossServers) {
@@ -54,47 +93,18 @@ TEST_F(SecureSumTest, SharedVotesReconstructAcrossServers) {
     to_s1[u] = sv.a;
     to_s2[u] = sv.b;
   }
-  Network net;
-  const SecureSumResult result = secure_sum(net, keys_, to_s1, to_s2, 1);
-  const auto agg_a = decrypt_vector(keys_.s2.sk, result.s1_aggregate);
-  const auto agg_b = decrypt_vector(keys_.s1.sk, result.s2_aggregate);
+  const Aggregates result = secure_sum(keys_, to_s1, to_s2, 1);
+  const auto agg_a = decrypt_vector(keys_.s2.sk, result.s1);
+  const auto agg_b = decrypt_vector(keys_.s1.sk, result.s2);
   EXPECT_EQ(reconstruct_vector(agg_a, agg_b), histogram);
 }
 
 TEST_F(SecureSumTest, SingleUser) {
-  Network net;
-  const SecureSumResult result =
-      secure_sum(net, keys_, {{1, -2, 3}}, {{4, 5, -6}}, 1);
-  EXPECT_EQ(decrypt_vector(keys_.s2.sk, result.s1_aggregate),
+  const Aggregates result = secure_sum(keys_, {{1, -2, 3}}, {{4, 5, -6}}, 1);
+  EXPECT_EQ(decrypt_vector(keys_.s2.sk, result.s1),
             (std::vector<std::int64_t>{1, -2, 3}));
-  EXPECT_EQ(decrypt_vector(keys_.s1.sk, result.s2_aggregate),
+  EXPECT_EQ(decrypt_vector(keys_.s1.sk, result.s2),
             (std::vector<std::int64_t>{4, 5, -6}));
-}
-
-TEST_F(SecureSumTest, InputValidation) {
-  Network net;
-  EXPECT_THROW((void)secure_sum(net, keys_, {}, {}, 1),
-               std::invalid_argument);
-  EXPECT_THROW((void)secure_sum(net, keys_, {{1}}, {{1}, {2}}, 1),
-               std::invalid_argument);
-  EXPECT_THROW((void)secure_sum(net, keys_, {{1}, {2, 3}}, {{1}, {2}}, 1),
-               std::invalid_argument);
-}
-
-TEST_F(SecureSumTest, TrafficCountsUserToServerMessages) {
-  TrafficStats stats;
-  Network net(&stats);
-  net.set_step("Secure Sum (2)");
-  const std::size_t users = 5;
-  std::vector<std::vector<std::int64_t>> to_s1(users, {1, 2, 3});
-  std::vector<std::vector<std::int64_t>> to_s2(users, {4, 5, 6});
-  (void)secure_sum(net, keys_, to_s1, to_s2, 1);
-  EXPECT_EQ(stats.messages_for("Secure Sum (2)", "user", "S1"), users);
-  EXPECT_EQ(stats.messages_for("Secure Sum (2)", "user", "S2"), users);
-  EXPECT_EQ(stats.messages_for("Secure Sum (2)", "S"), 0u);
-  // Each message carries 3 Paillier ciphertexts (~16 bytes each at 64-bit
-  // keys) plus framing.
-  EXPECT_GT(stats.bytes_for("Secure Sum (2)", "user", "S1"), users * 3 * 12);
 }
 
 }  // namespace

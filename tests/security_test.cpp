@@ -62,7 +62,8 @@ TEST(ShareHiding, MaskedViewInBlindPermuteIndependentOfVotes) {
   const auto masked_view = [&](std::int64_t aggregate) {
     std::vector<double> views;
     for (int i = 0; i < 4000; ++i) {
-      // r1 uniform in [-2^30, 2^30] as in BlindPermuteSession.
+      // r1 uniform in [-2^30, 2^30], as BlindPermuteS1 draws it at 30
+      // mask bits.
       const std::int64_t r1 =
           rng.uniform_in(BigInt(-(1ll << 30)), BigInt(1ll << 30)).to_int64();
       views.push_back(static_cast<double>(aggregate + r1));
@@ -110,13 +111,13 @@ TEST(PermutationHiding, SingleServerViewOfPositionIsUniform) {
   // that across sessions the composed position of element 0 is uniform.
   DeterministicRng rng(4);
   ServerPaillierKeys keys = generate_server_paillier_keys(64, rng);
-  Network net;
   std::map<std::size_t, int> position_counts;
   const int sessions = 600;
   const std::size_t k = 6;
   for (int s = 0; s < sessions; ++s) {
-    BlindPermuteSession session(net, keys, k, 20, rng, rng);
-    const Permutation pi = session.composed_permutation_for_testing();
+    const BlindPermuteS1 s1(keys.s1, keys.s2.pk, k, 20, rng);
+    const BlindPermuteS2 s2(keys.s2, keys.s1.pk, k, 20, rng);
+    const Permutation pi = s1.pi().compose_after(s2.pi());
     // Element 0 lands at the position p with pi[p] == 0.
     for (std::size_t p = 0; p < k; ++p) {
       if (pi[p] == 0) {

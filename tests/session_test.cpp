@@ -516,6 +516,26 @@ TEST(SessionsJson, BuildsAValidDocument) {
       << "problems in: " << text;
 }
 
+TEST(SessionsJson, StatusTextRoundTripsUnchanged) {
+  // Error text is free-form: a newline or a quote must survive the admin
+  // reply byte for byte.
+  SessionRecord failed;
+  failed.info = SessionInfo{3, 9};
+  failed.state = SessionState::kFailed;
+  failed.status = "error:FramingError: \"S2\" sent\nline two\t\\";
+  failed.opened_ns = 100;
+  failed.closed_ns = 1'000'100;
+  const obs::JsonValue doc =
+      obs::JsonValue::parse(build_sessions_json("S2", 0, {failed}));
+  EXPECT_TRUE(obs::validate_sessions_json(doc).empty());
+  const obs::JsonValue& row = doc.find("sessions")->as_array().at(0);
+  EXPECT_EQ(row.find("status")->as_string(), failed.status);
+  EXPECT_EQ(doc.find("source")->as_string(), "S2");
+  EXPECT_EQ(row.find("id")->as_number(), 3.0);
+  EXPECT_EQ(row.find("elapsed_ms")->as_number(), 1.0);
+  EXPECT_TRUE(row.find("label")->is_null());
+}
+
 TEST(SessionsJson, ValidatorCrossChecksActiveAgainstRunningRows) {
   SessionRecord running;
   running.info = SessionInfo{1, 7};

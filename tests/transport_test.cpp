@@ -91,12 +91,10 @@ TEST(Network, WaitRecvIsFifoPerLink) {
 TEST(TrafficStats, BytesPerStepAndCategory) {
   TrafficStats stats;
   Network net(&stats);
-  net.set_step("Secure Sum (2)");
-  net.send("user:0", "S1", make_message(100));
-  net.send("user:1", "S2", make_message(50));
-  net.set_step("Blind-and-Permute (3)");
-  net.send("S1", "S2", make_message(200));
-  net.send("S2", "S1", make_message(300));
+  net.send("user:0", "S1", make_message(100), "Secure Sum (2)");
+  net.send("user:1", "S2", make_message(50), "Secure Sum (2)");
+  net.send("S1", "S2", make_message(200), "Blind-and-Permute (3)");
+  net.send("S2", "S1", make_message(300), "Blind-and-Permute (3)");
 
   EXPECT_EQ(stats.bytes_for("Secure Sum (2)"), 150u);
   EXPECT_EQ(stats.bytes_for("Secure Sum (2)", "user"), 150u);
@@ -120,8 +118,7 @@ TEST(TrafficStats, TimingAccumulates) {
 TEST(TrafficStats, StepsListsBothTimeAndTraffic) {
   TrafficStats stats;
   Network net(&stats);
-  net.set_step("traffic only");
-  net.send("a", "b", make_message(1));
+  net.send("a", "b", make_message(1), "traffic only");
   stats.add_time("time only", std::chrono::milliseconds(1));
   const auto steps = stats.steps();
   EXPECT_NE(std::find(steps.begin(), steps.end(), "traffic only"), steps.end());
@@ -131,8 +128,7 @@ TEST(TrafficStats, StepsListsBothTimeAndTraffic) {
 TEST(TrafficStats, ClearResets) {
   TrafficStats stats;
   Network net(&stats);
-  net.set_step("s");
-  net.send("a", "b", make_message(10));
+  net.send("a", "b", make_message(10), "s");
   stats.add_time("s", std::chrono::seconds(1));
   stats.clear();
   EXPECT_EQ(stats.bytes_for("s"), 0u);
@@ -157,10 +153,9 @@ TEST(Network, RecvErrorNamesBothEndpoints) {
 TEST(TrafficStats, EmptyCategoryMatchesEveryParty) {
   TrafficStats stats;
   Network net(&stats);
-  net.set_step("s");
-  net.send("user:0", "S1", make_message(10));
-  net.send("user:12", "S1", make_message(20));
-  net.send("S2", "S1", make_message(40));
+  net.send("user:0", "S1", make_message(10), "s");
+  net.send("user:12", "S1", make_message(20), "s");
+  net.send("S2", "S1", make_message(40), "s");
   EXPECT_EQ(stats.bytes_for("s"), 70u);
   EXPECT_EQ(stats.bytes_for("s", "", ""), 70u);
   EXPECT_EQ(stats.messages_for("s"), 3u);
@@ -169,9 +164,8 @@ TEST(TrafficStats, EmptyCategoryMatchesEveryParty) {
 TEST(TrafficStats, ExactPartyIdIsItsOwnCategory) {
   TrafficStats stats;
   Network net(&stats);
-  net.set_step("s");
-  net.send("user:0", "S1", make_message(10));
-  net.send("user:12", "S1", make_message(20));
+  net.send("user:0", "S1", make_message(10), "s");
+  net.send("user:12", "S1", make_message(20), "s");
   EXPECT_EQ(stats.bytes_for("s", "user:0"), 10u);
   EXPECT_EQ(stats.messages_for("s", "user:0"), 1u);
   // Matching is by prefix, so "user:1" also covers "user:12" — callers
@@ -182,10 +176,9 @@ TEST(TrafficStats, ExactPartyIdIsItsOwnCategory) {
 TEST(TrafficStats, UserPrefixAggregatesAllUsers) {
   TrafficStats stats;
   Network net(&stats);
-  net.set_step("s");
-  net.send("user:0", "S1", make_message(10));
-  net.send("user:12", "S2", make_message(20));
-  net.send("S2", "S1", make_message(40));
+  net.send("user:0", "S1", make_message(10), "s");
+  net.send("user:12", "S2", make_message(20), "s");
+  net.send("S2", "S1", make_message(40), "s");
   EXPECT_EQ(stats.bytes_for("s", "user"), 30u);
   EXPECT_EQ(stats.messages_for("s", "user"), 2u);
   EXPECT_EQ(stats.bytes_for("s", "user", "S1"), 10u);

@@ -1,6 +1,7 @@
 # Runs `clang-format --dry-run --Werror` over every first-party source file.
-# Invoked by the `lint.format` ctest case with -DCLANG_FORMAT=... -DROOT=...
-# (fixture files are deliberately malformed and excluded).
+# Invoked with -DCLANG_FORMAT=... -DROOT=... by the `lint.format` ctest case
+# and by ci.yml's lint job, so both check this one list (fixture files are
+# deliberately malformed and excluded).
 
 if(NOT CLANG_FORMAT OR NOT ROOT)
   message(FATAL_ERROR "usage: cmake -DCLANG_FORMAT=<bin> -DROOT=<repo> -P format_check.cmake")
@@ -12,6 +13,7 @@ file(GLOB_RECURSE sources
      ${ROOT}/bench/*.h ${ROOT}/bench/*.cpp
      ${ROOT}/examples/*.cpp
      ${ROOT}/tools/lint/pc_lint.cpp
+     ${ROOT}/tools/pc_trace/pc_trace.cpp
      ${ROOT}/tools/pc_party/pc_party.cpp)
 
 list(LENGTH sources count)

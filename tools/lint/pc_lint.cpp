@@ -484,7 +484,7 @@ int dump_schedule(const fs::path& root, const std::vector<std::string>& subs,
     extractor.add_file(f.lex.get(), f.model.get());
   }
   // Use the manifest's program/party structure when one parses; fall back
-  // to the built-in four-program listing.
+  // to the built-in listing.
   std::vector<pclint::ProgramSchedule> programs;
   {
     std::ifstream in(manifest_path);

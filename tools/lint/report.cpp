@@ -4,10 +4,14 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
-#include <sstream>
 #include <tuple>
+#include <utility>
+
+#include "obs/json.h"
 
 namespace pclint {
+
+using pcl::obs::JsonValue;
 
 void sort_findings(std::vector<Finding>& findings) {
   std::sort(findings.begin(), findings.end(),
@@ -46,59 +50,37 @@ void apply_baseline(const std::vector<std::string>& baseline,
   }
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (unsigned char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += static_cast<char>(c);
-        }
-    }
-  }
-  return out;
-}
-
 std::string render_json_report(const std::vector<Finding>& findings,
                                std::size_t files_scanned) {
+  JsonValue::Array rows;
+  rows.reserve(findings.size());
+  JsonValue::Object counts;
   std::size_t suppressed = 0;
   std::map<std::string, std::size_t> by_rule;
   for (const Finding& f : findings) {
+    JsonValue::Object row;
+    row["rule"] = f.rule;
+    row["file"] = f.file;
+    row["line"] = JsonValue(std::uint64_t{f.line});
+    row["suppressed"] = f.suppressed;
+    row["message"] = f.message;
+    rows.emplace_back(std::move(row));
     if (f.suppressed) ++suppressed;
     ++by_rule[f.rule];
   }
-  std::ostringstream out;
-  out << "{\n  \"schema\": \"pc-lint-v1\",\n";
-  out << "  \"files_scanned\": " << files_scanned << ",\n";
-  out << "  \"findings\": [";
-  bool first = true;
-  for (const Finding& f : findings) {
-    out << (first ? "\n" : ",\n");
-    first = false;
-    out << "    {\"rule\": \"" << json_escape(f.rule) << "\", \"file\": \""
-        << json_escape(f.file) << "\", \"line\": " << f.line
-        << ", \"suppressed\": " << (f.suppressed ? "true" : "false")
-        << ", \"message\": \"" << json_escape(f.message) << "\"}";
-  }
-  out << (first ? "" : "\n  ") << "],\n";
-  out << "  \"counts\": {\"total\": " << findings.size()
-      << ", \"suppressed\": " << suppressed
-      << ", \"unsuppressed\": " << findings.size() - suppressed << "";
   for (const auto& [rule, n] : by_rule) {
-    out << ", \"" << json_escape(rule) << "\": " << n;
+    counts[rule] = JsonValue(std::uint64_t{n});
   }
-  out << "}\n}\n";
-  return out.str();
+  counts["total"] = JsonValue(std::uint64_t{findings.size()});
+  counts["suppressed"] = JsonValue(std::uint64_t{suppressed});
+  counts["unsuppressed"] =
+      JsonValue(std::uint64_t{findings.size() - suppressed});
+  JsonValue::Object doc;
+  doc["schema"] = "pc-lint-v1";
+  doc["files_scanned"] = JsonValue(std::uint64_t{files_scanned});
+  doc["findings"] = std::move(rows);
+  doc["counts"] = std::move(counts);
+  return JsonValue(std::move(doc)).dump(2) + "\n";
 }
 
 }  // namespace pclint

@@ -44,7 +44,4 @@ std::string baseline_key(const Finding& f);
 std::string render_json_report(const std::vector<Finding>& findings,
                                std::size_t files_scanned);
 
-/// JSON string escaping (shared with the report writer).
-std::string json_escape(const std::string& s);
-
 }  // namespace pclint

@@ -381,28 +381,12 @@ std::vector<ScheduleEvent> ScheduleExtractor::extract(const Source& src) {
 }
 
 std::vector<ProgramSchedule> builtin_programs() {
-  const auto prog = [](std::string name,
-                       std::vector<std::pair<std::string, std::string>>
-                           parties) {
-    ProgramSchedule p;
-    p.name = std::move(name);
-    for (auto& [party, function] : parties) {
-      p.parties.push_back({party, function, {}});
-    }
-    return p;
-  };
-  return {
-      prog("consensus_batch", {{"S1", "ConsensusS1BatchProgram::run"},
-                               {"S2", "ConsensusS2BatchProgram::run"},
-                               {"user", "ConsensusUserBatchProgram::run"}}),
-      prog("dgk_compare", {{"S1", "dgk_compare_s1_geq"},
-                           {"S2", "dgk_compare_s2_geq"}}),
-      prog("secure_sum", {{"user", "secure_sum_submit"},
-                          {"S1", "secure_sum_collect"},
-                          {"S2", "secure_sum_collect"}}),
-      prog("blind_permute", {{"S1", "BlindPermuteS1::run"},
-                             {"S2", "BlindPermuteS2::run"}}),
-  };
+  ProgramSchedule p;
+  p.name = "consensus_batch";
+  p.parties = {{"S1", "ConsensusS1BatchProgram::run", {}},
+               {"S2", "ConsensusS2BatchProgram::run", {}},
+               {"user", "ConsensusUserBatchProgram::run", {}}};
+  return {p};
 }
 
 bool parse_manifest(const std::string& json_text,

@@ -65,7 +65,7 @@ struct PartySchedule {
 };
 
 struct ProgramSchedule {
-  std::string name;  // "consensus_batch", "dgk_compare", ...
+  std::string name;  // "consensus_batch"
   std::vector<PartySchedule> parties;
 };
 
@@ -97,8 +97,9 @@ class ScheduleExtractor {
   std::set<std::string> visiting_;
 };
 
-/// The four party programs and their entry functions, used by
-/// --dump-schedule when no manifest exists yet.
+/// The party program that reaches the wire (the lane-batched Alg. 5
+/// programs) and its entry functions, used by --dump-schedule when no
+/// manifest exists yet.
 std::vector<ProgramSchedule> builtin_programs();
 
 /// Parses a pc-schedule-v1 manifest.  Returns false and sets `err` on
