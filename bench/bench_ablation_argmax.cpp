@@ -36,6 +36,8 @@ int main(int argc, char** argv) {
     config.argmax_strategy = strategy;
 
     ConsensusProtocol protocol(config, rng);
+    pcl::obs::TraceSink steps;  // S1's step spans time steps (4) and (8)
+    protocol.set_observer(&steps, nullptr);
     std::vector<std::vector<double>> votes(config.num_users,
                                            std::vector<double>(10, 0.0));
     for (std::size_t i = 0; i < instances; ++i) {
@@ -47,6 +49,14 @@ int main(int argc, char** argv) {
     }
 
     const TrafficStats& stats = protocol.stats();
+    const std::vector<pcl::obs::TraceEvent> events = steps.events();
+    const auto seconds = [&](const char* step) {
+      return pcl::obs::span_seconds(events, "S1", step);
+    };
+    double overall = 0.0;
+    for (const std::string& step : stats.steps()) {
+      overall += seconds(step.c_str());
+    }
     const double n = static_cast<double>(instances);
     const double cmp_kb =
         static_cast<double>(stats.bytes_for("Secure Comparison (4)") +
@@ -55,9 +65,8 @@ int main(int argc, char** argv) {
     std::printf("%-14s %14.4f %14.4f %14.4f %16.1f\n",
                 strategy == ArgmaxStrategy::kAllPairs ? "all-pairs"
                                                       : "tournament",
-                stats.seconds_for("Secure Comparison (4)") / n,
-                stats.seconds_for("Secure Comparison (8)") / n,
-                stats.total_seconds() / n, cmp_kb);
+                seconds("Secure Comparison (4)") / n,
+                seconds("Secure Comparison (8)") / n, overall / n, cmp_kb);
   }
 
   std::printf("\nshape check: tournament cuts the comparison steps ~(K-1)/"

@@ -5,7 +5,7 @@
 // non-colluding servers aggregate the secret-shared votes, check the noisy
 // top vote against the 60% threshold in blind, and — because consensus is
 // reached — reveal only the noisy-argmax label.  The per-step traffic and
-// timing accounting is printed at the end.
+// S1's per-step time (read from its step spans) are printed at the end.
 //
 //   ./quickstart
 #include <cstdio>
@@ -29,6 +29,8 @@ int main() {
 
   std::printf("generating Paillier + DGK key material...\n");
   pcl::ConsensusProtocol protocol(config, rng);
+  pcl::obs::TraceSink trace;  // every party's step spans
+  protocol.set_observer(&trace, nullptr);
 
   // Votes: four users pick class 2, one dissents with class 0.
   const std::vector<std::vector<double>> votes = {
@@ -58,10 +60,11 @@ int main() {
 
   std::printf("\nper-step cost of the two queries:\n");
   const pcl::TrafficStats& stats = protocol.stats();
+  const std::vector<pcl::obs::TraceEvent> events = trace.events();
   for (const std::string& step : stats.steps()) {
     std::printf("  %-26s %8.1f KB %10.4f s\n", step.c_str(),
                 static_cast<double>(stats.bytes_for(step)) / 1024.0,
-                stats.seconds_for(step));
+                pcl::obs::span_seconds(events, "S1", step));
   }
   return 0;
 }

@@ -73,18 +73,10 @@ namespace {
 constexpr std::uint64_t rotl(std::uint64_t x, int k) {
   return (x << k) | (x >> (64 - k));
 }
-constexpr std::uint64_t splitmix64(std::uint64_t& state) {
-  state += 0x9e3779b97f4a7c15ull;
-  std::uint64_t z = state;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
 }  // namespace
 
 DeterministicRng::DeterministicRng(std::uint64_t seed) {
-  std::uint64_t sm = seed;
-  for (auto& s : state_) s = splitmix64(sm);
+  for (std::uint64_t i = 0; i < 4; ++i) state_[i] = splitmix64(seed, i);
 }
 
 std::uint64_t DeterministicRng::next_u64() {

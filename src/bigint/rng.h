@@ -35,6 +35,20 @@ class Rng {
   [[nodiscard]] std::size_t index_below(std::size_t n);
 };
 
+/// Element `index` (0-based) of the splitmix64 sequence that starts at
+/// `seed` (Steele, Lea & Flood, OOPSLA 2014): the seed advanced by index + 1
+/// golden-ratio steps, then mixed.  Distinct (seed, index) pairs give
+/// decorrelated words, which is how one seed fans out into the four words
+/// of a DeterministicRng, one seed per party (derive_party_seed) and one
+/// jitter per dial retry (dial_backoff).
+[[nodiscard]] constexpr std::uint64_t splitmix64(std::uint64_t seed,
+                                                 std::uint64_t index) {
+  std::uint64_t z = seed + 0x9e3779b97f4a7c15ull * (index + 1);
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+  return z ^ (z >> 31);
+}
+
 /// xoshiro256** — fast deterministic PRNG for simulations and tests.
 class DeterministicRng final : public Rng {
  public:

@@ -324,13 +324,20 @@ MessageWriter BlindPermuteS2::restore_unpermute(MessageReader& msg) {
 MessageWriter BlindPermuteS2::restore_finish(MessageReader& msg,
                                              std::size_t& index) {
   // -- Step 7: strip r2, locate the 1, broadcast the index. ------------------
+  // Anything but exactly one 1 among 0s is a malformed reply from S1.  The
+  // subtraction wraps (unsigned), so no reply value can overflow it.
   index = k_;
-  std::vector<std::int64_t> onehot = read_values(msg, k_);
+  const std::vector<std::int64_t> onehot = read_values(msg, k_);
   for (std::size_t i = 0; i < k_; ++i) {
-    onehot[i] -= restore_r2_[i];
-    if (onehot[i] == 1) index = i;
+    const std::uint64_t bit = static_cast<std::uint64_t>(onehot[i]) -
+                              static_cast<std::uint64_t>(restore_r2_[i]);
+    if (bit == 1 && index == k_) {
+      index = i;
+    } else if (bit != 0) {
+      throw FramingError("restore: slot-6 reply is not one-hot");
+    }
   }
-  if (index == k_) throw std::logic_error("restore: one-hot lost");
+  if (index == k_) throw FramingError("restore: slot-6 reply holds no 1");
   MessageWriter reply;
   reply.write_u64(index);
   return reply;

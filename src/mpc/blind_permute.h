@@ -166,7 +166,9 @@ class BlindPermuteS2 {
   /// Restoration slot 5: undoes pi2 and masks with a fresh r2.
   [[nodiscard]] MessageWriter restore_unpermute(MessageReader& msg);
   /// Restoration slot 7: strips r2, locates the 1; writes the index into
-  /// the returned broadcast message and stores it in `index`.
+  /// the returned broadcast message and stores it in `index`.  Throws
+  /// FramingError unless S1's slot-6 reply strips to exactly one 1 among
+  /// 0s.
   [[nodiscard]] MessageWriter restore_finish(MessageReader& msg,
                                              std::size_t& index);
 

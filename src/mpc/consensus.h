@@ -223,8 +223,9 @@ class ConsensusProtocol {
   std::uint64_t warm_precompute(const std::string& party, std::uint64_t seed,
                                 const PrecomputeDemand& demand) const;
 
-  /// Per-step traffic and timing, accumulated over all queries since the
-  /// last clear(); step labels match the paper's Tables I and II.
+  /// Per-step traffic, accumulated over all queries since the last clear();
+  /// step labels match the paper's Table II.  Per-step time (Table I) is
+  /// read from the step spans of an attached tracer (set_observer).
   [[nodiscard]] TrafficStats& stats() { return stats_; }
   [[nodiscard]] const ConsensusConfig& config() const { return config_; }
   /// The threshold T in vote-count units.

@@ -392,14 +392,13 @@ std::vector<std::optional<std::size_t>> ConsensusS1BatchProgram::run(
     Channel& chan) {
   const std::size_t k = params_.num_classes;
   const std::size_t n = params_.num_users;
-  using Timing = ChannelStepScope::Timing;
 
   std::vector<Lane*> live = all_lanes(lanes_);
   LaneSet set = lane_set(live, lanes_.size());
 
   // ---- Step 2: Secure Sum of votes and threshold sequences. ---------------
   {
-    ChannelStepScope scope(chan, "Secure Sum (2)", Timing::kTimed);
+    ChannelStepScope scope(chan, "Secure Sum (2)");
     batch_collect(chan, peer_pk_, params_, set,
                   members_of(live, &Lane::votes_agg));
     batch_collect(chan, peer_pk_, params_, set,
@@ -414,7 +413,7 @@ std::vector<std::optional<std::size_t>> ConsensusS1BatchProgram::run(
                       params_.packing_or_null(), n, &lane->pre);
   }
   {
-    ChannelStepScope scope(chan, "Blind-and-Permute (3)", Timing::kTimed);
+    ChannelStepScope scope(chan, "Blind-and-Permute (3)");
     const std::vector<BlindPermuteS1*> bnps = bnps_of(live, &Lane::bnp);
     batch_bnp_s1(chan, set, bnps, members_of(live, &Lane::votes_agg),
                  BlindPermuteMaskMode::kOppositeSign,
@@ -428,7 +427,7 @@ std::vector<std::optional<std::size_t>> ConsensusS1BatchProgram::run(
   // Paper Eq. 7: c_p >= c_q  <=>  (A_p - A_q) >= (B_q - B_p), because the
   // opposite-sign masks cancel in the cross-server sum.
   {
-    ChannelStepScope scope(chan, "Secure Comparison (4)", Timing::kTimed);
+    ChannelStepScope scope(chan, "Secure Comparison (4)");
     ArgmaxLanes state(k, params_.argmax_strategy, live.size());
     for (std::size_t r = 0; r < state.rounds(); ++r) {
       std::vector<std::int64_t> xs(live.size());
@@ -450,7 +449,7 @@ std::vector<std::optional<std::size_t>> ConsensusS1BatchProgram::run(
   // ---- Step 5: Threshold Checking (paper Eq. 6 / SVT); one public verdict
   // per lane.  x - y == c_{i*} + z1_{i*} - T; the same-sign masks cancel.
   {
-    ChannelStepScope scope(chan, "Threshold Checking (5)", Timing::kTimed);
+    ChannelStepScope scope(chan, "Threshold Checking (5)");
     const auto threshold_round = [&](std::size_t p, bool all_positions) {
       std::vector<std::int64_t> xs(live.size());
       for (std::size_t i = 0; i < live.size(); ++i) {
@@ -488,7 +487,7 @@ std::vector<std::optional<std::size_t>> ConsensusS1BatchProgram::run(
 
   // ---- Step 6: Secure Sum of noisy votes (surviving lanes only). ----------
   {
-    ChannelStepScope scope(chan, "Secure Sum (6)", Timing::kTimed);
+    ChannelStepScope scope(chan, "Secure Sum (6)");
     batch_collect(chan, peer_pk_, params_, set,
                   members_of(live, &Lane::noisy_agg));
   }
@@ -500,7 +499,7 @@ std::vector<std::optional<std::size_t>> ConsensusS1BatchProgram::run(
   }
   const std::vector<BlindPermuteS1*> bnp2s = bnps_of(live, &Lane::bnp2);
   {
-    ChannelStepScope scope(chan, "Blind-and-Permute (7)", Timing::kTimed);
+    ChannelStepScope scope(chan, "Blind-and-Permute (7)");
     batch_bnp_s1(chan, set, bnp2s, members_of(live, &Lane::noisy_agg),
                  BlindPermuteMaskMode::kOppositeSign,
                  members_of(live, &Lane::noisy_seq));
@@ -510,7 +509,7 @@ std::vector<std::optional<std::size_t>> ConsensusS1BatchProgram::run(
   // S1's champion copy is not consumed further (S2 feeds Restoration), but
   // the schedule must still run — and still checks consistency.
   {
-    ChannelStepScope scope(chan, "Secure Comparison (8)", Timing::kTimed);
+    ChannelStepScope scope(chan, "Secure Comparison (8)");
     ArgmaxLanes state(k, params_.argmax_strategy, live.size());
     for (std::size_t r = 0; r < state.rounds(); ++r) {
       std::vector<std::int64_t> xs(live.size());
@@ -528,7 +527,7 @@ std::vector<std::optional<std::size_t>> ConsensusS1BatchProgram::run(
   }
 
   // ---- Step 9: Restoration — reveal only the original label index. --------
-  ChannelStepScope scope(chan, "Restoration (9)", Timing::kTimed);
+  ChannelStepScope scope(chan, "Restoration (9)");
   std::vector<MessageReader> readers = unpack_lanes(set, chan.recv("S2"));
   std::vector<MessageWriter> parts(live.size());
   for_each_lane(set, [&](std::size_t i) {
@@ -588,7 +587,6 @@ std::vector<std::optional<std::size_t>> ConsensusS2BatchProgram::run(
     Channel& chan) {
   const std::size_t k = params_.num_classes;
   const std::size_t n = params_.num_users;
-  using Timing = ChannelStepScope::Timing;
   const DgkCompareContext cmp(dgk_.pk, dgk_.sk, params_.compare_bits);
 
   std::vector<Lane*> live = all_lanes(lanes_);
@@ -596,7 +594,7 @@ std::vector<std::optional<std::size_t>> ConsensusS2BatchProgram::run(
 
   // S1 times every step; S2's scopes only label its own sends.
   {
-    ChannelStepScope scope(chan, "Secure Sum (2)", Timing::kUntimed);
+    ChannelStepScope scope(chan, "Secure Sum (2)");
     batch_collect(chan, peer_pk_, params_, set,
                   members_of(live, &Lane::votes_agg));
     batch_collect(chan, peer_pk_, params_, set,
@@ -608,7 +606,7 @@ std::vector<std::optional<std::size_t>> ConsensusS2BatchProgram::run(
                       params_.packing_or_null(), n, &lane->pre);
   }
   {
-    ChannelStepScope scope(chan, "Blind-and-Permute (3)", Timing::kUntimed);
+    ChannelStepScope scope(chan, "Blind-and-Permute (3)");
     const std::vector<BlindPermuteS2*> bnps = bnps_of(live, &Lane::bnp);
     batch_bnp_s2(chan, set, bnps, members_of(live, &Lane::votes_agg),
                  BlindPermuteMaskMode::kOppositeSign,
@@ -619,7 +617,7 @@ std::vector<std::optional<std::size_t>> ConsensusS2BatchProgram::run(
   }
 
   {
-    ChannelStepScope scope(chan, "Secure Comparison (4)", Timing::kUntimed);
+    ChannelStepScope scope(chan, "Secure Comparison (4)");
     ArgmaxLanes state(k, params_.argmax_strategy, live.size());
     for (std::size_t r = 0; r < state.rounds(); ++r) {
       std::vector<std::int64_t> ys(live.size());
@@ -639,7 +637,7 @@ std::vector<std::optional<std::size_t>> ConsensusS2BatchProgram::run(
   }
 
   {
-    ChannelStepScope scope(chan, "Threshold Checking (5)", Timing::kUntimed);
+    ChannelStepScope scope(chan, "Threshold Checking (5)");
     const auto threshold_round = [&](std::size_t p, bool all_positions) {
       std::vector<std::int64_t> ys(live.size());
       for (std::size_t i = 0; i < live.size(); ++i) {
@@ -671,7 +669,7 @@ std::vector<std::optional<std::size_t>> ConsensusS2BatchProgram::run(
   }
 
   {
-    ChannelStepScope scope(chan, "Secure Sum (6)", Timing::kUntimed);
+    ChannelStepScope scope(chan, "Secure Sum (6)");
     batch_collect(chan, peer_pk_, params_, set,
                   members_of(live, &Lane::noisy_agg));
   }
@@ -682,14 +680,14 @@ std::vector<std::optional<std::size_t>> ConsensusS2BatchProgram::run(
   }
   const std::vector<BlindPermuteS2*> bnp2s = bnps_of(live, &Lane::bnp2);
   {
-    ChannelStepScope scope(chan, "Blind-and-Permute (7)", Timing::kUntimed);
+    ChannelStepScope scope(chan, "Blind-and-Permute (7)");
     batch_bnp_s2(chan, set, bnp2s, members_of(live, &Lane::noisy_agg),
                  BlindPermuteMaskMode::kOppositeSign,
                  members_of(live, &Lane::noisy_seq));
   }
 
   {
-    ChannelStepScope scope(chan, "Secure Comparison (8)", Timing::kUntimed);
+    ChannelStepScope scope(chan, "Secure Comparison (8)");
     ArgmaxLanes state(k, params_.argmax_strategy, live.size());
     for (std::size_t r = 0; r < state.rounds(); ++r) {
       std::vector<std::int64_t> ys(live.size());
@@ -708,7 +706,7 @@ std::vector<std::optional<std::size_t>> ConsensusS2BatchProgram::run(
     }
   }
 
-  ChannelStepScope scope(chan, "Restoration (9)", Timing::kUntimed);
+  ChannelStepScope scope(chan, "Restoration (9)");
   std::vector<MessageWriter> parts(live.size());
   for_each_lane(set, [&](std::size_t i) {
     const LaneSpan span(set.ctx[i]);
@@ -786,7 +784,6 @@ ConsensusUserBatchProgram::~ConsensusUserBatchProgram() = default;
 
 void ConsensusUserBatchProgram::run(Channel& chan) {
   const std::size_t k = params_.num_classes;
-  using Timing = ChannelStepScope::Timing;
   const PackingLayout* packing = params_.packing_or_null();
 
   std::vector<Lane*> live = all_lanes(lanes_);
@@ -798,7 +795,7 @@ void ConsensusUserBatchProgram::run(Channel& chan) {
   //   S2 stream: t_b - b_u[i] - z1b_u[i]),
   // encrypt; then the vote pair and the threshold pair, four frames total.
   {
-    ChannelStepScope scope(chan, "Secure Sum (2)", Timing::kUntimed);
+    ChannelStepScope scope(chan, "Secure Sum (2)");
     std::vector<MessageWriter> votes_a(set.size()), votes_b(set.size());
     std::vector<MessageWriter> thresh_a(set.size()), thresh_b(set.size());
     for_each_lane(set, [&](std::size_t i) {
@@ -847,7 +844,7 @@ void ConsensusUserBatchProgram::run(Channel& chan) {
   set = lane_set(live, lanes_.size());
 
   // ---- Step 6: noisy vote pairs (Report Noisy Maximum), surviving lanes. --
-  ChannelStepScope scope(chan, "Secure Sum (6)", Timing::kUntimed);
+  ChannelStepScope scope(chan, "Secure Sum (6)");
   std::vector<MessageWriter> noisy_a(set.size()), noisy_b(set.size());
   for_each_lane(set, [&](std::size_t i) {
     Lane& lane = *live[i];

@@ -46,10 +46,10 @@
 // frames carry only the surviving lanes, still in lane order.
 //
 // Roles: S1 collects share aggregates, runs its side of Blind-and-Permute,
-// DGK comparison and Restoration, posts the step-5 verdicts and times every
-// step (the only party that does, so step times are not double-counted);
-// S2 is the mirror image and holds the DGK private key; a user submits its
-// share vectors for steps 2 and 6 and reads the verdicts off the bulletin.
+// DGK comparison and Restoration, and posts the step-5 verdicts (paper
+// Table I reads its step spans, see obs::span_seconds); S2 is the mirror
+// image and holds the DGK private key; a user submits its share vectors
+// for steps 2 and 6 and reads the verdicts off the bulletin.
 // Users never receive a direct message from either server (paper model;
 // enforced by the transcript tests).
 //

@@ -2,25 +2,16 @@
 
 namespace pcl {
 
-ChannelStepScope::ChannelStepScope(Channel& chan, std::string step,
-                                   Timing timing, obs::Phase phase)
+ChannelStepScope::ChannelStepScope(Channel& chan, std::string step)
     : chan_(chan),
       step_(std::move(step)),
       previous_step_(chan.step()),
-      timing_(timing),
-      start_ns_(obs::monotonic_time_ns()),
-      phase_scope_(phase),
+      phase_scope_(obs::Phase::kOnline),
       span_(step_.c_str()) {
   chan_.set_step(step_);
 }
 
-ChannelStepScope::~ChannelStepScope() {
-  if (timing_ == Timing::kTimed) {
-    chan_.add_step_time(step_, std::chrono::nanoseconds(
-                                   obs::monotonic_time_ns() - start_ns_));
-  }
-  chan_.set_step(previous_step_);
-}
+ChannelStepScope::~ChannelStepScope() { chan_.set_step(previous_step_); }
 
 NetworkChannel::NetworkChannel(Network& net, std::string self)
     : net_(net), self_(std::move(self)) {}
@@ -38,11 +29,6 @@ MessageReader NetworkChannel::recv(const std::string& from) {
     wait_hook_(from, [&] { return net_.has_pending(self_, from); });
   }
   return net_.wait_recv(self_, from);
-}
-
-void NetworkChannel::add_step_time(const std::string& step,
-                                   std::chrono::nanoseconds elapsed) {
-  net_.add_step_time(step, elapsed);
 }
 
 void NetworkChannel::post_public(std::int64_t value) {

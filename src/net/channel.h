@@ -3,8 +3,9 @@
 // A protocol party program (the lane-batched Alg. 5 programs of
 // mpc/consensus_batch.h) is written once against this interface: it knows
 // its own name, sends to and receives from named peers, and labels its
-// traffic with the current protocol step so `TrafficStats` (paper Tables
-// I/II) reads identically off every transport.
+// traffic with the current protocol step, so `TrafficStats` (paper Table
+// II) reads identically off every transport and each step's obs span
+// (paper Table I) carries the same name.
 //
 // The in-memory implementation is NetworkChannel, a party's endpoint on the
 // in-process `Network`; the party runner (net/party_runner.h) runs it under
@@ -18,7 +19,6 @@
 // bulletin.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -45,11 +45,6 @@ class Channel {
   virtual void set_step(std::string step) = 0;
   [[nodiscard]] virtual const std::string& step() const = 0;
 
-  /// Accumulates wall time for a step (paper Table I).  Exactly one party
-  /// per protocol should time a given step, or it is double-counted.
-  virtual void add_step_time(const std::string& step,
-                             std::chrono::nanoseconds elapsed) = 0;
-
   /// Out-of-band public bulletin (see file comment).  Posts form an ordered
   /// log: every consumer reads the sequence from its own cursor, one entry
   /// per await_public() call (lane-batched runs post one verdict per
@@ -58,22 +53,16 @@ class Channel {
   [[nodiscard]] virtual std::int64_t await_public() = 0;
 };
 
-/// RAII step label: sets the channel's step, restores the previous one on
-/// exit, and (for kTimed) accumulates the elapsed wall time into the stats.
-/// Also opens an obs::Span named after the step, so a run with a tracer
-/// attached gets per-party, per-step events (and per-step crypto-op
-/// attribution) for free — every party opens its span, while step *timing*
-/// stays single-party via kTimed.  Protocol steps are on-line work by
-/// definition (they sit between a query arriving and its label releasing),
-/// so the scope defaults the ambient obs::Phase to kOnline; pass kOffline
-/// for precompute traffic (e.g. pool refill shipping).
+/// RAII step label: sets the channel's step and restores the previous one
+/// on exit.  Also opens an obs::Span named after the step, so a run with a
+/// tracer attached gets per-party, per-step events (and per-step crypto-op
+/// attribution): the span is the step's only clock, and paper Table I sums
+/// S1's (obs::span_seconds).  Protocol steps are on-line work by definition
+/// (they sit between a query arriving and its label releasing), so the
+/// scope sets the ambient obs::Phase to kOnline.
 class ChannelStepScope {
  public:
-  enum class Timing { kUntimed, kTimed };
-
-  ChannelStepScope(Channel& chan, std::string step,
-                   Timing timing = Timing::kUntimed,
-                   obs::Phase phase = obs::Phase::kOnline);
+  ChannelStepScope(Channel& chan, std::string step);
   ~ChannelStepScope();
   ChannelStepScope(const ChannelStepScope&) = delete;
   ChannelStepScope& operator=(const ChannelStepScope&) = delete;
@@ -82,8 +71,6 @@ class ChannelStepScope {
   Channel& chan_;
   std::string step_;
   std::string previous_step_;
-  Timing timing_;
-  std::uint64_t start_ns_;
   obs::PhaseScope phase_scope_;  // before span_: the span records under it
   obs::Span span_;  // after step_: named by it, closed while it is alive
 };
@@ -110,8 +97,6 @@ class NetworkChannel final : public Channel {
   [[nodiscard]] MessageReader recv(const std::string& from) override;
   void set_step(std::string step) override { step_ = std::move(step); }
   [[nodiscard]] const std::string& step() const override { return step_; }
-  void add_step_time(const std::string& step,
-                     std::chrono::nanoseconds elapsed) override;
   void post_public(std::int64_t value) override;
   [[nodiscard]] std::int64_t await_public() override;
 

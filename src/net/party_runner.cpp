@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <thread>
 
+#include "bigint/rng.h"
 #include "net/tcp_runner.h"
 #include "obs/flight.h"
 
@@ -217,10 +218,7 @@ PartyRunReport run_parties(std::span<const Party> parties,
 }
 
 std::uint64_t derive_party_seed(std::uint64_t seed, std::uint64_t index) {
-  std::uint64_t z = seed + 0x9e3779b97f4a7c15ull * (index + 1);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
+  return splitmix64(seed, index);
 }
 
 }  // namespace pcl

@@ -61,7 +61,7 @@ enum class PartyTransport { kDeterministic, kThreaded, kTcp };
 
 struct PartyRunOptions {
   PartyTransport transport = PartyTransport::kDeterministic;
-  /// Receives per-step traffic (every transport) and add_step_time calls.
+  /// Receives per-step traffic (every transport).
   TrafficStats* stats = nullptr;
   /// Capture per-message metadata (in-memory schedules; its order is a
   /// function of the protocol only under kDeterministic).
@@ -70,9 +70,10 @@ struct PartyRunOptions {
   /// also bounds connect/accept/send, so one knob caps every stall).
   std::chrono::milliseconds recv_timeout = std::chrono::seconds(30);
   /// Optional observability: each party's thread is bound to these for the
-  /// duration of its program, so ChannelStepScope spans and obs::count()
-  /// calls are recorded per party.  Purely passive — attaching them never
-  /// changes protocol traffic (obs code touches no Rng stream).
+  /// duration of its program, so ChannelStepScope spans (the per-step time
+  /// of paper Table I) and obs::count() calls are recorded per party.
+  /// Purely passive — attaching them never changes protocol traffic (obs
+  /// code touches no Rng stream).
   obs::TraceSink* trace = nullptr;
   obs::MetricsRegistry* metrics = nullptr;
 };
@@ -96,8 +97,9 @@ struct PartyRunReport {
 PartyRunReport run_parties(std::span<const Party> parties,
                            const PartyRunOptions& options);
 
-/// Splitmix64-style derivation of one party's seed from a query seed; used
-/// so every transport hands party `index` an identical Rng stream.
+/// One party's seed from a query seed, splitmix64(seed, index) (see
+/// bigint/rng.h), so every transport hands party `index` an identical Rng
+/// stream.
 [[nodiscard]] std::uint64_t derive_party_seed(std::uint64_t seed,
                                               std::uint64_t index);
 

@@ -39,11 +39,6 @@ MessageReader SessionChannel::recv(const std::string& from) {
       routes_.session, conn_for(from, "recv"), routes_.recv_deadline));
 }
 
-void SessionChannel::add_step_time(const std::string& step,
-                                   std::chrono::nanoseconds elapsed) {
-  if (stats_ != nullptr) stats_->add_time(step, elapsed);
-}
-
 void SessionChannel::post_public(std::int64_t value) {
   if (routes_.self != routes_.bulletin_host) {
     throw std::logic_error("post_public: only the bulletin host ('" +

@@ -3,18 +3,20 @@
 // Party programs (mpc/consensus_batch.h) are written once against Channel;
 // this implementation is how they run over TCP.  In a multiplexing daemon a
 // program runs as session s; a TcpChannel (tcp_channel.h) runs its one
-// program as session 0, whose frames keep the legacy header.  Sends stamp
-// the session id into the frame header and go out over the connection
+// program as session 0.  Sends stamp the session id into the frame header
+// (the one header every frame carries) and go out over the connection
 // mapped for the peer (caller's thread, per-socket write mutex); receives
 // block on the mux's (session, conn) inbox, where the reactor thread
-// deposits inbound frames.  Bulletins, per session: the host posts to its
+// deposits inbound frames, until the route's receive deadline or the
+// session's own deadline (session_mux.h).  Bulletins, per session: the host posts to its
 // listeners fire-and-forget and reads its own log; listeners read the
 // ordered per-connection log through a private cursor.
 //
 // Traffic accounting records payload bytes only, under the same step labels
 // as every other transport — which is what makes a session's per-step
 // traffic directly comparable (byte-identical) to an isolated
-// run_query_seeded replay of the same seed.
+// run_query_seeded replay of the same seed.  Step time is not kept here:
+// it is the step spans the program's ChannelStepScopes open.
 #pragma once
 
 #include <chrono>
@@ -55,8 +57,6 @@ class SessionChannel final : public Channel {
   [[nodiscard]] MessageReader recv(const std::string& from) override;
   void set_step(std::string step) override { step_ = std::move(step); }
   [[nodiscard]] const std::string& step() const override { return step_; }
-  void add_step_time(const std::string& step,
-                     std::chrono::nanoseconds elapsed) override;
   void post_public(std::int64_t value) override;
   [[nodiscard]] std::int64_t await_public() override;
 

@@ -59,9 +59,8 @@ void WorkerPool::shutdown() {
 // ---------------------------------------------------------------------------
 // SessionManager
 
-SessionManager::SessionManager(SessionManagerConfig config, SessionMux& mux,
-                               EventLoop* loop)
-    : config_(config), mux_(mux), loop_(loop), pool_(config.workers) {}
+SessionManager::SessionManager(SessionManagerConfig config, SessionMux& mux)
+    : config_(config), mux_(mux), pool_(config.workers) {}
 
 SessionManager::~SessionManager() {
   // Program tasks reference `this`; they must finish before members die.
@@ -93,7 +92,7 @@ void SessionManager::admit(const SessionInfo& info) {
   }
   // Registration is visible before SESSION_ACCEPT goes out, so no frame the
   // client sends after the accept can ever land as an orphan here.
-  mux_.register_session(info.id);
+  mux_.register_session(info.id, config_.session_deadline);
 }
 
 void SessionManager::launch(const SessionInfo& info, SessionRoutes routes,
@@ -107,15 +106,6 @@ void SessionManager::launch(const SessionInfo& info, SessionRoutes routes,
     }
     it->second.routes = routes;
     it->second.obs = std::make_unique<SessionObs>();
-    if (loop_ != nullptr && config_.session_deadline.count() > 0) {
-      const std::uint32_t id = info.id;
-      it->second.watchdog_id =
-          loop_->add_timer(config_.session_deadline, [this, id] {
-            const std::string text = "session " + std::to_string(id) +
-                                     ": watchdog deadline expired";
-            mux_.fail_session(id, [text] { throw ChannelTimeout(text); });
-          });
-    }
   }
   pool_.submit([this, info, routes = std::move(routes),
                 program = std::move(program),
@@ -171,9 +161,6 @@ void SessionManager::finish(std::uint32_t id, SessionState state,
   {
     const std::lock_guard<std::mutex> lock(mu_);
     auto it = active_.find(id);
-    if (it->second.watchdog_id != 0 && loop_ != nullptr) {
-      loop_->cancel_timer(it->second.watchdog_id);
-    }
     obs = std::move(it->second.obs);
     active_.erase(it);
     SessionRecord& stored = records_.at(id);

@@ -26,9 +26,12 @@
 // dump taken while ANOTHER session is failing concurrently can contain its
 // neighbor's tail too — blame stays coarse under simultaneous failures.
 //
+// A session's deadline (SessionManagerConfig::session_deadline) lives in
+// the mux: admit() registers the session with it, and every receive or
+// await of the session past it throws ChannelTimeout (session_mux.h).
+//
 // One session's failure never disturbs its neighbors: teardown closes that
-// session's mux inboxes, cancels its watchdog, frees its observability, and
-// nothing else.
+// session's mux inboxes, frees its observability, and nothing else.
 #pragma once
 
 #include <chrono>
@@ -44,7 +47,6 @@
 #include <thread>
 #include <vector>
 
-#include "net/session/event_loop.h"
 #include "net/session/session_channel.h"
 #include "net/session/session_mux.h"
 #include "obs/json.h"
@@ -105,8 +107,8 @@ struct SessionManagerConfig {
   /// Concurrent-session admission cap; admit() beyond it throws ChannelBusy.
   std::size_t max_sessions = 8;
   std::size_t workers = 2;
-  /// Watchdog: a session still running after this long is failed with
-  /// ChannelTimeout via the event-loop timer wheel.  0 disables.
+  /// Bounds a session from admission: once this long has passed, each of
+  /// its receives and awaits throws ChannelTimeout.  0 disables.
   std::chrono::milliseconds session_deadline{0};
 };
 
@@ -121,17 +123,16 @@ class SessionManager {
   /// and `obs` is this session's (mutable so sinks may move artifacts out).
   using CloseSink = std::function<void(const SessionRecord&, SessionObs&)>;
 
-  /// `loop` powers watchdog deadlines; may be null (no watchdogs).
-  SessionManager(SessionManagerConfig config, SessionMux& mux,
-                 EventLoop* loop);
+  SessionManager(SessionManagerConfig config, SessionMux& mux);
   ~SessionManager();
 
-  /// Admission check + mux registration.  Throws ChannelBusy at the cap or
-  /// once draining, ChannelError on a duplicate id.
+  /// Admission check + mux registration (with the session deadline).
+  /// Throws ChannelBusy at the cap or once draining, ChannelError on a
+  /// duplicate id.
   void admit(const SessionInfo& info);
   /// Schedules the admitted session's program on the pool.  Teardown —
-  /// unregister, watchdog cancel, record finalization, close sink — runs on
-  /// the worker thread whether the program returns or throws.
+  /// unregister, record finalization, close sink — runs on the worker
+  /// thread whether the program returns or throws.
   void launch(const SessionInfo& info, SessionRoutes routes, Program program,
               CloseSink on_close);
 
@@ -153,7 +154,6 @@ class SessionManager {
   struct Active {
     SessionRoutes routes;
     std::unique_ptr<SessionObs> obs;
-    std::uint64_t watchdog_id = 0;
   };
 
   void finish(std::uint32_t id, SessionState state, const std::string& status,
@@ -161,7 +161,6 @@ class SessionManager {
 
   SessionManagerConfig config_;
   SessionMux& mux_;
-  EventLoop* loop_;
   WorkerPool pool_;
   mutable std::mutex mu_;
   std::condition_variable idle_cv_;

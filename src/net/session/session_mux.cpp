@@ -76,12 +76,19 @@ SessionMux::SessionBox* SessionMux::find_locked(std::uint32_t session) {
   return it == sessions_.end() ? nullptr : &it->second;
 }
 
-void SessionMux::register_session(std::uint32_t session) {
+void SessionMux::register_session(std::uint32_t session,
+                                  std::chrono::milliseconds deadline) {
   const std::lock_guard<std::mutex> lock(mu_);
   auto [it, fresh] = sessions_.try_emplace(session);
   if (!fresh) {
     throw ChannelError("session mux: session " + std::to_string(session) +
                        " already registered");
+  }
+  if (deadline.count() > 0) {
+    it->second.deadline = deadline;
+    it->second.deadline_ns = obs::monotonic_time_ns() +
+                             static_cast<std::uint64_t>(deadline.count()) *
+                                 1'000'000ull;
   }
   replay_orphans_locked(session, it->second);
 }
@@ -193,14 +200,6 @@ void SessionMux::fail_connection(const std::string& conn,
   cv_.notify_all();
 }
 
-void SessionMux::fail_session(std::uint32_t session,
-                              std::function<void()> rethrow) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  SessionBox* box = find_locked(session);
-  if (box != nullptr && !box->rethrow) box->rethrow = std::move(rethrow);
-  cv_.notify_all();
-}
-
 template <typename T, typename Ready>
 T SessionMux::wait_for(std::uint32_t session, const std::string& conn,
                        std::chrono::milliseconds deadline, const char* what,
@@ -216,17 +215,26 @@ T SessionMux::wait_for(std::uint32_t session, const std::string& conn,
                           ": torn down while waiting for " + what);
     }
     if (box->rethrow) box->rethrow();
+    const std::uint64_t now = obs::monotonic_time_ns();
+    if (box->deadline_ns != 0 && now >= box->deadline_ns) {
+      throw ChannelTimeout("session " + std::to_string(session) +
+                           ": session deadline of " +
+                           std::to_string(box->deadline.count()) +
+                           "ms passed before " + what);
+    }
     std::optional<T> got = ready(*box);
     if (got.has_value()) return *std::move(got);
     const auto closed = closed_.find(conn);
     if (closed != closed_.end()) closed->second();
-    const std::uint64_t now = obs::monotonic_time_ns();
     if (now >= deadline_ns) {
       throw ChannelTimeout("session " + std::to_string(session) + ": " +
                            what + " timed out after " +
                            std::to_string(deadline.count()) + "ms");
     }
-    cv_.wait_for(lock, std::chrono::nanoseconds(deadline_ns - now));
+    const std::uint64_t until = box->deadline_ns != 0
+                                    ? std::min(deadline_ns, box->deadline_ns)
+                                    : deadline_ns;
+    cv_.wait_for(lock, std::chrono::nanoseconds(until - now));
   }
 }
 

@@ -11,6 +11,12 @@
 //   reactor thread:  recv -> FrameAssembler -> route(conn, frame)
 //   worker threads:  recv_message / await_bulletin / recv_control
 //
+// The mux's waits are the only deadlines in the subsystem.  Each wait is
+// bounded by the caller's receive deadline and, for a session registered
+// with one, by the session's absolute deadline: once that passes, every
+// later wait of the session throws ChannelTimeout naming it, even with a
+// frame queued.
+//
 // Early frames park here and nowhere else.  Within a (session, connection)
 // inbox, protocol messages queue in arrival order, bulletin values append
 // to an ordered log read through the consumer's own cursor, and neither
@@ -93,7 +99,10 @@ class SessionMux {
   void close_sockets();
 
   /// Creates the session's inboxes and replays any parked orphans for it.
-  void register_session(std::uint32_t session);
+  /// A positive `deadline` bounds every later wait of the session: from
+  /// `deadline` after this call on, each throws ChannelTimeout.
+  void register_session(std::uint32_t session,
+                        std::chrono::milliseconds deadline = {});
   /// Frees the session's inboxes; late frames for it re-park as orphans.
   void unregister_session(std::uint32_t session);
 
@@ -114,13 +123,10 @@ class SessionMux {
   /// the daemons' policy, as each of their sessions spans every connection.
   void fail_connection(const std::string& conn, const std::string& why);
 
-  /// Marks one session failed; all its blocked receivers (and all future
-  /// calls) throw the typed error `rethrow` produces.
-  void fail_session(std::uint32_t session, std::function<void()> rethrow);
-
   /// Blocking typed receives (worker threads).  Each throws ChannelTimeout
-  /// at the deadline, the session's typed error if it was failed, and the
-  /// connection's once `conn` is closed and has nothing queued.
+  /// at `deadline` or once the session's own deadline has passed, the
+  /// session's typed error if it was failed, and the connection's once
+  /// `conn` is closed and has nothing queued.
   [[nodiscard]] std::vector<std::uint8_t> recv_message(
       std::uint32_t session, const std::string& conn,
       std::chrono::milliseconds deadline);
@@ -148,6 +154,8 @@ class SessionMux {
   struct SessionBox {
     std::map<std::string, Inbox> by_conn;  ///< keyed by connection label
     std::function<void()> rethrow;         ///< set once failed
+    std::chrono::milliseconds deadline{};  ///< 0 = none
+    std::uint64_t deadline_ns = 0;  ///< obs clock; registration + deadline
   };
 
   [[nodiscard]] SessionBox* find_locked(std::uint32_t session);
@@ -158,8 +166,8 @@ class SessionMux {
   void replay_orphans_locked(std::uint32_t session, SessionBox& box);
 
   /// Waits on cv_ until `ready` (called under mu_) returns non-nullopt,
-  /// the session fails, `conn` is closed with nothing ready, or the
-  /// deadline passes.
+  /// the session fails, `conn` is closed with nothing ready, or `deadline`
+  /// passes; throws first if the session's deadline has passed.
   template <typename T, typename Ready>
   T wait_for(std::uint32_t session, const std::string& conn,
              std::chrono::milliseconds deadline, const char* what,

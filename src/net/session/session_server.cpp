@@ -59,7 +59,7 @@ SessionServer::SessionServer(SessionServerConfig config, Program program,
       program_(std::move(program)),
       artifact_sink_(std::move(artifact_sink)),
       mux_(config_.limits),
-      manager_(config_.manager, mux_, &loop_) {}
+      manager_(config_.manager, mux_) {}
 
 SessionServer::~SessionServer() { drain_and_stop(); }
 

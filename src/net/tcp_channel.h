@@ -5,9 +5,10 @@
 // its wired peers through the HELLO handshake (tcp_transport.h), attaches
 // every peer socket to its own reactor and SessionMux, and serves each
 // Channel call through a SessionChannel on session 0 — the receive path the
-// serving daemons run.  Session-0 frames keep the legacy 9-byte header, and
-// traffic accounting records payload bytes only, so wire bytes and per-step
-// TrafficStats match every other transport for the same seed.
+// serving daemons run.  Its frames carry the one 13-byte header with
+// session 0, and traffic accounting records payload bytes only, so payload
+// bytes and per-step TrafficStats match every other transport for the
+// same seed.
 //
 // A peer that hangs up fails only the receives from that peer, and only
 // once the frames it sent before are read.  Not thread-safe: one party
@@ -95,10 +96,6 @@ class TcpChannel final : public Channel {
   }
   [[nodiscard]] const std::string& step() const override {
     return session_.step();
-  }
-  void add_step_time(const std::string& step,
-                     std::chrono::nanoseconds elapsed) override {
-    session_.add_step_time(step, elapsed);
   }
   void post_public(std::int64_t value) override {
     session_.post_public(value);

@@ -19,6 +19,7 @@
 #include <thread>
 #include <utility>
 
+#include "bigint/rng.h"
 #include "obs/trace.h"
 
 namespace pcl {
@@ -89,28 +90,14 @@ void put_u32le(std::vector<std::uint8_t>& out, std::uint32_t v) {
   return v;
 }
 
-/// Kind byte split into the base kind and the versioned-header flag; the
-/// first checkpoint of every decode (the kind byte alone decides how many
-/// more header bytes follow).
-struct KindInfo {
-  FrameKind kind;
-  bool versioned;
-};
-
-[[nodiscard]] KindInfo check_kind(std::uint8_t raw_kind) {
-  const bool versioned = (raw_kind & kSessionFlag) != 0;
-  const std::uint8_t base =
-      static_cast<std::uint8_t>(raw_kind & ~kSessionFlag);
-  if (base < static_cast<std::uint8_t>(FrameKind::kHello) ||
-      base > static_cast<std::uint8_t>(FrameKind::kSessionClose)) {
+/// The kind byte: the first checkpoint of every decode, so a stream is
+/// rejected at the byte that breaks it.
+[[nodiscard]] FrameKind check_kind(std::uint8_t raw_kind) {
+  if (raw_kind < static_cast<std::uint8_t>(FrameKind::kHello) ||
+      raw_kind > static_cast<std::uint8_t>(FrameKind::kSessionClose)) {
     throw FramingError("frame: unknown kind " + std::to_string(raw_kind));
   }
-  const auto kind = static_cast<FrameKind>(base);
-  if (is_session_control(kind) && !versioned) {
-    throw FramingError("frame: session-control kind " + std::to_string(base) +
-                       " requires the versioned header");
-  }
-  return {kind, versioned};
+  return static_cast<FrameKind>(raw_kind);
 }
 
 struct FrameHeader {
@@ -120,21 +107,14 @@ struct FrameHeader {
   std::uint32_t payload_len;
 };
 
-/// Validates the header bytes after the kind byte (8 legacy / 12 versioned);
-/// the single length checkpoint every decode goes through.
-[[nodiscard]] FrameHeader check_header_rest(KindInfo info,
-                                            const std::uint8_t* rest) {
+/// Validates a whole header; the single length checkpoint every decode goes
+/// through.
+[[nodiscard]] FrameHeader check_header(const std::uint8_t* p) {
   FrameHeader header;
-  header.kind = info.kind;
-  const std::uint8_t* p = rest;
-  if (info.versioned) {
-    header.session = get_u32le(p);
-    p += 4;
-  } else {
-    header.session = 0;
-  }
-  header.step_len = get_u32le(p);
-  header.payload_len = get_u32le(p + 4);
+  header.kind = check_kind(p[0]);
+  header.session = get_u32le(p + 1);
+  header.step_len = get_u32le(p + 5);
+  header.payload_len = get_u32le(p + 9);
   if (header.step_len > kMaxFrameStepBytes) {
     throw FramingError("frame: step length " +
                        std::to_string(header.step_len) + " exceeds the " +
@@ -146,10 +126,6 @@ struct FrameHeader {
                        std::to_string(kMaxFramePayloadBytes) + "-byte cap");
   }
   return header;
-}
-
-[[nodiscard]] std::size_t header_bytes(KindInfo info) {
-  return info.versioned ? kSessionFrameHeaderBytes : kFrameHeaderBytes;
 }
 
 }  // namespace
@@ -232,17 +208,11 @@ std::vector<std::uint8_t> encode_frame(const Frame& frame) {
     throw FramingError("frame: payload too large (" +
                        std::to_string(frame.payload.size()) + " bytes)");
   }
-  // Session-0 protocol frames keep the legacy 9-byte header, so byte streams
-  // that predate sessions are reproduced exactly.  Everything else carries
-  // the session id explicitly.
-  const bool versioned = frame.session != 0 || is_session_control(frame.kind);
   std::vector<std::uint8_t> out;
-  out.reserve((versioned ? kSessionFrameHeaderBytes : kFrameHeaderBytes) +
-              frame.step.size() + frame.payload.size());
-  std::uint8_t kind_byte = static_cast<std::uint8_t>(frame.kind);
-  if (versioned) kind_byte |= kSessionFlag;
-  out.push_back(kind_byte);
-  if (versioned) put_u32le(out, frame.session);
+  out.reserve(kSessionFrameHeaderBytes + frame.step.size() +
+              frame.payload.size());
+  out.push_back(static_cast<std::uint8_t>(frame.kind));
+  put_u32le(out, frame.session);
   put_u32le(out, static_cast<std::uint32_t>(frame.step.size()));
   put_u32le(out, static_cast<std::uint32_t>(frame.payload.size()));
   out.insert(out.end(), frame.step.begin(), frame.step.end());
@@ -266,16 +236,6 @@ Frame decode_frame(const std::vector<std::uint8_t>& bytes) {
   return *std::move(frame);
 }
 
-std::size_t frame_header_size(std::uint8_t kind_byte) {
-  return header_bytes(check_kind(kind_byte));
-}
-
-std::size_t frame_body_size(const std::uint8_t* header) {
-  const KindInfo info = check_kind(header[0]);
-  const FrameHeader h = check_header_rest(info, header + 1);
-  return static_cast<std::size_t>(h.step_len) + h.payload_len;
-}
-
 void FrameAssembler::feed(const std::uint8_t* data, std::size_t n) {
   // Compact lazily: only when the consumed prefix dominates the buffer, so
   // steady-state feeds append without shifting.
@@ -289,9 +249,10 @@ void FrameAssembler::feed(const std::uint8_t* data, std::size_t n) {
 std::size_t FrameAssembler::frame_size() const {
   const std::size_t have = buffered();
   if (have == 0) return 1;
-  const std::size_t head = frame_header_size(buf_[pos_]);
-  if (have < head) return head;
-  return head + frame_body_size(buf_.data() + pos_);
+  (void)check_kind(buf_[pos_]);
+  if (have < kSessionFrameHeaderBytes) return kSessionFrameHeaderBytes;
+  const FrameHeader h = check_header(buf_.data() + pos_);
+  return kSessionFrameHeaderBytes + h.step_len + h.payload_len;
 }
 
 std::size_t FrameAssembler::needed() const {
@@ -303,9 +264,8 @@ std::optional<Frame> FrameAssembler::next() {
   const std::size_t size = frame_size();
   if (buffered() < size) return std::nullopt;
   const std::uint8_t* p = buf_.data() + pos_;
-  const KindInfo info = check_kind(p[0]);
-  const FrameHeader header = check_header_rest(info, p + 1);
-  const std::uint8_t* step = p + header_bytes(info);
+  const FrameHeader header = check_header(p);
+  const std::uint8_t* step = p + kSessionFrameHeaderBytes;
   const std::uint8_t* payload = step + header.step_len;
   Frame frame;
   frame.kind = header.kind;
@@ -324,10 +284,7 @@ std::chrono::milliseconds dial_backoff(std::size_t attempt,
       attempt >= 6 ? kCapMs : std::min(kBaseMs << attempt, kCapMs);
   // splitmix64 over (seed, attempt): decorrelates concurrent dialers without
   // any shared RNG state, and a fixed seed replays the schedule in tests.
-  std::uint64_t x = jitter_seed + 0x9e3779b97f4a7c15ull * (attempt + 1);
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  x ^= x >> 31;
+  const std::uint64_t x = splitmix64(jitter_seed, attempt);
   // Uniform in [full/2, full]: never below half the nominal step (retries
   // stay cheap) and never above the cap (bounded added latency).
   const std::uint64_t half = full / 2;

@@ -7,9 +7,10 @@
 // boundaries:
 //
 //   * Frame codec — every unit on the wire is a length-prefixed frame
-//     [kind u8 | step_len u32 | payload_len u32 | step | payload] carrying
-//     the Channel step tag alongside the serialized MessageWriter payload.
-//     Frames are validated before allocation (FramingError on violation).
+//     [kind u8 | session u32 | step_len u32 | payload_len u32 | step |
+//     payload] carrying the session id and the Channel step tag alongside
+//     the serialized MessageWriter payload.  Frames are validated before
+//     allocation (FramingError on violation).
 //     FrameAssembler is the one decoder of inbound TCP bytes: the reactor
 //     (src/net/session/) feeds it nonblocking reads, and recv_frame() drives
 //     it for the few blocking reads (the handshake and the admin channel).
@@ -70,23 +71,18 @@ using EndpointMap = std::map<std::string, TcpEndpoint>;
 // ---------------------------------------------------------------------------
 // Frame codec
 //
-// Two header forms share the wire (PROTOCOL.md "Frame format"):
+// One header form for every frame, HELLO and session 0 included
+// (PROTOCOL.md "Frame format"):
 //
-//   legacy     [kind u8 | step_len u32 | payload_len u32 | step | payload]
-//   versioned  [kind|0x80 u8 | session u32 | step_len u32 | payload_len u32
-//               | step | payload]
+//   [kind u8 | session u32 | step_len u32 | payload_len u32 | step | payload]
 //
-// A frame whose session id is 0 and whose kind predates sessions is encoded
-// in the legacy form, so every byte PR 4 peers exchange is unchanged —
-// "session 0" IS the PR 4 wire format.  Frames addressed to a non-zero
-// session, and all session-control kinds, use the versioned form with the
-// kSessionFlag bit set on the kind byte.
+// All integers little-endian.  A TcpChannel's frames carry session 0.
 
 enum class FrameKind : std::uint8_t {
   kHello = 1,     ///< connection opener; payload = dialer's party name
   kMessage = 2,   ///< one MessageWriter payload, tagged with its step
   kBulletin = 3,  ///< public verdict push; payload = i64 value
-  // Session-control kinds (src/net/session/): always versioned-form.
+  // Session-control kinds (src/net/session/).
   kSessionOpen = 4,    ///< open `session`; payload = u64 seed
   kSessionAccept = 5,  ///< admission granted for `session`
   kSessionReject = 6,  ///< admission refused; step = class, payload = why
@@ -95,7 +91,7 @@ enum class FrameKind : std::uint8_t {
 
 struct Frame {
   FrameKind kind = FrameKind::kMessage;
-  std::uint32_t session = 0;  ///< 0 = the legacy single-session stream
+  std::uint32_t session = 0;  ///< 0 = a TcpChannel's one session
   std::string step;
   std::vector<std::uint8_t> payload;
 };
@@ -105,30 +101,15 @@ struct Frame {
 inline constexpr std::size_t kMaxFrameStepBytes = 256;
 inline constexpr std::size_t kMaxFramePayloadBytes =
     std::size_t{64} * 1024 * 1024;
-inline constexpr std::size_t kFrameHeaderBytes = 9;  // kind + 2 x u32 length
-/// Versioned header: flagged kind + u32 session + 2 x u32 length.
+/// The header: kind + u32 session + 2 x u32 length.
 inline constexpr std::size_t kSessionFrameHeaderBytes = 13;
-/// Kind-byte flag marking the versioned (session-tagged) header form.
-inline constexpr std::uint8_t kSessionFlag = 0x80;
 
-/// True for kinds that only exist in the versioned header form.
-[[nodiscard]] constexpr bool is_session_control(FrameKind kind) {
-  return kind >= FrameKind::kSessionOpen && kind <= FrameKind::kSessionClose;
-}
-
-/// Serializes a frame (validating the limits above).  Picks the legacy
-/// header for session-0 protocol frames and the versioned header otherwise.
+/// Serializes a frame (validating the limits above).
 [[nodiscard]] std::vector<std::uint8_t> encode_frame(const Frame& frame);
 
 /// Parses a buffer holding exactly one frame (through a FrameAssembler);
 /// throws FramingError on bad kind/lengths, truncation, or trailing bytes.
 [[nodiscard]] Frame decode_frame(const std::vector<std::uint8_t>& bytes);
-
-/// Incremental-decode support: the kind byte alone fixes the header length,
-/// and the full header fixes the body length.  Both validate exactly as
-/// decode_frame does, so a stream is rejected at the byte that breaks it.
-[[nodiscard]] std::size_t frame_header_size(std::uint8_t kind_byte);
-[[nodiscard]] std::size_t frame_body_size(const std::uint8_t* header);
 
 /// Incremental frame decoder for a byte stream, and the only frame decoder
 /// (decode_frame wraps it): feed() whatever recv returned, then drain next()

@@ -1,6 +1,5 @@
 #include "net/transport.h"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "net/errors.h"
@@ -20,12 +19,6 @@ void TrafficStats::record_send(const std::string& step, const std::string& from,
   LinkTotals& totals = traffic_[Key{step, from, to}];
   totals.bytes += bytes;
   totals.messages += 1;
-}
-
-void TrafficStats::add_time(const std::string& step,
-                            std::chrono::nanoseconds elapsed) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  time_[step] += elapsed;
 }
 
 std::size_t TrafficStats::bytes_for(const std::string& step,
@@ -56,28 +49,11 @@ std::size_t TrafficStats::messages_for(const std::string& step,
   return total;
 }
 
-double TrafficStats::seconds_for(const std::string& step) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = time_.find(step);
-  if (it == time_.end()) return 0.0;
-  return std::chrono::duration<double>(it->second).count();
-}
-
-double TrafficStats::total_seconds() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  std::chrono::nanoseconds total{0};
-  for (const auto& [step, elapsed] : time_) total += elapsed;
-  return std::chrono::duration<double>(total).count();
-}
-
 std::vector<std::string> TrafficStats::steps() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   std::vector<std::string> out;
-  for (const auto& [step, elapsed] : time_) out.push_back(step);
   for (const auto& [key, totals] : traffic_) {
-    if (std::find(out.begin(), out.end(), key.step) == out.end()) {
-      out.push_back(key.step);
-    }
+    if (out.empty() || out.back() != key.step) out.push_back(key.step);
   }
   return out;
 }
@@ -106,7 +82,6 @@ obs::TrafficByStep TrafficStats::by_step() const {
 void TrafficStats::clear() {
   const std::lock_guard<std::mutex> lock(mutex_);
   traffic_.clear();
-  time_.clear();
 }
 
 void Network::send(const std::string& from, const std::string& to,
@@ -175,11 +150,6 @@ std::size_t Network::pending_total() const {
 std::size_t Network::bytes_sent() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   return bytes_sent_;
-}
-
-void Network::add_step_time(const std::string& step,
-                            std::chrono::nanoseconds elapsed) {
-  if (stats_ != nullptr) stats_->add_time(step, elapsed);
 }
 
 void Network::post_public(std::int64_t value) {

@@ -3,8 +3,9 @@
 //
 // Parties exchange serialized Messages through a Network object.  Every send
 // is tagged with the sending party's protocol step, so the per-step
-// communication table (paper Table II) and per-step timing table (paper
-// Table I) fall out of the same run.  A recv pops the oldest pending
+// communication table (paper Table II) falls out of the run; the per-step
+// timing table (paper Table I) comes from the same steps' obs spans (see
+// ChannelStepScope in net/channel.h).  A recv pops the oldest pending
 // message on the (from, to) link and throws if none is pending; a wait_recv
 // blocks until one arrives.  The party runner (net/party_runner.h) builds
 // one Network per run and drives the parties over it on either schedule:
@@ -30,7 +31,7 @@ namespace pcl {
 /// The step label of a send made without one, on every transport.
 inline const std::string kUnsetStep = "(unset)";
 
-/// Aggregated traffic and timing per protocol step.  Internally locked:
+/// Aggregated traffic per protocol step.  Internally locked:
 /// writers on the threaded schedule and the TCP transport race each other
 /// and readers (a bench polling totals, a reporting thread), so every
 /// accessor takes the mutex.
@@ -43,7 +44,6 @@ class TrafficStats {
 
   void record_send(const std::string& step, const std::string& from,
                    const std::string& to, std::size_t bytes);
-  void add_time(const std::string& step, std::chrono::nanoseconds elapsed);
 
   /// Total bytes sent during `step` over links whose endpoints match the
   /// given categories ("user" matches any party id starting with "user");
@@ -54,8 +54,7 @@ class TrafficStats {
   [[nodiscard]] std::size_t messages_for(
       const std::string& step, const std::string& from_category = "",
       const std::string& to_category = "") const;
-  [[nodiscard]] double seconds_for(const std::string& step) const;
-  [[nodiscard]] double total_seconds() const;
+  /// Every step with traffic, in sorted order.
   [[nodiscard]] std::vector<std::string> steps() const;
 
   /// One traffic row per (step, from, to) link, in deterministic (sorted)
@@ -83,7 +82,6 @@ class TrafficStats {
   };
   mutable std::mutex mutex_;
   std::map<Key, LinkTotals> traffic_;
-  std::map<std::string, std::chrono::nanoseconds> time_;
 };
 
 /// Optional full transcript: one entry per message in send order.  Used by
@@ -128,10 +126,6 @@ class Network {
   [[nodiscard]] std::size_t pending_total() const;
   /// Total payload bytes ever sent.
   [[nodiscard]] std::size_t bytes_sent() const;
-
-  /// Accumulates a step's wall time into the attached stats (Table I).
-  void add_step_time(const std::string& step,
-                     std::chrono::nanoseconds elapsed);
 
   /// The bulletin: posts append to one ordered log, which readers walk by
   /// index.  await_public blocks until entry `index` exists, failing like

@@ -26,6 +26,15 @@ void TraceSink::clear() {
   events_.clear();
 }
 
+double span_seconds(const std::vector<TraceEvent>& events,
+                    std::string_view party, std::string_view name) {
+  std::uint64_t total_ns = 0;
+  for (const TraceEvent& e : events) {
+    if (e.party == party && e.name == name) total_ns += e.duration_ns;
+  }
+  return static_cast<double>(total_ns) / 1e9;
+}
+
 namespace detail {
 
 ThreadObserver& tls_observer() {

@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/clock.h"
@@ -50,6 +51,13 @@ class TraceSink {
   mutable std::mutex mutex_;
   std::vector<TraceEvent> events_;
 };
+
+/// Seconds that `party`'s spans named `name` cover, summed over `events`.
+/// A protocol step's span is its only clock: paper Table I sums S1's step
+/// spans (ChannelStepScope, net/channel.h) this way.
+[[nodiscard]] double span_seconds(const std::vector<TraceEvent>& events,
+                                  std::string_view party,
+                                  std::string_view name);
 
 namespace detail {
 

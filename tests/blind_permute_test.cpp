@@ -42,14 +42,19 @@ struct ServerPair {
     return out;
   }
 
-  /// Alg. 3's eight slots: both servers must learn the same index.
-  std::size_t restore(std::size_t permuted_index) {
+  /// Alg. 3's slots 1-6: S1's slot-6 reply, the one-hot masked with r2.
+  MessageReader restore_to_slot6(std::size_t permuted_index) {
     MessageReader onehot = deliver(s2.restore_open(permuted_index));
     MessageReader masked = deliver(s1.restore_mask(onehot));
     MessageReader revealed = deliver(s2.restore_reveal(masked));
     MessageReader stripped = deliver(s1.restore_strip(revealed));
     MessageReader remasked = deliver(s2.restore_unpermute(stripped));
-    MessageReader decrypted = deliver(s1.restore_decrypt(remasked));
+    return deliver(s1.restore_decrypt(remasked));
+  }
+
+  /// Alg. 3's eight slots: both servers must learn the same index.
+  std::size_t restore(std::size_t permuted_index) {
+    MessageReader decrypted = restore_to_slot6(permuted_index);
     std::size_t s2_index = 0;
     MessageReader index = deliver(s2.restore_finish(decrypted, s2_index));
     const std::size_t s1_index = s1.restore_index(index);
@@ -79,6 +84,24 @@ class BlindPermuteTest : public ::testing::Test {
                const std::vector<std::int64_t>& b) {
     return {encrypt_vector(keys_.s2.pk, a, rng_),
             encrypt_vector(keys_.s1.pk, b, rng_)};
+  }
+
+  /// Runs Restoration (k = 4) to S1's slot-6 reply, lets `edit` change its
+  /// values, and hands the result to S2's restore_finish.  `edit` gets the
+  /// position of the masked 1, which the composed permutation gives away.
+  template <typename Edit>
+  void restore_finish_after(Edit edit) {
+    const auto [ea, eb] = encrypt_pair({1, 2, 3, 4}, {5, 6, 7, 8});
+    ServerPair servers(keys_, 4, 30, rng_, rng_);
+    (void)servers.run(ea, eb, BlindPermuteMaskMode::kOppositeSign);
+    MessageReader honest = servers.restore_to_slot6(1);
+    std::vector<std::int64_t> values = honest.read_i64_vector();
+    edit(values, servers.composed()[1]);
+    MessageWriter reply;
+    reply.write_i64_vector(values);
+    MessageReader msg = deliver(std::move(reply));
+    std::size_t index = 0;
+    (void)servers.s2.restore_finish(msg, index);
   }
 
   DeterministicRng rng_;
@@ -191,6 +214,31 @@ TEST_F(BlindPermuteTest, RestoreIndexRejectsIndexAtK) {
   last.write_u64(3);
   MessageReader good = deliver(std::move(last));
   EXPECT_EQ(s1.restore_index(good), 3u);
+}
+
+TEST_F(BlindPermuteTest, RestoreFinishAcceptsTheHonestReply) {
+  EXPECT_NO_THROW(restore_finish_after([](std::vector<std::int64_t>&,
+                                          std::size_t) {}));
+}
+
+TEST_F(BlindPermuteTest, RestoreFinishRejectsAnAllZeroReply) {
+  EXPECT_THROW(restore_finish_after([](std::vector<std::int64_t>& v,
+                                       std::size_t one) { v[one] -= 1; }),
+               FramingError);
+}
+
+TEST_F(BlindPermuteTest, RestoreFinishRejectsAReplyWithTwoOnes) {
+  EXPECT_THROW(restore_finish_after([](std::vector<std::int64_t>& v,
+                                       std::size_t one) {
+                 v[(one + 1) % v.size()] += 1;
+               }),
+               FramingError);
+}
+
+TEST_F(BlindPermuteTest, RestoreFinishRejectsAReplyHoldingATwo) {
+  EXPECT_THROW(restore_finish_after([](std::vector<std::int64_t>& v,
+                                       std::size_t one) { v[one] += 1; }),
+               FramingError);
 }
 
 TEST_F(BlindPermuteTest, PeerSequenceOfWrongLengthIsFramingError) {

@@ -11,7 +11,6 @@
 // without updating these pins on purpose.
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <optional>
@@ -75,10 +74,6 @@ class DigestChannel final : public Channel {
   void set_step(std::string step) override { inner_.set_step(std::move(step)); }
   [[nodiscard]] const std::string& step() const override {
     return inner_.step();
-  }
-  void add_step_time(const std::string& step,
-                     std::chrono::nanoseconds elapsed) override {
-    inner_.add_step_time(step, elapsed);
   }
   void post_public(std::int64_t value) override {
     fnv_mix_str(digest_, "post");

@@ -132,7 +132,7 @@ TEST(Framing, CorruptedTcpFrameOverRealSocketThrowsTyped) {
                                      std::chrono::milliseconds(2000));
   TcpSocket server = listener.accept(std::chrono::milliseconds(2000));
 
-  std::vector<std::uint8_t> garbage(kFrameHeaderBytes, 0xee);  // kind 0xee
+  std::vector<std::uint8_t> garbage(kSessionFrameHeaderBytes, 0xee);  // kind
   client.send_all(garbage, std::chrono::milliseconds(2000));
   EXPECT_THROW((void)recv_frame(server, std::chrono::milliseconds(2000)),
                FramingError);

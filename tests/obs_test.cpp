@@ -199,6 +199,22 @@ TEST(Tracer, ConcurrentThreadsShareOneSinkAndRegistry) {
             static_cast<std::uint64_t>(kThreads * kIters));
 }
 
+TEST(Tracer, SpanSecondsSumsOnePartysSpansOfOneName) {
+  // The step clock: a party's spans of one step add up, other parties' and
+  // other names' spans do not count, and a step never opened reads 0.
+  const std::vector<TraceEvent> events = {
+      {"step A", "S1", 0, 10'000'000, 0},
+      {"step A", "S1", 20'000'000, 5'000'000, 0},
+      {"step B", "S1", 30'000'000, 1'000'000, 0},
+      {"step A", "S2", 0, 7'000'000, 0},
+  };
+  EXPECT_NEAR(span_seconds(events, "S1", "step A"), 0.015, 1e-12);
+  EXPECT_NEAR(span_seconds(events, "S1", "step B"), 0.001, 1e-12);
+  EXPECT_NEAR(span_seconds(events, "S2", "step A"), 0.007, 1e-12);
+  EXPECT_EQ(span_seconds(events, "S1", "missing"), 0.0);
+  EXPECT_EQ(span_seconds({}, "S1", "step A"), 0.0);
+}
+
 TEST(Json, DumpParsesBackIdentically) {
   JsonValue::Object obj;
   obj["int"] = JsonValue(42);

@@ -1,6 +1,6 @@
-// Tests for the multi-session subsystem (src/net/session/): the versioned
-// frame codec, the jittered dial backoff, the poll reactor and its timer
-// wheel, session-tagged routing with bounded backpressure, admission
+// Tests for the multi-session subsystem (src/net/session/): the frame
+// codec, the jittered dial backoff, the poll reactor, session-tagged
+// routing with bounded backpressure and session deadlines, admission
 // control, and the full server/client topology driven end to end with toy
 // party programs.  The REAL consensus protocol over sessions is gated by
 // the pc_party --serve-all ctest targets (byte-parity against isolated
@@ -8,7 +8,9 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
@@ -35,8 +37,8 @@ namespace pcl {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Frame codec: the PR 4 wire format is "session 0"; session-tagged frames
-// extend the header, session-control frames are always versioned.
+// Frame codec: one 13-byte header [kind | session | step_len | payload_len]
+// for every frame; a TcpChannel's frames carry session 0.
 
 Frame make_frame(FrameKind kind, std::uint32_t session,
                  const std::string& step, const std::string& payload) {
@@ -48,12 +50,14 @@ Frame make_frame(FrameKind kind, std::uint32_t session,
   return frame;
 }
 
-TEST(SessionCodec, LegacyFramesKeepTheNineByteHeader) {
+TEST(SessionCodec, SessionZeroFramesCarryTheOneHeader) {
   const Frame frame = make_frame(FrameKind::kMessage, 0, "step-a", "payload");
   const std::vector<std::uint8_t> bytes = encode_frame(frame);
-  ASSERT_EQ(bytes.size(), kFrameHeaderBytes + 6 + 7);
-  EXPECT_EQ(bytes[0], static_cast<std::uint8_t>(FrameKind::kMessage));
-  EXPECT_EQ(bytes[0] & kSessionFlag, 0);  // byte-identical to PR 4
+  ASSERT_EQ(bytes.size(), kSessionFrameHeaderBytes + 6 + 7);
+  const std::vector<std::uint8_t> header(
+      bytes.begin(), bytes.begin() + kSessionFrameHeaderBytes);
+  EXPECT_EQ(header, (std::vector<std::uint8_t>{2, 0, 0, 0, 0, 6, 0, 0, 0, 7,
+                                               0, 0, 0}));
 
   const Frame back = decode_frame(bytes);
   EXPECT_EQ(back.kind, FrameKind::kMessage);
@@ -66,8 +70,8 @@ TEST(SessionCodec, SessionTaggedFramesRoundTrip) {
   const Frame frame = make_frame(FrameKind::kMessage, 7, "step-b", "xyz");
   const std::vector<std::uint8_t> bytes = encode_frame(frame);
   ASSERT_EQ(bytes.size(), kSessionFrameHeaderBytes + 6 + 3);
-  EXPECT_EQ(bytes[0], static_cast<std::uint8_t>(FrameKind::kMessage) |
-                          kSessionFlag);
+  EXPECT_EQ(bytes[0], static_cast<std::uint8_t>(FrameKind::kMessage));
+  EXPECT_EQ(bytes[1], 7);
 
   const Frame back = decode_frame(bytes);
   EXPECT_EQ(back.kind, FrameKind::kMessage);
@@ -76,28 +80,39 @@ TEST(SessionCodec, SessionTaggedFramesRoundTrip) {
 }
 
 TEST(SessionCodec, SessionControlIsAlwaysVersioned) {
-  // Even "session 0" control frames carry the versioned header: a PR 4 peer
-  // must reject them as unknown rather than misparse them.
+  // Control frames carry the session-tagged header like every other kind,
+  // session 0 included, with the plain kind byte.
   const Frame frame = make_frame(FrameKind::kSessionOpen, 0, "", "seed");
   const std::vector<std::uint8_t> bytes = encode_frame(frame);
-  EXPECT_EQ(bytes[0] & kSessionFlag, kSessionFlag);
+  ASSERT_EQ(bytes.size(), kSessionFrameHeaderBytes + 4);
+  EXPECT_EQ(bytes[0], static_cast<std::uint8_t>(FrameKind::kSessionOpen));
   EXPECT_EQ(decode_frame(bytes).kind, FrameKind::kSessionOpen);
 }
 
-TEST(SessionCodec, SessionControlWithoutFlagIsRejected) {
-  // Handcraft a legacy 9-byte header with a session-control kind: invalid.
-  std::vector<std::uint8_t> bytes(kFrameHeaderBytes, 0);
-  bytes[0] = static_cast<std::uint8_t>(FrameKind::kSessionOpen);
+TEST(SessionCodec, FlaggedKindByteIsRejected) {
+  // The 0x80 flag that once marked a session-tagged header is no kind: a
+  // peer speaking the retired two-header wire is cut off at its first byte.
+  std::vector<std::uint8_t> bytes =
+      encode_frame(make_frame(FrameKind::kSessionOpen, 3, "", "seed"));
+  bytes[0] |= 0x80;
   EXPECT_THROW((void)decode_frame(bytes), FramingError);
-  EXPECT_THROW((void)frame_header_size(bytes[0]), FramingError);
+  FrameAssembler assembler;
+  assembler.feed(bytes.data(), 1);
+  EXPECT_THROW((void)assembler.needed(), FramingError);
 }
 
-TEST(SessionCodec, HeaderSizeFollowsTheFlag) {
-  EXPECT_EQ(frame_header_size(static_cast<std::uint8_t>(FrameKind::kMessage)),
-            kFrameHeaderBytes);
-  EXPECT_EQ(frame_header_size(static_cast<std::uint8_t>(FrameKind::kMessage) |
-                              kSessionFlag),
-            kSessionFrameHeaderBytes);
+TEST(SessionCodec, EveryKindCarriesTheThirteenByteHeader) {
+  for (std::uint8_t k = 1; k <= 7; ++k) {
+    const auto kind = static_cast<FrameKind>(k);
+    const std::vector<std::uint8_t> bytes =
+        encode_frame(make_frame(kind, 0, "st", "pay"));
+    ASSERT_EQ(bytes.size(), kSessionFrameHeaderBytes + 2 + 3) << int{k};
+    EXPECT_EQ(bytes[0], k);
+    FrameAssembler assembler;
+    assembler.feed(bytes.data(), 1);
+    EXPECT_EQ(assembler.needed(), kSessionFrameHeaderBytes - 1) << int{k};
+    EXPECT_EQ(decode_frame(bytes).kind, kind);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -133,7 +148,7 @@ TEST(DialBackoff, DeterministicPerSeedAndDecorrelatedAcrossSeeds) {
 
 TEST(FrameAssembler, DecodesAcrossArbitraryChunks) {
   const std::vector<Frame> frames = {
-      make_frame(FrameKind::kMessage, 0, "legacy", "one"),
+      make_frame(FrameKind::kMessage, 0, "zero", "one"),
       make_frame(FrameKind::kMessage, 9, "tagged", "two"),
       make_frame(FrameKind::kSessionClose, 3, "ok", "bye"),
   };
@@ -167,11 +182,11 @@ TEST(FrameAssembler, NeededCountsDownToTheFrameBoundary) {
   FrameAssembler assembler;
   EXPECT_EQ(assembler.needed(), 1u);
   assembler.feed(bytes.data(), 1);
-  EXPECT_EQ(assembler.needed(), kFrameHeaderBytes - 1);
-  assembler.feed(bytes.data() + 1, kFrameHeaderBytes - 1);
+  EXPECT_EQ(assembler.needed(), kSessionFrameHeaderBytes - 1);
+  assembler.feed(bytes.data() + 1, kSessionFrameHeaderBytes - 1);
   EXPECT_EQ(assembler.needed(), 6u);
   EXPECT_FALSE(assembler.next().has_value());
-  assembler.feed(bytes.data() + kFrameHeaderBytes, 6);
+  assembler.feed(bytes.data() + kSessionFrameHeaderBytes, 6);
   EXPECT_EQ(assembler.needed(), 0u);
   ASSERT_TRUE(assembler.next().has_value());
   EXPECT_EQ(assembler.needed(), 1u);
@@ -185,40 +200,8 @@ TEST(FrameAssembler, MalformedKindPoisonsTheStream) {
 }
 
 // ---------------------------------------------------------------------------
-// EventLoop: timers fire late-never-early, cancel works, fds dispatch.
-
-TEST(EventLoop, TimerFiresNoEarlierThanItsDelay) {
-  EventLoop loop;
-  std::thread runner([&loop] { loop.run(); });
-  std::atomic<std::uint64_t> fired_at{0};
-  const auto t0 = std::chrono::steady_clock::now();
-  (void)loop.add_timer(std::chrono::milliseconds(50), [&] {
-    fired_at = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::milliseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count());
-  });
-  for (int i = 0; i < 500 && fired_at == 0; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  loop.stop();
-  runner.join();
-  ASSERT_NE(fired_at, 0u) << "timer never fired";
-  EXPECT_GE(fired_at.load(), 50u);
-}
-
-TEST(EventLoop, CancelledTimerNeverFires) {
-  EventLoop loop;
-  std::thread runner([&loop] { loop.run(); });
-  std::atomic<int> fired{0};
-  const std::uint64_t id =
-      loop.add_timer(std::chrono::milliseconds(60), [&] { ++fired; });
-  loop.cancel_timer(id);
-  std::this_thread::sleep_for(std::chrono::milliseconds(150));
-  loop.stop();
-  runner.join();
-  EXPECT_EQ(fired, 0);
-}
+// EventLoop: fds dispatch on the loop thread, and poll (which has no
+// timeout) wakes for every change made from another thread.
 
 TEST(EventLoop, FdReadabilityDispatchesOnTheLoopThread) {
   int fds[2] = {-1, -1};
@@ -258,6 +241,59 @@ TEST(EventLoop, StopBeforeRunIsNotLost) {
   if (!stopped) loop.stop();  // release the runner so the test can join
   runner.join();
   EXPECT_TRUE(stopped) << "run() lost a stop() made before it started";
+}
+
+TEST(EventLoop, StopFromAnotherThreadWakesABlockedPoll) {
+  // A rescue pipe lets the test end a loop whose wake was lost, so a
+  // regression fails here instead of hanging the suite.
+  int rescue[2] = {-1, -1};
+  ASSERT_EQ(pipe(rescue), 0);
+  EventLoop loop;
+  loop.add_fd(rescue[0], [&rescue] {
+    char buf[16];
+    (void)read(rescue[0], buf, sizeof buf);
+  });
+  std::atomic<bool> returned{false};
+  std::thread runner([&] {
+    loop.run();
+    returned = true;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));  // in poll
+  loop.stop();
+  for (int i = 0; i < 400 && !returned; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  const bool woke = returned.load();
+  if (!woke) {
+    ASSERT_EQ(write(rescue[1], "x", 1), 1);
+  }
+  runner.join();
+  EXPECT_TRUE(woke) << "stop() did not wake a loop blocked in poll";
+  close(rescue[0]);
+  close(rescue[1]);
+}
+
+TEST(EventLoop, AddFdFromAnotherThreadWakesABlockedPoll) {
+  EventLoop loop;
+  std::thread runner([&loop] { loop.run(); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));  // in poll
+  int fds[2] = {-1, -1};
+  ASSERT_EQ(pipe(fds), 0);
+  ASSERT_EQ(write(fds[1], "x", 1), 1);  // readable before it is watched
+  std::atomic<int> reads{0};
+  loop.add_fd(fds[0], [&] {
+    char buf[16];
+    if (read(fds[0], buf, sizeof buf) > 0) ++reads;
+  });
+  for (int i = 0; i < 400 && reads == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  const int got = reads.load();
+  loop.stop();
+  runner.join();
+  EXPECT_EQ(got, 1) << "add_fd() did not wake a loop blocked in poll";
+  close(fds[0]);
+  close(fds[1]);
 }
 
 // ---------------------------------------------------------------------------
@@ -458,16 +494,114 @@ TEST(SessionMux, FrameArrivingWithEofIsRoutedBeforeTheConnectionDrops) {
   EXPECT_TRUE(down);
 }
 
-TEST(SessionMux, FailSessionWakesBlockedReceiversTyped) {
+// ---------------------------------------------------------------------------
+// Session deadlines: the mux bounds every wait of a session registered with
+// one.
+
+/// The ChannelTimeout text `wait` throws; "" if it throws nothing.
+template <typename Wait>
+std::string timeout_text(Wait wait) {
+  try {
+    wait();
+  } catch (const ChannelTimeout& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(SessionMux, SessionDeadlineWakesABlockedReceiverTyped) {
   SessionMux mux;
-  mux.register_session(3);
-  std::thread failer([&mux] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    mux.fail_session(3, [] { throw ChannelTimeout("session 3 watchdog"); });
-  });
+  mux.register_session(3, std::chrono::milliseconds(50));
+  const std::uint64_t t0 = obs::monotonic_time_ns();
   EXPECT_THROW((void)mux.recv_message(3, "S2", std::chrono::seconds(5)),
                ChannelTimeout);
-  failer.join();
+  const std::uint64_t waited_ms = (obs::monotonic_time_ns() - t0) / 1'000'000;
+  EXPECT_GE(waited_ms, 50u);
+  EXPECT_LT(waited_ms, 1000u);  // the 5 s receive deadline never fired
+}
+
+TEST(SessionMux, SessionPastItsDeadlineFailsEvenWithAFrameQueued) {
+  SessionMux mux;
+  mux.register_session(4, std::chrono::milliseconds(50));
+  mux.route("S2", make_frame(FrameKind::kMessage, 4, "s", "queued"));
+  std::this_thread::sleep_for(std::chrono::milliseconds(80));
+  const std::string recv_text = timeout_text(
+      [&] { (void)mux.recv_message(4, "S2", std::chrono::seconds(5)); });
+  EXPECT_NE(recv_text.find("session deadline of 50ms"), std::string::npos)
+      << recv_text;
+  const std::string await_text = timeout_text([&] {
+    (void)mux.await_bulletin(4, "S1", 0, std::chrono::seconds(5));
+  });
+  EXPECT_NE(await_text.find("session deadline of 50ms"), std::string::npos)
+      << await_text;
+  EXPECT_EQ(mux.pending_messages(4), 1u);  // the frame was never handed out
+}
+
+TEST(SessionMux, NoSessionDeadlineLeavesWaitsToTheirOwnDeadline) {
+  SessionMux mux;
+  mux.register_session(5);
+  mux.register_session(6, std::chrono::milliseconds(0));
+  std::this_thread::sleep_for(std::chrono::milliseconds(60));
+  for (const std::uint32_t session : {5u, 6u}) {
+    mux.route("S2", make_frame(FrameKind::kMessage, session, "s", "late"));
+    const std::vector<std::uint8_t> got =
+        mux.recv_message(session, "S2", std::chrono::milliseconds(200));
+    EXPECT_EQ(std::string(got.begin(), got.end()), "late");
+    const std::string text = timeout_text([&] {
+      (void)mux.recv_message(session, "S2", std::chrono::milliseconds(30));
+    });
+    EXPECT_NE(text.find("recv timed out after 30ms"), std::string::npos)
+        << text;
+  }
+}
+
+TEST(SessionManager, SessionDeadlineFailsOnlyTheSessionStillWaiting) {
+  // Session 1 waits for a frame that never comes; its neighbor on the same
+  // mux gets its frame and completes.  The 5 s receive deadline never
+  // fires: the 200 ms session deadline ends session 1.
+  SessionMux mux;
+  SessionManagerConfig config;
+  config.workers = 2;
+  config.session_deadline = std::chrono::milliseconds(200);
+  SessionManager manager(config, mux);
+  std::mutex mu;
+  std::map<std::uint32_t, SessionRecord> closed;
+  const auto program = [](const SessionInfo&,
+                          Channel& chan) -> std::optional<int> {
+    MessageReader r = chan.recv("S2");
+    return static_cast<int>(r.read_u8());
+  };
+  for (const std::uint32_t id : {1u, 2u}) {
+    manager.admit(SessionInfo{id, id});
+    SessionRoutes routes;
+    routes.session = id;
+    routes.self = "S1";
+    routes.conn_for["S2"] = "S2";
+    routes.recv_deadline = std::chrono::seconds(5);
+    manager.launch(SessionInfo{id, id}, routes, program,
+                   [&](const SessionRecord& record, SessionObs&) {
+                     const std::lock_guard<std::mutex> lock(mu);
+                     closed[record.info.id] = record;
+                   });
+  }
+  MessageWriter w;
+  w.write_u8(9);
+  const std::vector<std::uint8_t> payload = std::move(w).take();
+  mux.route("S2", make_frame(FrameKind::kMessage, 2, "s",
+                             std::string(payload.begin(), payload.end())));
+  manager.await_idle();
+  const std::lock_guard<std::mutex> lock(mu);
+  ASSERT_EQ(closed.size(), 2u);
+  EXPECT_EQ(closed[2].status, "ok");
+  EXPECT_EQ(closed[2].label, 9);
+  const SessionRecord& late = closed[1];
+  EXPECT_EQ(late.state, SessionState::kFailed);
+  EXPECT_EQ(late.status.rfind("error:ChannelTimeout", 0), 0u) << late.status;
+  EXPECT_NE(late.status.find("session deadline of 200ms"), std::string::npos)
+      << late.status;
+  const std::uint64_t ran_ms = (late.closed_ns - late.opened_ns) / 1'000'000;
+  EXPECT_GE(ran_ms, 200u);
+  EXPECT_LT(ran_ms, 2000u);
 }
 
 // ---------------------------------------------------------------------------
@@ -478,7 +612,7 @@ TEST(SessionManager, AdmissionCapRejectsWithChannelBusy) {
   SessionManagerConfig config;
   config.max_sessions = 2;
   config.workers = 1;
-  SessionManager manager(config, mux, nullptr);
+  SessionManager manager(config, mux);
   manager.admit(SessionInfo{1, 11});
   manager.admit(SessionInfo{2, 22});
   EXPECT_THROW(manager.admit(SessionInfo{3, 33}), ChannelBusy);
@@ -488,7 +622,7 @@ TEST(SessionManager, AdmissionCapRejectsWithChannelBusy) {
 
 TEST(SessionManager, DrainingRefusesNewSessions) {
   SessionMux mux;
-  SessionManager manager(SessionManagerConfig{}, mux, nullptr);
+  SessionManager manager(SessionManagerConfig{}, mux);
   manager.begin_drain();
   EXPECT_THROW(manager.admit(SessionInfo{1, 1}), ChannelBusy);
 }
@@ -507,7 +641,7 @@ TEST(SessionsJson, BuildsAValidDocument) {
   SessionRecord failed;
   failed.info = SessionInfo{2, 8};
   failed.state = SessionState::kFailed;
-  failed.status = "error:ChannelTimeout: watchdog";
+  failed.status = "error:ChannelTimeout: session deadline";
   failed.opened_ns = 200;
   failed.closed_ns = 5'000'000;
   const std::string text = build_sessions_json("S1", 0, {done, failed});

@@ -96,12 +96,12 @@ TEST(FrameCodec, RejectsTrailingBytesAndBadKind) {
 TEST(FrameCodec, RejectsHugePayloadClaimWithoutAllocating) {
   // Header claims a payload far beyond the cap: the codec must refuse
   // before trusting the length, not attempt the allocation.
-  std::vector<std::uint8_t> bytes(kFrameHeaderBytes, 0);
+  std::vector<std::uint8_t> bytes(kSessionFrameHeaderBytes, 0);
   bytes[0] = 2;                      // kMessage
-  bytes[5] = 0xff;                   // payload_len = 0xffffffff
-  bytes[6] = 0xff;
-  bytes[7] = 0xff;
-  bytes[8] = 0xff;
+  bytes[9] = 0xff;                   // payload_len = 0xffffffff
+  bytes[10] = 0xff;
+  bytes[11] = 0xff;
+  bytes[12] = 0xff;
   EXPECT_THROW((void)decode_frame(bytes), FramingError);
 }
 
@@ -230,8 +230,9 @@ std::vector<std::uint8_t> read_raw(const TcpSocket& socket, std::size_t n) {
 TEST(TcpChannel, SessionZeroByteStreamIsPinned) {
   // Raw sockets face a TcpChannel "C" on both sides of its handshake: C
   // dials the raw listener "A" (and hosts the bulletin for it), and accepts
-  // the raw dialer "B".  Every byte is checked against the legacy 9-byte
-  // header [kind u8 | step_len u32le | payload_len u32le | step | payload].
+  // the raw dialer "B".  Every byte is checked against the one 13-byte
+  // header [kind u8 | session u32le | step_len u32le | payload_len u32le |
+  // step | payload], session 0 throughout.
   TcpListener raw_listener = TcpListener::bind("127.0.0.1", 0);
   TcpListener c_listener = TcpListener::bind("127.0.0.1", 0);
   const std::uint16_t c_port = c_listener.port();
@@ -248,15 +249,17 @@ TEST(TcpChannel, SessionZeroByteStreamIsPinned) {
   });
 
   TcpSocket a = raw_listener.accept(milliseconds(5000));
-  const std::vector<std::uint8_t> hello_c = {1, 0, 0, 0, 0, 1, 0, 0, 0, 'C'};
+  const std::vector<std::uint8_t> hello_c = {1, 0, 0, 0, 0, 0, 0,
+                                             0, 0, 1, 0, 0, 0, 'C'};
   EXPECT_EQ(read_raw(a, hello_c.size()), hello_c);
 
   // B's HELLO and its first protocol frame leave in ONE write, so they can
   // share a TCP segment: the channel must deliver the message all the same.
   TcpSocket b = TcpSocket::dial(TcpEndpoint{"127.0.0.1", c_port},
                                 milliseconds(5000));
-  b.send_all({1, 0, 0, 0, 0, 1, 0, 0, 0, 'B',                  // HELLO "B"
-              2, 1, 0, 0, 0, 2, 0, 0, 0, 't', 0xab, 0xcd},     // message
+  b.send_all({1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 'B',       // HELLO "B"
+              2, 0, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 't', 0xab,
+              0xcd},                                             // message
              milliseconds(5000));
   connecting.join();
   MessageReader from_b = chan.recv("B");
@@ -270,8 +273,8 @@ TEST(TcpChannel, SessionZeroByteStreamIsPinned) {
   chan.send("A", std::move(w));
   chan.post_public(-2);
   const std::vector<std::uint8_t> message_and_bulletin = {
-      2, 1, 0, 0, 0, 1, 0, 0, 0, 's', 7,                    // message
-      3, 1, 0, 0, 0, 8, 0, 0, 0, 's',                       // bulletin
+      2, 0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 's', 7,        // message
+      3, 0, 0, 0, 0, 1, 0, 0, 0, 8, 0, 0, 0, 's',           // bulletin
       0xfe, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff};      // i64 -2
   EXPECT_EQ(read_raw(a, message_and_bulletin.size()), message_and_bulletin);
 
@@ -294,7 +297,8 @@ TEST(TcpChannel, HelloAfterTheHandshakeSurfacesFramingError) {
   });
   TcpSocket b = TcpSocket::dial(TcpEndpoint{"127.0.0.1", port},
                                 milliseconds(5000));
-  const std::vector<std::uint8_t> hello = {1, 0, 0, 0, 0, 1, 0, 0, 0, 'B'};
+  const std::vector<std::uint8_t> hello = {1, 0, 0, 0, 0, 0, 0,
+                                           0, 0, 1, 0, 0, 0, 'B'};
   b.send_all(hello, milliseconds(5000));
   connecting.join();
   b.send_all(hello, milliseconds(5000));

@@ -105,34 +105,22 @@ TEST(TrafficStats, BytesPerStepAndCategory) {
   EXPECT_EQ(stats.bytes_for("no such step"), 0u);
 }
 
-TEST(TrafficStats, TimingAccumulates) {
-  TrafficStats stats;
-  stats.add_time("step A", std::chrono::milliseconds(10));
-  stats.add_time("step A", std::chrono::milliseconds(5));
-  stats.add_time("step B", std::chrono::milliseconds(1));
-  EXPECT_NEAR(stats.seconds_for("step A"), 0.015, 1e-9);
-  EXPECT_NEAR(stats.total_seconds(), 0.016, 1e-9);
-  EXPECT_EQ(stats.seconds_for("missing"), 0.0);
-}
-
-TEST(TrafficStats, StepsListsBothTimeAndTraffic) {
+TEST(TrafficStats, StepsListsEachTrafficStepOnce) {
   TrafficStats stats;
   Network net(&stats);
-  net.send("a", "b", make_message(1), "traffic only");
-  stats.add_time("time only", std::chrono::milliseconds(1));
-  const auto steps = stats.steps();
-  EXPECT_NE(std::find(steps.begin(), steps.end(), "traffic only"), steps.end());
-  EXPECT_NE(std::find(steps.begin(), steps.end(), "time only"), steps.end());
+  net.send("a", "b", make_message(1), "step B");
+  net.send("b", "a", make_message(1), "step A");
+  net.send("a", "c", make_message(1), "step B");
+  EXPECT_EQ(stats.steps(), (std::vector<std::string>{"step A", "step B"}));
 }
 
 TEST(TrafficStats, ClearResets) {
   TrafficStats stats;
   Network net(&stats);
   net.send("a", "b", make_message(10), "s");
-  stats.add_time("s", std::chrono::seconds(1));
   stats.clear();
   EXPECT_EQ(stats.bytes_for("s"), 0u);
-  EXPECT_EQ(stats.total_seconds(), 0.0);
+  EXPECT_TRUE(stats.steps().empty());
 }
 
 TEST(Network, RecvErrorNamesBothEndpoints) {
@@ -214,8 +202,8 @@ TEST(TrafficStats, ByStepAggregatesAcrossLinks) {
 }
 
 TEST(TrafficStats, ConcurrentWritersAndReadersAreRaceFree) {
-  // Regression: timing and traffic used to rely on the caller's external
-  // lock, which readers (seconds_for during a threaded run) didn't take.
+  // Regression: traffic used to rely on the caller's external lock, which
+  // readers (a bench polling totals during a threaded run) didn't take.
   // TrafficStats now locks internally; under the tsan preset this test is
   // the proof.  Assertions pin the totals so a silent lost-update regression
   // also fails on non-tsan configurations.
@@ -229,15 +217,13 @@ TEST(TrafficStats, ConcurrentWritersAndReadersAreRaceFree) {
       const std::string self = "P" + std::to_string(t);
       for (int i = 0; i < kIters; ++i) {
         stats.record_send("step", self, "S1", 3);
-        stats.add_time("step", std::chrono::microseconds(2));
       }
     });
   }
   threads.emplace_back([&stats] {  // concurrent reader
     for (int i = 0; i < kIters; ++i) {
       (void)stats.bytes_for("step");
-      (void)stats.seconds_for("step");
-      (void)stats.total_seconds();
+      (void)stats.steps();
       (void)stats.traffic_entries();
       (void)stats.by_step();
     }
@@ -247,7 +233,6 @@ TEST(TrafficStats, ConcurrentWritersAndReadersAreRaceFree) {
             static_cast<std::size_t>(kThreads * kIters * 3));
   EXPECT_EQ(stats.messages_for("step"),
             static_cast<std::size_t>(kThreads * kIters));
-  EXPECT_NEAR(stats.seconds_for("step"), kThreads * kIters * 2e-6, 1e-9);
 }
 
 }  // namespace

@@ -52,8 +52,10 @@
 //                         <root>/PROTOCOL_SCHEDULE.json; PC009 is skipped
 //                         when the default is absent)
 //     --only PCNNN[,..]   keep only these rules' findings
-//     --dump-schedule     print the extracted schedule as a pc-schedule-v1
-//                         manifest and exit (review, then commit)
+//     --dump-schedule     print the built-in party programs' extracted
+//                         schedule as a pc-schedule-v1 manifest and exit
+//                         (review, then commit); exit 1 when an entry
+//                         function is missing
 //   pc_lint --self-test <fixtures-dir>    assert each pcNNN fixture (file
 //                                         or directory) fires rule PCNNN
 //                                         and good_* fixtures stay clean
@@ -475,39 +477,25 @@ std::vector<Finding> run_all_rules(const std::vector<ScannedFile>& files,
   return findings;
 }
 
-int dump_schedule(const fs::path& root, const std::vector<std::string>& subs,
-                  const std::string& manifest_path) {
+int dump_schedule(const fs::path& root, const std::vector<std::string>& subs) {
   std::vector<ScannedFile> files;
   if (!collect_files(root, subs, files)) return 2;
   pclint::ScheduleExtractor extractor;
   for (const ScannedFile& f : files) {
     extractor.add_file(f.lex.get(), f.model.get());
   }
-  // Use the manifest's program/party structure when one parses; fall back
-  // to the built-in listing.
-  std::vector<pclint::ProgramSchedule> programs;
-  {
-    std::ifstream in(manifest_path);
-    if (in) {
-      std::ostringstream buf;
-      buf << in.rdbuf();
-      std::string err;
-      std::vector<pclint::ProgramSchedule> parsed;
-      if (pclint::parse_manifest(buf.str(), parsed, err)) {
-        programs = std::move(parsed);
-      }
-    }
-  }
-  if (programs.empty()) programs = pclint::builtin_programs();
+  std::vector<pclint::ProgramSchedule> programs = pclint::builtin_programs();
+  bool missing = false;
   for (pclint::ProgramSchedule& prog : programs) {
     for (pclint::PartySchedule& party : prog.parties) {
-      party.events.clear();
       if (!extractor.events_for(party.function, party.events)) {
         std::cerr << "pc_lint: function not found: " << party.function
                   << " (program " << prog.name << ")\n";
+        missing = true;
       }
     }
   }
+  if (missing) return 1;
   std::cout << pclint::render_manifest(programs);
   return 0;
 }
@@ -518,7 +506,6 @@ struct CliOptions {
   std::string json_path;
   std::string baseline_path;
   std::string manifest_path;
-  bool manifest_explicit = false;
   std::set<std::string> only;
   bool dump = false;
 };
@@ -711,7 +698,6 @@ int main(int argc, char** argv) {
         const std::string* v = next();
         if (v == nullptr) break;
         cli.manifest_path = *v;
-        cli.manifest_explicit = true;
       } else if (a == "--only") {
         const std::string* v = next();
         if (v == nullptr) break;
@@ -727,13 +713,7 @@ int main(int argc, char** argv) {
       }
     }
     if (cli.subdirs.empty()) cli.subdirs.emplace_back("src");
-    if (cli.dump) {
-      std::string manifest = cli.manifest_path;
-      if (manifest.empty()) {
-        manifest = (cli.root / "PROTOCOL_SCHEDULE.json").string();
-      }
-      return dump_schedule(cli.root, cli.subdirs, manifest);
-    }
+    if (cli.dump) return dump_schedule(cli.root, cli.subdirs);
     return run_scan(cli);
   }
   std::cerr

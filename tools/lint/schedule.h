@@ -98,8 +98,7 @@ class ScheduleExtractor {
 };
 
 /// The party program that reaches the wire (the lane-batched Alg. 5
-/// programs) and its entry functions, used by --dump-schedule when no
-/// manifest exists yet.
+/// programs) and its entry functions: the listing --dump-schedule prints.
 std::vector<ProgramSchedule> builtin_programs();
 
 /// Parses a pc-schedule-v1 manifest.  Returns false and sets `err` on

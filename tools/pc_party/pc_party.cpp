@@ -597,9 +597,9 @@ int serve_role(const pcl::ConsensusProtocol& protocol, const Options& opt,
   cfg.timeouts = timeouts_from(opt);
   cfg.manager.max_sessions = opt.max_sessions;
   cfg.manager.workers = opt.session_workers;
-  // The watchdog sits well past the recv deadline: it only catches a
-  // session that wedges while still trickling frames (a plain stall is the
-  // channel deadlines' job).
+  // The session deadline sits well past the recv deadline: it only catches
+  // a session that wedges while still trickling frames (a plain stall is
+  // the channel deadlines' job).
   cfg.manager.session_deadline =
       std::chrono::milliseconds(opt.recv_timeout_ms * 4);
 
