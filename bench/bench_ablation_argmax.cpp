@@ -5,6 +5,7 @@
 // only K-1 comparisons and provably returns the same position (comparisons
 // reflect true counts, so they are consistent).  This bench measures the
 // end-to-end saving; tests/consensus_test.cpp asserts output equality.
+#include <cstdint>
 #include <cstdio>
 
 #include "bench_util.h"
@@ -18,6 +19,7 @@ int main(int argc, char** argv) {
   const pcl::obs::ObserverScope obs_scope(&recorder.trace(),
                                           &recorder.metrics(), "bench");
   const std::size_t instances = 3;
+  std::uint64_t total_bytes = 0;
   std::printf("Argmax strategy ablation (Alg. 5, 10 classes, 20 users)\n\n");
   std::printf("%-14s %14s %14s %14s %16s\n", "strategy", "step4 (s)",
               "step8 (s)", "overall (s)", "cmp bytes (KB)");
@@ -36,8 +38,10 @@ int main(int argc, char** argv) {
     config.argmax_strategy = strategy;
 
     ConsensusProtocol protocol(config, rng);
-    pcl::obs::TraceSink steps;  // S1's step spans time steps (4) and (8)
-    protocol.set_observer(&steps, nullptr);
+    // S1's step spans time steps (4) and (8); every party thread counts its
+    // ops into the record.
+    pcl::obs::TraceSink steps;
+    protocol.set_observer(&steps, &recorder.metrics());
     std::vector<std::vector<double>> votes(config.num_users,
                                            std::vector<double>(10, 0.0));
     for (std::size_t i = 0; i < instances; ++i) {
@@ -56,6 +60,7 @@ int main(int argc, char** argv) {
     double overall = 0.0;
     for (const std::string& step : stats.steps()) {
       overall += seconds(step.c_str());
+      total_bytes += stats.bytes_for(step);
     }
     const double n = static_cast<double>(instances);
     const double cmp_kb =
@@ -73,6 +78,7 @@ int main(int argc, char** argv) {
               "(K(K-1)/2) = 2/K of the all-pairs cost (K=10: 5x) with "
               "identical outputs\n");
 
+  recorder.set_bytes(total_bytes);
   if (!cli.json_path.empty()) recorder.write_json(cli.json_path);
   return 0;
 }

@@ -191,6 +191,24 @@ void BM_DgkEncrypt(benchmark::State& state) {
 BENCHMARK(BM_DgkEncrypt)->Arg(160)->Arg(192)->Arg(256)->Arg(384)
     ->Unit(benchmark::kMicrosecond);
 
+// One DGK randomizer power h^r from the key's comb table (DESIGN.md §12),
+// the work behind every DGK encryption and stream power: the paper's
+// 192-bit n with 40-bit v (112-bit r) and the deployment profile's
+// 2048-bit n with 160-bit v (352-bit r).
+void BM_DgkRandomizerPower(benchmark::State& state) {
+  DeterministicRng rng(14);
+  DgkParams params;
+  params.n_bits = static_cast<std::size_t>(state.range(0));
+  params.v_bits = static_cast<std::size_t>(state.range(1));
+  params.plaintext_bound = 256;
+  const auto key = generate_dgk_key(params, rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(key.pk.randomizer_power(rng));
+  }
+}
+BENCHMARK(BM_DgkRandomizerPower)->Args({192, 40})->Args({2048, 160})
+    ->Unit(benchmark::kMicrosecond);
+
 void BM_DgkZeroTest(benchmark::State& state) {
   DeterministicRng rng(9);
   DgkParams params;

@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <stdexcept>
+#include <string>
 
 namespace pcl::kern {
 namespace {
@@ -77,6 +78,15 @@ std::vector<std::uint32_t> store_limbs(const std::uint64_t* words,
   return out;
 }
 
+/// Bit length of a little-endian limb span (0 for zero).
+std::size_t bit_length(std::span<const std::uint32_t> limbs) {
+  std::size_t top = limbs.size();
+  while (top > 0 && limbs[top - 1] == 0) --top;
+  if (top == 0) return 0;
+  return 32 * (top - 1) +
+         static_cast<std::size_t>(std::bit_width(limbs[top - 1]));
+}
+
 bool exp_bit(std::span<const std::uint32_t> exp, std::size_t bit) {
   const std::size_t limb = bit / 32;
   if (limb >= exp.size()) return false;
@@ -90,9 +100,9 @@ void wipe(std::span<std::uint64_t> words) {
   for (std::size_t i = 0; i < words.size(); ++i) p[i] = 0;
 }
 
-/// The calling thread's one scratch buffer.  mul_mod and pow never call
-/// each other (nor themselves), so at most one operation per thread holds
-/// it at a time.
+/// The calling thread's one scratch buffer.  mul_mod, pow and comb never
+/// call each other (nor themselves), so at most one operation per thread
+/// holds it at a time.
 std::vector<std::uint64_t>& thread_buffer() {
   thread_local std::vector<std::uint64_t> words;
   return words;
@@ -238,10 +248,7 @@ std::vector<std::uint32_t> Cios::pow(std::span<const std::uint32_t> base,
                                      std::span<const std::uint32_t> exp,
                                      std::uint64_t* mont_muls) const {
   const std::size_t w = n_.size();
-  const std::size_t exp_bits =
-      exp.empty() ? 0
-                  : 32 * (exp.size() - 1) +
-                        static_cast<std::size_t>(std::bit_width(exp.back()));
+  const std::size_t exp_bits = bit_length(exp);
   // table[v] = base^v in Montgomery form, v in [0, 2^window); a zero
   // exponent builds none.
   const std::size_t window = window_bits_for(exp_bits);
@@ -288,6 +295,78 @@ std::vector<std::uint32_t> Cios::pow(std::span<const std::uint32_t> base,
   }
   from_mont(acc, one, t);
   *mont_muls += muls;
+  return store_limbs(acc, w);
+}
+
+Cios::Comb::~Comb() { wipe(entries_); }
+
+Cios::Comb Cios::comb(std::span<const std::uint32_t> base,
+                      std::size_t exp_bits, std::uint64_t* mont_muls) const {
+  if (exp_bits == 0) {
+    throw std::invalid_argument("comb: exponent length must be positive");
+  }
+  const std::size_t w = n_.size();
+  const std::size_t columns = (exp_bits + kCombTeeth - 1) / kCombTeeth;
+  constexpr std::size_t kEntries = std::size_t{1} << kCombTeeth;
+  std::vector<std::uint64_t> entries(kEntries * w);
+  Scratch scratch(w + 2);
+  std::uint64_t* t = scratch.carve(w + 2);
+  std::uint64_t* e = entries.data();
+  copy(r1_.data(), e, w);
+  load_words(base, e + w, w);
+  to_mont(e + w, t);
+  std::uint64_t muls = 1;
+  // Tooth i is base^(2^(i*d)): the previous tooth squared d times.
+  for (std::size_t i = 1; i < kCombTeeth; ++i) {
+    std::uint64_t* tooth = e + (std::size_t{1} << i) * w;
+    copy(e + (std::size_t{1} << (i - 1)) * w, tooth, w);
+    for (std::size_t k = 0; k < columns; ++k) mont_mul(tooth, tooth, tooth, t);
+    muls += columns;
+  }
+  // Every other entry is the entry without its lowest bit times that
+  // bit's tooth.
+  for (std::size_t j = 3; j < kEntries; ++j) {
+    const std::size_t low = j & (~j + 1);
+    if (low == j) continue;
+    mont_mul(e + j * w, e + (j - low) * w, e + low * w, t);
+    ++muls;
+  }
+  *mont_muls += muls;
+  return Comb(exp_bits, columns, std::move(entries));
+}
+
+std::vector<std::uint32_t> Cios::pow(const Comb& comb,
+                                     std::span<const std::uint32_t> exp,
+                                     std::uint64_t* mont_muls) const {
+  const std::size_t w = n_.size();
+  if (comb.entries_.size() != (std::size_t{1} << kCombTeeth) * w) {
+    throw std::logic_error("comb: table built for another modulus width");
+  }
+  if (bit_length(exp) > comb.exp_bits_) {
+    throw std::invalid_argument("comb: exponent longer than the table's " +
+                                std::to_string(comb.exp_bits_) + " bits");
+  }
+  const std::size_t columns = comb.columns_;
+  const std::uint64_t* table = comb.entries_.data();
+  Scratch scratch(3 * w + 2);
+  std::uint64_t* t = scratch.carve(w + 2);
+  std::uint64_t* acc = scratch.carve(w);
+  std::uint64_t* one = scratch.carve(w);
+  // Column c selects the entry whose bit i is exp's bit c + i*d.
+  const auto column = [&](std::size_t c) {
+    std::size_t v = 0;
+    for (std::size_t i = kCombTeeth; i-- > 0;) {
+      v = (v << 1) | (exp_bit(exp, c + i * columns) ? 1u : 0u);
+    }
+    return v;
+  };
+  copy(table + column(columns - 1) * w, acc, w);
+  for (std::size_t c = columns - 1; c-- > 0;) {
+    mont_mul(acc, acc, acc, t);
+    mont_mul(acc, acc, table + column(c) * w, t);
+  }
+  from_mont(acc, one, t);
+  *mont_muls += 2 * (columns - 1) + 1;
   return store_limbs(acc, w);
 }
 

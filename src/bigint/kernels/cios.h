@@ -16,8 +16,15 @@
 // word count never leak into a result.  Each operation adds the number of
 // Montgomery multiplies it performed to *mont_muls; that schedule (window
 // table build, squarings, one product per window, the final conversion)
-// depends only on the exponent's bit length, never on its bits or the
-// width.
+// depends only on the exponent's bit length (for a comb, on the table's
+// exponent length), never on its bits or the width.
+//
+// For a base fixed ahead of time (the DGK randomizer base h) the kernel
+// also builds a Lim–Lee comb (Lim and Lee, CRYPTO '94): a 2^kCombTeeth
+// entry table the caller keeps, from which base^exp costs d squarings and
+// d products for d = ceil(exp_bits / kCombTeeth) columns, against
+// exp_bits squarings for `pow`.  The table is opaque: only the kernel that
+// built it reads it, so the Montgomery form still never leaves this class.
 //
 // This header is intentionally BigInt-free: values cross as little-endian
 // 32-bit limb spans (the BigInt magnitude format), keeping the kernels
@@ -27,12 +34,45 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 namespace pcl::kern {
 
 class Cios {
  public:
+  /// Teeth of every comb: 2^6 = 64 entries of W words each.
+  static constexpr std::size_t kCombTeeth = 6;
+
+  /// A comb table for one base and exponents of up to exp_bits() bits.
+  /// With d = ceil(exp_bits / kCombTeeth) columns, entry j is
+  /// base^(sum of 2^(i*d) over the set bits i of j) in Montgomery form;
+  /// entry 0 is mont(1).  Move-only, so a table has one owner; its
+  /// destructor zeroes the entries.
+  class Comb {
+   public:
+    Comb(Comb&&) noexcept = default;
+    Comb(const Comb&) = delete;
+    Comb& operator=(const Comb&) = delete;
+    Comb& operator=(Comb&&) = delete;
+    ~Comb();
+
+    /// The longest exponent the table serves, in bits.
+    [[nodiscard]] std::size_t exp_bits() const { return exp_bits_; }
+
+   private:
+    friend class Cios;
+    Comb(std::size_t exp_bits, std::size_t columns,
+         std::vector<std::uint64_t> entries)
+        : exp_bits_(exp_bits),
+          columns_(columns),
+          entries_(std::move(entries)) {}
+
+    std::size_t exp_bits_;
+    std::size_t columns_;  // d
+    std::vector<std::uint64_t> entries_;
+  };
+
   /// `modulus` is the trimmed little-endian limbs of an odd value > 1.
   /// Precomputes n' = -n^{-1} mod 2^64, R mod n and R^2 mod n by
   /// shift-and-reduce (no division needed at this layer).
@@ -52,6 +92,25 @@ class Cios {
   /// powers for bits/w fewer multiplications.
   [[nodiscard]] std::vector<std::uint32_t> pow(
       std::span<const std::uint32_t> base, std::span<const std::uint32_t> exp,
+      std::uint64_t* mont_muls) const;
+
+  /// Builds the comb for base < n and exponents of up to `exp_bits` >= 1
+  /// bits (std::invalid_argument for 0): one to_mont, d squarings for each
+  /// of the kCombTeeth - 1 higher teeth, and one product for each of the
+  /// other 2^kCombTeeth - kCombTeeth - 1 entries.
+  [[nodiscard]] Comb comb(std::span<const std::uint32_t> base,
+                          std::size_t exp_bits,
+                          std::uint64_t* mont_muls) const;
+
+  /// base^exp mod n from a comb this kernel built for base, column by
+  /// column: each column is one squaring and one product by the entry
+  /// that exp's bits in that column select.  An all-zero column multiplies
+  /// by entry 0 = mont(1), so every exponent, zero included, costs
+  /// 2(d - 1) products and the final from_mont.  Throws
+  /// std::invalid_argument when exp has more than comb.exp_bits() bits, and
+  /// std::logic_error for a comb of another width.
+  [[nodiscard]] std::vector<std::uint32_t> pow(
+      const Comb& comb, std::span<const std::uint32_t> exp,
       std::uint64_t* mont_muls) const;
 
   /// The calling thread's scratch buffer (for tests), valid until the

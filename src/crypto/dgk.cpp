@@ -11,13 +11,13 @@
 namespace pcl {
 namespace {
 
-// The context a key built for one of its moduli.  A default-constructed
-// key has none, nor has a zeroized private key: their operations throw here
-// instead of dereferencing null.
-const MontgomeryContext& context_of(
-    const std::shared_ptr<const MontgomeryContext>& ctx) {
-  if (ctx == nullptr) throw std::logic_error("DGK key has no modulus");
-  return *ctx;
+// A context or table a key built for one of its moduli.  A
+// default-constructed key has none, nor has a zeroized private key: their
+// operations throw here instead of dereferencing null.
+template <class Built>
+const Built& context_of(const std::shared_ptr<const Built>& built) {
+  if (built == nullptr) throw std::logic_error("DGK key has no modulus");
+  return *built;
 }
 
 }  // namespace
@@ -30,7 +30,9 @@ DgkPublicKey::DgkPublicKey(BigInt n, BigInt g, BigInt h, BigInt u,
       u_(std::move(u)),
       v_bits_(v_bits),
       randomizer_bits_(2 * v_bits + 32),
-      mont_n_(std::make_shared<const MontgomeryContext>(n_)) {}
+      mont_n_(std::make_shared<const MontgomeryContext>(n_)),
+      h_table_(std::make_shared<const FixedBaseTable>(mont_n_, h_,
+                                                      randomizer_bits_)) {}
 
 DgkCiphertext DgkPublicKey::encrypt(const BigInt& m, Rng& rng) const {
   if (m.is_negative() || m >= u_) {
@@ -40,7 +42,7 @@ DgkCiphertext DgkPublicKey::encrypt(const BigInt& m, Rng& rng) const {
   const BigInt r = rng.random_bits(randomizer_bits_);
   const MontgomeryContext& ctx = context_of(mont_n_);
   const BigInt gm = ctx.pow(g_, m);
-  const BigInt hr = ctx.pow(h_, r);
+  const BigInt hr = context_of(h_table_).pow(r);
   return {ctx.mul_mod(gm, hr)};
 }
 
@@ -50,7 +52,7 @@ DgkCiphertext DgkPublicKey::encrypt(std::uint64_t m, Rng& rng) const {
 
 BigInt DgkPublicKey::randomizer_power(Rng& rng) const {
   const BigInt r = rng.random_bits(randomizer_bits_);
-  return context_of(mont_n_).pow(h_, r);
+  return context_of(h_table_).pow(r);
 }
 
 DgkCiphertext DgkPublicKey::encrypt_with_power(const BigInt& m,
@@ -89,9 +91,8 @@ DgkCiphertext DgkPublicKey::blind_multiplicative(const DgkCiphertext& c,
 DgkCiphertext DgkPublicKey::rerandomize(const DgkCiphertext& c,
                                         Rng& rng) const {
   const BigInt r = rng.random_bits(randomizer_bits_);
-  const MontgomeryContext& ctx = context_of(mont_n_);
-  const BigInt hr = ctx.pow(h_, r);
-  return {ctx.mul_mod(c.value, hr)};
+  const BigInt hr = context_of(h_table_).pow(r);
+  return {context_of(mont_n_).mul_mod(c.value, hr)};
 }
 
 DgkPrivateKey::DgkPrivateKey(DgkPublicKey pk, BigInt p, BigInt vp)
@@ -129,8 +130,10 @@ bool DgkPrivateKey::is_zero(const DgkCiphertext& c) const {
   // E(m)^vp mod p = (g^vp)^m mod p since h has order vp mod p; the result is
   // 1 iff m == 0 (mod u).
   // pc_declassify: the zero-test bit IS the protocol's defined output for S2
-  // (the released comparison result); the fixed-window Montgomery modexp's
-  // timing depends only on public operand sizes.
+  // (the released comparison result).  The modexp's multiply count depends
+  // only on vp's length, but each window's table read and each product's
+  // final subtraction depend on the data, so its timing is not
+  // secret-independent (DESIGN.md §12).
   return pc_declassify(context_of(mont_p_).pow(c.value.mod(p_), vp_) ==
                        BigInt(1));
 }

@@ -23,6 +23,7 @@
 
 namespace pcl {
 
+class FixedBaseTable;
 class MontgomeryContext;
 
 struct DgkCiphertext {
@@ -44,8 +45,8 @@ class DgkPublicKey {
  public:
   DgkPublicKey() = default;
   /// Requires an odd n > 1; throws std::invalid_argument otherwise.  Builds
-  /// the key's context for n (a default-constructed key has none, and its
-  /// operations throw).
+  /// the key's context for n and its comb table for h^r (a
+  /// default-constructed key has neither, and its operations throw).
   DgkPublicKey(BigInt n, BigInt g, BigInt h, BigInt u, std::size_t v_bits);
 
   [[nodiscard]] const BigInt& n() const { return n_; }
@@ -60,9 +61,10 @@ class DgkPublicKey {
   [[nodiscard]] DgkCiphertext encrypt(std::uint64_t m, Rng& rng) const;
 
   /// The input-independent part of one encryption: h^r mod n with r drawn
-  /// exactly as encrypt() draws it.  Precomputable offline (DESIGN.md §15);
-  /// encrypt(m, rng) == encrypt_with_power(m, randomizer_power(rng)) bit
-  /// for bit with identical Rng consumption.
+  /// exactly as encrypt() draws it, from the key's comb table.
+  /// Precomputable offline (DESIGN.md §15); encrypt(m, rng) ==
+  /// encrypt_with_power(m, randomizer_power(rng)) bit for bit with
+  /// identical Rng consumption.
   [[nodiscard]] BigInt randomizer_power(Rng& rng) const;
   /// The online part: g^m * h_to_r mod n.  The exponent m is tiny in the
   /// comparison protocol (a few bits), so this is a handful of modmuls
@@ -93,12 +95,20 @@ class DgkPublicKey {
       const {
     return mont_n_;
   }
+  /// The key's comb table for h^r over randomizer exponents of
+  /// 2 * v_bits + 32 bits, built once at construction on mont_n():
+  /// encrypt, randomizer_power and rerandomize run on it, and copies of
+  /// the key share it.  Null for a default-constructed key.
+  [[nodiscard]] const std::shared_ptr<const FixedBaseTable>& h_table() const {
+    return h_table_;
+  }
 
  private:
   BigInt n_, g_, h_, u_;
   std::size_t v_bits_ = 0;
   std::size_t randomizer_bits_ = 0;
   std::shared_ptr<const MontgomeryContext> mont_n_;
+  std::shared_ptr<const FixedBaseTable> h_table_;
 };
 
 class DgkPrivateKey {

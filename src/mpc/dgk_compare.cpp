@@ -57,17 +57,28 @@ MessageWriter encrypted_bits_message(const DgkPublicKey& pk, std::uint64_t e,
   return msg;
 }
 
-/// A peer's ciphertext batch: exactly `ell` of them, or FramingError.
+/// A peer's ciphertext batch for message slot `slot`: exactly `ell` of
+/// them, each in [1, n), or FramingError naming the slot and the index.
 std::vector<DgkCiphertext> read_ciphertext_batch(MessageReader& msg,
-                                                 std::size_t ell) {
+                                                 const DgkPublicKey& pk,
+                                                 std::size_t ell,
+                                                 const char* slot) {
   std::vector<BigInt> values = msg.read_bigint_vector();
   if (values.size() != ell) {
-    throw FramingError("DGK comparison: expected " + std::to_string(ell) +
-                       " ciphertexts, got " + std::to_string(values.size()));
+    throw FramingError(std::string("DGK comparison ") + slot + ": expected " +
+                       std::to_string(ell) + " ciphertexts, got " +
+                       std::to_string(values.size()));
   }
   std::vector<DgkCiphertext> out;
   out.reserve(values.size());
-  for (BigInt& v : values) out.push_back({std::move(v)});
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    if (values[i] < BigInt(1) || values[i] >= pk.n()) {
+      throw FramingError(std::string("DGK comparison ") + slot +
+                         ": ciphertext " + std::to_string(i) +
+                         " outside [1, n)");
+    }
+    out.push_back({std::move(values[i])});
+  }
   return out;
 }
 
@@ -135,15 +146,16 @@ MessageWriter dgk_compare_s1_blind(const DgkPublicKey& pk, std::size_t ell,
                                    Rng& rng, DgkPowerStream* bank) {
   obs::count(obs::Op::kDgkCompare);
   const std::uint64_t d = to_offset_domain(x, ell);
-  const std::vector<DgkCiphertext> bits = read_ciphertext_batch(e_bits, ell);
+  const std::vector<DgkCiphertext> bits =
+      read_ciphertext_batch(e_bits, pk, ell, "slot 1 (S2's bit ciphertexts)");
   return ciphertext_batch_message(
       build_blinded_sequence(pk, d, bits, rng, bank));
 }
 
 bool dgk_compare_s2_decide(const DgkCompareContext& ctx,
                            MessageReader& blinded, MessageWriter& reply) {
-  const std::vector<DgkCiphertext> c_seq =
-      read_ciphertext_batch(blinded, ctx.ell);
+  const std::vector<DgkCiphertext> c_seq = read_ciphertext_batch(
+      blinded, *ctx.pk, ctx.ell, "slot 2 (S1's blinded sequence)");
   const bool x_geq_y = !any_zero_test(*ctx.pk, *ctx.sk, c_seq);
   // pc_declassify: the comparison bit is the DGK protocol's defined output
   // for S2 — the one sanctioned release of this subprotocol.

@@ -1,5 +1,6 @@
 #include "net/session/session_manager.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "net/errors.h"
@@ -80,7 +81,8 @@ void SessionManager::admit(const SessionInfo& info) {
                         std::to_string(config_.max_sessions) +
                         " concurrent sessions reached");
     }
-    if (records_.count(info.id) != 0) {
+    if (records_.count(info.id) != 0 ||
+        (evicted_max_.has_value() && info.id <= *evicted_max_)) {
       throw ChannelError("session " + std::to_string(info.id) +
                          ": duplicate SESSION_OPEN");
     }
@@ -169,6 +171,13 @@ void SessionManager::finish(std::uint32_t id, SessionState state,
     stored.label = label;
     stored.closed_ns = obs::monotonic_time_ns();
     record = stored;
+    closed_.push_back(id);
+    if (closed_.size() > kClosedRecordsKept) {
+      const std::uint32_t evicted = closed_.front();
+      closed_.pop_front();
+      records_.erase(evicted);
+      evicted_max_ = std::max(evicted_max_.value_or(0), evicted);
+    }
     // Fold this session into the daemon-wide aggregate the admin channel
     // reports: a completion latency sample plus an outcome counter.
     aggregate_

@@ -32,6 +32,13 @@
 //
 // One session's failure never disturbs its neighbors: teardown closes that
 // session's mux inboxes, frees its observability, and nothing else.
+//
+// Records are bounded: the manager keeps every running session's record
+// plus the kClosedRecordsKept most recently closed ones, so a long-lived
+// daemon's memory does not grow with the sessions it has served.  An
+// evicted id stays refused: admit() rejects every id at or below the
+// highest evicted one, which callers that assign increasing ids (pc_party
+// and perfbench do) never reopen.
 #pragma once
 
 #include <chrono>
@@ -114,6 +121,9 @@ struct SessionManagerConfig {
 
 class SessionManager {
  public:
+  /// How many closed sessions' records are kept: the most recently closed.
+  static constexpr std::size_t kClosedRecordsKept = 256;
+
   /// A party program bound to protocol code by the CALLER (layering: this
   /// subsystem cannot see src/mpc; tools/pc_party wires the consensus
   /// program in).  Returns the released label (servers) or nullopt.
@@ -128,7 +138,8 @@ class SessionManager {
 
   /// Admission check + mux registration (with the session deadline).
   /// Throws ChannelBusy at the cap or once draining, ChannelError on a
-  /// duplicate id.
+  /// duplicate id (a recorded one, or one at or below the highest evicted
+  /// id).
   void admit(const SessionInfo& info);
   /// Schedules the admitted session's program on the pool.  Teardown —
   /// unregister, record finalization, close sink — runs on the worker
@@ -136,7 +147,8 @@ class SessionManager {
   void launch(const SessionInfo& info, SessionRoutes routes, Program program,
               CloseSink on_close);
 
-  /// Every record, running and closed, in session-id order (admin "sessions").
+  /// Every running record and the kClosedRecordsKept most recently closed
+  /// ones, in session-id order (admin "sessions").
   [[nodiscard]] std::vector<SessionRecord> list() const;
   [[nodiscard]] std::size_t active() const;
 
@@ -165,6 +177,9 @@ class SessionManager {
   mutable std::mutex mu_;
   std::condition_variable idle_cv_;
   std::map<std::uint32_t, SessionRecord> records_;
+  std::deque<std::uint32_t> closed_;  // ids of closed records, oldest first
+  /// Highest id whose record was evicted; admit() refuses ids up to it.
+  std::optional<std::uint32_t> evicted_max_;
   std::map<std::uint32_t, Active> active_;
   obs::MetricsRegistry aggregate_;
   bool draining_ = false;

@@ -1,6 +1,9 @@
 #include "net/transport.h"
 
+#include <algorithm>
+#include <optional>
 #include <stdexcept>
+#include <tuple>
 
 #include "net/errors.h"
 
@@ -13,47 +16,94 @@ bool matches_category(const std::string& party, const std::string& category) {
 }
 }  // namespace
 
+std::optional<std::uint32_t> TrafficStats::find_name(
+    const std::string& name) const {
+  const auto it = std::lower_bound(names_.begin(), names_.end(), name);
+  if (it == names_.end() || *it != name) return std::nullopt;
+  return static_cast<std::uint32_t>(it - names_.begin());
+}
+
+void TrafficStats::intern(const std::string& name) {
+  const auto it = std::lower_bound(names_.begin(), names_.end(), name);
+  if (it != names_.end() && *it == name) return;
+  const auto id = static_cast<std::uint32_t>(it - names_.begin());
+  names_.insert(it, name);
+  // Every id at or past the new name's moves up by one; the shift keeps
+  // the rows' order.
+  for (Row& row : rows_) {
+    for (std::uint32_t* field : {&row.step, &row.from, &row.to}) {
+      if (*field >= id) ++*field;
+    }
+  }
+}
+
 void TrafficStats::record_send(const std::string& step, const std::string& from,
                                const std::string& to, std::size_t bytes) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  LinkTotals& totals = traffic_[Key{step, from, to}];
-  totals.bytes += bytes;
-  totals.messages += 1;
+  // Interning renumbers ids, so read them once all three names are in.
+  for (const std::string* name : {&step, &from, &to}) intern(*name);
+  const Row probe{*find_name(step), *find_name(from), *find_name(to), {}};
+  const auto key = [](const Row& row) {
+    return std::tie(row.step, row.from, row.to);
+  };
+  auto it = std::lower_bound(
+      rows_.begin(), rows_.end(), probe,
+      [&](const Row& a, const Row& b) { return key(a) < key(b); });
+  if (it == rows_.end() || key(*it) != key(probe)) {
+    it = rows_.insert(it, probe);
+  }
+  it->totals.bytes += bytes;
+  it->totals.messages += 1;
+}
+
+std::pair<std::size_t, std::size_t> TrafficStats::step_rows(
+    const std::string& step) const {
+  const std::optional<std::uint32_t> id = find_name(step);
+  if (!id.has_value()) return {0, 0};
+  const auto [first, last] = std::equal_range(
+      rows_.begin(), rows_.end(), Row{*id, 0, 0, {}},
+      [](const Row& a, const Row& b) { return a.step < b.step; });
+  return {static_cast<std::size_t>(first - rows_.begin()),
+          static_cast<std::size_t>(last - rows_.begin())};
+}
+
+template <class Field>
+std::size_t TrafficStats::sum_for(const std::string& step,
+                                  const std::string& from_category,
+                                  const std::string& to_category,
+                                  Field field) const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  const auto [first, last] = step_rows(step);
+  std::size_t total = 0;
+  for (std::size_t i = first; i < last; ++i) {
+    const Row& row = rows_[i];
+    if (matches_category(names_[row.from], from_category) &&
+        matches_category(names_[row.to], to_category)) {
+      total += row.totals.*field;
+    }
+  }
+  return total;
 }
 
 std::size_t TrafficStats::bytes_for(const std::string& step,
                                     const std::string& from_category,
                                     const std::string& to_category) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  std::size_t total = 0;
-  for (const auto& [key, totals] : traffic_) {
-    if (key.step == step && matches_category(key.from, from_category) &&
-        matches_category(key.to, to_category)) {
-      total += totals.bytes;
-    }
-  }
-  return total;
+  return sum_for(step, from_category, to_category, &LinkTotals::bytes);
 }
 
 std::size_t TrafficStats::messages_for(const std::string& step,
                                        const std::string& from_category,
                                        const std::string& to_category) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  std::size_t total = 0;
-  for (const auto& [key, totals] : traffic_) {
-    if (key.step == step && matches_category(key.from, from_category) &&
-        matches_category(key.to, to_category)) {
-      total += totals.messages;
-    }
-  }
-  return total;
+  return sum_for(step, from_category, to_category, &LinkTotals::messages);
 }
 
 std::vector<std::string> TrafficStats::steps() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   std::vector<std::string> out;
-  for (const auto& [key, totals] : traffic_) {
-    if (out.empty() || out.back() != key.step) out.push_back(key.step);
+  for (std::size_t i = 0; i < rows_.size(); ++i) {
+    if (i == 0 || rows_[i].step != rows_[i - 1].step) {
+      out.push_back(names_[rows_[i].step]);
+    }
   }
   return out;
 }
@@ -61,9 +111,10 @@ std::vector<std::string> TrafficStats::steps() const {
 std::vector<TrafficStats::Entry> TrafficStats::traffic_entries() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   std::vector<Entry> out;
-  out.reserve(traffic_.size());
-  for (const auto& [key, totals] : traffic_) {
-    out.push_back({key.step, key.from, key.to, totals.bytes, totals.messages});
+  out.reserve(rows_.size());
+  for (const Row& row : rows_) {
+    out.push_back({names_[row.step], names_[row.from], names_[row.to],
+                   row.totals.bytes, row.totals.messages});
   }
   return out;
 }
@@ -71,17 +122,18 @@ std::vector<TrafficStats::Entry> TrafficStats::traffic_entries() const {
 obs::TrafficByStep TrafficStats::by_step() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   obs::TrafficByStep out;
-  for (const auto& [key, totals] : traffic_) {
-    obs::StepTraffic& step = out[key.step];
-    step.bytes += totals.bytes;
-    step.messages += totals.messages;
+  for (const Row& row : rows_) {
+    obs::StepTraffic& step = out[names_[row.step]];
+    step.bytes += row.totals.bytes;
+    step.messages += row.totals.messages;
   }
   return out;
 }
 
 void TrafficStats::clear() {
   const std::lock_guard<std::mutex> lock(mutex_);
-  traffic_.clear();
+  names_.clear();
+  rows_.clear();
 }
 
 void Network::send(const std::string& from, const std::string& to,

@@ -20,7 +20,9 @@
 #include <deque>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "net/message.h"
@@ -35,6 +37,11 @@ inline const std::string kUnsetStep = "(unset)";
 /// writers on the threaded schedule and the TCP transport race each other
 /// and readers (a bench polling totals, a reporting thread), so every
 /// accessor takes the mutex.
+///
+/// Compact, since a daemon or a serving client keeps one per session: each
+/// distinct step or party name is stored once, and each (step, from, to)
+/// row holds ids into that table plus its totals, in one flat vector kept
+/// in (step, from, to) name order.  Lookups are binary searches.
 class TrafficStats {
  public:
   struct LinkTotals {
@@ -76,12 +83,29 @@ class TrafficStats {
   void clear();
 
  private:
-  struct Key {
-    std::string step, from, to;
-    auto operator<=>(const Key&) const = default;
+  /// One (step, from, to) link as ids into names_.  Ids follow the names'
+  /// sorted order, so rows sorted by ids are sorted by names.
+  struct Row {
+    std::uint32_t step = 0, from = 0, to = 0;
+    LinkTotals totals;
   };
+  /// Id of `name`, if it is in the table.
+  [[nodiscard]] std::optional<std::uint32_t> find_name(
+      const std::string& name) const;
+  /// Adds `name` to the table when new, renumbering the rows' ids.
+  void intern(const std::string& name);
+  /// The rows of `step`, as a [begin, end) range of rows_.
+  [[nodiscard]] std::pair<std::size_t, std::size_t> step_rows(
+      const std::string& step) const;
+  template <class Field>
+  [[nodiscard]] std::size_t sum_for(const std::string& step,
+                                    const std::string& from_category,
+                                    const std::string& to_category,
+                                    Field field) const;
+
   mutable std::mutex mutex_;
-  std::map<Key, LinkTotals> traffic_;
+  std::vector<std::string> names_;  // sorted; a name's id is its index
+  std::vector<Row> rows_;           // sorted by (step, from, to)
 };
 
 /// Optional full transcript: one entry per message in send order.  Used by

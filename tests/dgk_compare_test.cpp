@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -168,6 +170,71 @@ TEST_F(DgkCompareTest, BlindRejectsWrongBitCount) {
   MessageReader e_bits(dgk_compare_s2_bits(narrow, 1, rng).take());
   EXPECT_THROW((void)dgk_compare_s1_blind(key_.pk, 9, 1, e_bits, rng),
                FramingError);
+}
+
+// A ciphertext outside [1, n) is rejected where it comes off the wire, on
+// each side: 0 and n are the two edges.  Each case replaces one element of
+// an honest message and expects a FramingError naming the slot and index.
+
+/// `count` honest-looking ciphertexts, element `bad` replaced by `value`.
+MessageReader batch_with(const DgkPublicKey& pk, std::size_t count,
+                         std::size_t bad, const BigInt& value) {
+  DeterministicRng rng(9);
+  MessageWriter w;
+  w.write_u64(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    w.write_bigint(i == bad ? value
+                            : pk.encrypt(std::uint64_t{i % 2}, rng).value);
+  }
+  return MessageReader(std::move(w).take());
+}
+
+void expect_framing_error(const std::function<void()>& op,
+                          const std::string& slot, std::size_t index) {
+  try {
+    op();
+    ADD_FAILURE() << "no FramingError for ciphertext " << index;
+  } catch (const FramingError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(slot), std::string::npos) << what;
+    EXPECT_NE(what.find("ciphertext " + std::to_string(index)),
+              std::string::npos)
+        << what;
+  }
+}
+
+TEST_F(DgkCompareTest, BlindRejectsBitCiphertextZero) {
+  DeterministicRng rng(4);
+  MessageReader e_bits = batch_with(key_.pk, 8, 3, BigInt(0));
+  expect_framing_error(
+      [&] { (void)dgk_compare_s1_blind(key_.pk, 8, 1, e_bits, rng); },
+      "slot 1", 3);
+}
+
+TEST_F(DgkCompareTest, BlindRejectsBitCiphertextEqualToN) {
+  DeterministicRng rng(4);
+  MessageReader e_bits = batch_with(key_.pk, 8, 7, key_.pk.n());
+  expect_framing_error(
+      [&] { (void)dgk_compare_s1_blind(key_.pk, 8, 1, e_bits, rng); },
+      "slot 1", 7);
+}
+
+TEST_F(DgkCompareTest, DecideRejectsBlindedCiphertextZero) {
+  const DgkCompareContext ctx(key_.pk, key_.sk, 8);
+  MessageReader blinded = batch_with(key_.pk, 8, 0, BigInt(0));
+  MessageWriter reply;
+  expect_framing_error(
+      [&] { (void)dgk_compare_s2_decide(ctx, blinded, reply); }, "slot 2", 0);
+  EXPECT_EQ(reply.size(), 0u);
+}
+
+TEST_F(DgkCompareTest, DecideRejectsBlindedCiphertextEqualToN) {
+  const DgkCompareContext ctx(key_.pk, key_.sk, 8);
+  MessageReader blinded = batch_with(key_.pk, 8, 5, key_.pk.n());
+  MessageWriter reply;
+  expect_framing_error(
+      [&] { (void)dgk_compare_s2_decide(ctx, blinded, reply); }, "slot 2", 5);
+  EXPECT_EQ(reply.size(), 0u);
 }
 
 }  // namespace

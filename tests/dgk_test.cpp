@@ -4,6 +4,7 @@
 
 #include <vector>
 
+#include "bigint/montgomery.h"
 #include "bigint/primes.h"
 #include "bigint/rng.h"
 
@@ -119,10 +120,36 @@ TEST(DgkKeygen, KeyWithoutContextThrows) {
   const DgkPublicKey empty;
   EXPECT_THROW((void)empty.add({BigInt(2)}, {BigInt(3)}), std::logic_error);
   DeterministicRng rng(7);
+  EXPECT_THROW((void)empty.randomizer_power(rng), std::logic_error);
+  EXPECT_THROW((void)empty.rerandomize({BigInt(2)}, rng), std::logic_error);
   DgkKeyPair key = generate_dgk_key({160, 30, 64}, rng);
   const DgkCiphertext c = key.pk.encrypt(std::uint64_t{0}, rng);
   key.sk.zeroize();
   EXPECT_THROW((void)key.sk.is_zero(c), std::logic_error);
+}
+
+TEST_F(DgkTest, CopiesShareOneCombTable) {
+  // One table per key: the copies a private key, a power stream or a party
+  // program takes all read the table the original built.
+  ASSERT_NE(key_.pk.h_table(), nullptr);
+  EXPECT_EQ(key_.pk.h_table()->exp_bits(), 2 * key_.pk.v_bits() + 32);
+  const DgkPublicKey copy = key_.pk;
+  EXPECT_EQ(copy.h_table().get(), key_.pk.h_table().get());
+  EXPECT_EQ(key_.sk.public_key().h_table().get(), key_.pk.h_table().get());
+  const DgkKeyPair pair_copy = key_;
+  EXPECT_EQ(pair_copy.pk.h_table().get(), key_.pk.h_table().get());
+}
+
+TEST_F(DgkTest, RandomizerPowerMatchesGenericPow) {
+  // The comb returns exactly h^r for the r encrypt draws, so encryptions
+  // and stream powers keep their values.
+  DeterministicRng a(31);
+  DeterministicRng b(31);
+  const std::size_t bits = 2 * key_.pk.v_bits() + 32;
+  for (int i = 0; i < 20; ++i) {
+    EXPECT_EQ(key_.pk.randomizer_power(a),
+              key_.pk.mont_n()->pow(key_.pk.h(), b.random_bits(bits)));
+  }
 }
 
 class DgkParamSweep

@@ -2,12 +2,13 @@
 // checks mul_mod and pow against the naive (a * b) mod m and
 // square-and-multiply oracles at every class of odd width, exercises the
 // final-subtraction carries at word boundaries, and pins the scratch-wipe
-// and op-count contracts that DESIGN.md §12 documents.  (Suite
-// FixedMontKernel: the kernel's word count is fixed per modulus at
-// construction.)
+// and op-count contracts that DESIGN.md §12 documents, for `pow` and for
+// the fixed-base comb.  (Suite FixedMontKernel: the kernel's word count is
+// fixed per modulus at construction.)
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -177,6 +178,116 @@ TEST(FixedMontKernel, ScratchIsWipedAfterEveryOperation) {
     const std::span<const std::uint64_t> scratch = kern::Cios::thread_scratch();
     // 2048 bits: 32 words, a 64-entry table plus the temporaries.
     ASSERT_GE(scratch.size(), 67u * 32u) << bits;
+    EXPECT_TRUE(std::all_of(scratch.begin(), scratch.end(),
+                            [](std::uint64_t w) { return w == 0; }))
+        << bits << "-bit modulus";
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Fixed-base comb (FixedBaseTable over kern::Cios::Comb).
+
+TEST(FixedMontKernel, CombMatchesPowAndNaiveOracle) {
+  // 1, 3 and 32 words; table lengths of one column (5 bits), the paper's
+  // DGK randomizer (2*40 + 32 = 112 bits), the deployment one
+  // (2*160 + 32 = 352) and a length off every multiple of the six teeth
+  // (115).  Exponents: 0, 1, all ones, a single top bit, and random values
+  // of every length up to the table's.
+  DeterministicRng rng(19);
+  for (const BigInt& m :
+       {(BigInt(1) << 64) - BigInt(59), odd_modulus_exact(192, rng),
+        odd_modulus_exact(2048, rng)}) {
+    const auto ctx = std::make_shared<const MontgomeryContext>(m);
+    const BigInt base = rng.uniform_below(m);
+    for (const std::size_t len : {5u, 112u, 115u, 352u}) {
+      const FixedBaseTable table(ctx, base, len);
+      EXPECT_EQ(table.exp_bits(), len);
+      std::vector<BigInt> exps = {BigInt(0), BigInt(1),
+                                  (BigInt(1) << len) - BigInt(1),
+                                  BigInt(1) << (len - 1)};
+      for (std::size_t bits = 1; bits <= len; bits += 1 + bits / 3) {
+        exps.push_back(rng.random_bits_exact(bits));
+      }
+      for (int i = 0; i < 8; ++i) exps.push_back(rng.random_bits(len));
+      for (const BigInt& e : exps) {
+        const BigInt got = table.pow(e);
+        EXPECT_EQ(got, ctx->pow(base, e))
+            << m.bit_length() << "-bit modulus, " << len
+            << "-bit table, e=" << e;
+        EXPECT_EQ(got, naive_pow(base, e, m))
+            << m.bit_length() << "-bit modulus, " << len << "-bit table";
+      }
+    }
+  }
+}
+
+TEST(FixedMontKernel, CombReducesItsBaseAndRejectsBadInputs) {
+  DeterministicRng rng(20);
+  const BigInt m = odd_modulus_exact(192, rng);
+  const auto ctx = std::make_shared<const MontgomeryContext>(m);
+  const BigInt base = rng.uniform_below(m);
+  const FixedBaseTable table(ctx, base + m * BigInt(5), 112);
+  const BigInt e = rng.random_bits(112);
+  EXPECT_EQ(table.pow(e), ctx->pow(base, e));
+  // One bit past the table's length, or negative: refused.
+  EXPECT_THROW((void)table.pow(BigInt(1) << 112), std::invalid_argument);
+  EXPECT_THROW((void)table.pow(BigInt(-1)), std::invalid_argument);
+  EXPECT_THROW(FixedBaseTable(ctx, base, 0), std::invalid_argument);
+  EXPECT_THROW(FixedBaseTable(nullptr, base, 112), std::invalid_argument);
+}
+
+TEST(FixedMontKernel, CombOpCountsArePinned) {
+  // A 112-bit table has d = 19 columns.  Building it is one to_mont, 5 x 19
+  // squarings for the higher teeth and 57 products for the other entries
+  // = 153.  Every evaluation is 18 squarings, 18 column products and one
+  // from_mont = 37, whether the exponent is all ones, a single top bit or
+  // zero, at every width.  A 352-bit table (d = 59) evaluates in 117.
+  DeterministicRng rng(21);
+  const auto count_ops = [](const auto& op) {
+    obs::MetricsRegistry reg;
+    {
+      const obs::ObserverScope scope(nullptr, &reg, "t");
+      op();
+    }
+    return std::pair{reg.total(obs::Op::kBigIntModMul),
+                     reg.total(obs::Op::kBigIntModExp)};
+  };
+  using Counts = std::pair<std::uint64_t, std::uint64_t>;
+  for (const BigInt& m :
+       {BigInt(3), odd_modulus_exact(192, rng), odd_modulus_exact(2048, rng)}) {
+    const auto ctx = std::make_shared<const MontgomeryContext>(m);
+    const BigInt base = rng.uniform_below(m);
+    std::unique_ptr<FixedBaseTable> table;
+    EXPECT_EQ(count_ops([&] {
+                table = std::make_unique<FixedBaseTable>(ctx, base, 112);
+              }),
+              (Counts{153, 0}))
+        << m.bit_length();
+    for (const BigInt& e : {(BigInt(1) << 112) - BigInt(1), BigInt(1) << 111,
+                            BigInt(0)}) {
+      EXPECT_EQ(count_ops([&] { (void)table->pow(e); }), (Counts{37, 1}))
+          << m.bit_length() << "-bit modulus, e=" << e;
+    }
+    const FixedBaseTable wide(ctx, base, 352);
+    for (const BigInt& e : {(BigInt(1) << 352) - BigInt(1), BigInt(1) << 351}) {
+      EXPECT_EQ(count_ops([&] { (void)wide.pow(e); }), (Counts{117, 1}))
+          << m.bit_length();
+    }
+  }
+}
+
+TEST(FixedMontKernel, ScratchIsWipedAfterCombBuildAndEvaluation) {
+  // The table itself lives in its owner; the build's and each
+  // evaluation's temporaries (accumulator, CIOS buffer) are scratch and
+  // must be zero once the call returns.
+  DeterministicRng rng(22);
+  for (const std::size_t bits : {2048u, 192u}) {
+    const auto ctx =
+        std::make_shared<const MontgomeryContext>(odd_modulus_exact(bits, rng));
+    const FixedBaseTable table(ctx, rng.uniform_below(ctx->modulus()), 352);
+    (void)table.pow(rng.random_bits(352));
+    const std::span<const std::uint64_t> scratch = kern::Cios::thread_scratch();
+    ASSERT_FALSE(scratch.empty()) << bits;
     EXPECT_TRUE(std::all_of(scratch.begin(), scratch.end(),
                             [](std::uint64_t w) { return w == 0; }))
         << bits << "-bit modulus";

@@ -620,6 +620,44 @@ TEST(SessionManager, AdmissionCapRejectsWithChannelBusy) {
   EXPECT_EQ(manager.active(), 2u);
 }
 
+TEST(SessionManager, KeepsOnlyTheMostRecentClosedRecords) {
+  // After 256 + k sessions close, list() holds the last 256 of them, and
+  // an evicted id is still refused as a duplicate, as a kept one is.
+  SessionMux mux;
+  SessionManagerConfig config;
+  config.workers = 1;
+  SessionManager manager(config, mux);
+  constexpr std::uint32_t kExtra = 5;
+  constexpr auto kSessions =
+      static_cast<std::uint32_t>(SessionManager::kClosedRecordsKept) + kExtra;
+  ASSERT_EQ(SessionManager::kClosedRecordsKept, 256u);
+  const auto program = [](const SessionInfo& info,
+                          Channel&) -> std::optional<int> {
+    return static_cast<int>(info.id);
+  };
+  for (std::uint32_t id = 1; id <= kSessions; ++id) {
+    manager.admit(SessionInfo{id, id});
+    SessionRoutes routes;
+    routes.session = id;
+    routes.self = "S1";
+    manager.launch(SessionInfo{id, id}, routes, program, nullptr);
+    manager.await_idle();  // one at a time, under the admission cap
+  }
+  const std::vector<SessionRecord> records = manager.list();
+  ASSERT_EQ(records.size(), SessionManager::kClosedRecordsKept);
+  EXPECT_EQ(records.front().info.id, kExtra + 1);
+  EXPECT_EQ(records.back().info.id, kSessions);
+  for (const SessionRecord& record : records) {
+    EXPECT_EQ(record.state, SessionState::kDone) << record.info.id;
+  }
+  for (const std::uint32_t id : {1u, kExtra, kExtra + 1, kSessions}) {
+    EXPECT_THROW(manager.admit(SessionInfo{id, id}), ChannelError) << id;
+  }
+  EXPECT_EQ(manager.active(), 0u);
+  manager.admit(SessionInfo{kSessions + 1, 0});
+  EXPECT_EQ(manager.active(), 1u);
+}
+
 TEST(SessionManager, DrainingRefusesNewSessions) {
   SessionMux mux;
   SessionManager manager(SessionManagerConfig{}, mux);

@@ -214,7 +214,10 @@ TEST(TrafficStats, ConcurrentWritersAndReadersAreRaceFree) {
   threads.reserve(kThreads + 1);
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&stats, t] {
-      const std::string self = "P" + std::to_string(t);
+      // Appended, not "P" + std::to_string(t): gcc 12 at -O3 reports a
+      // false -Wrestrict in that operator+, which -Werror turns fatal.
+      std::string self = "P";
+      self += std::to_string(t);
       for (int i = 0; i < kIters; ++i) {
         stats.record_send("step", self, "S1", 3);
       }
