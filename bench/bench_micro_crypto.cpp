@@ -10,6 +10,7 @@
 #include "bigint/primes.h"
 #include "crypto/dgk.h"
 #include "crypto/paillier.h"
+#include "crypto/precompute_service.h"
 #include "mpc/dgk_compare.h"
 
 namespace {
@@ -248,6 +249,40 @@ void BM_DgkCompare(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DgkCompare)->Arg(16)->Arg(32)->Arg(52)
+    ->Unit(benchmark::kMillisecond);
+
+// The same comparison at the deployment profile: 2048-bit n, 160-bit v and
+// ell = 52, a width at which its exponentiations fan out over the shared
+// LanePool (DESIGN.md §10).  Both servers draw their powers from warm
+// streams, refilled outside the timed region, as an online phase does.
+// Timed by wall clock: the calling thread's CPU time would miss the work
+// the pool's workers do.
+void BM_DgkCompareDeployment(benchmark::State& state) {
+  DeterministicRng rng(10);
+  DgkParams params;
+  params.n_bits = 2048;
+  params.v_bits = 160;
+  params.plaintext_bound = 256;
+  const auto key = generate_dgk_key(params, rng);
+  const std::size_t ell = 52;
+  const DgkCompareContext ctx(key.pk, key.sk, ell);
+  DgkPowerStream s1_powers(key.pk, 1);
+  DgkPowerStream s2_powers(key.pk, 2);
+  std::int64_t x = 12345, y = -9876;
+  for (auto _ : state) {
+    state.PauseTiming();
+    s2_powers.generate(ell);
+    s1_powers.generate(ell + 2);
+    state.ResumeTiming();
+    MessageReader e_bits(dgk_compare_s2_bits(ctx, y, rng, &s2_powers).take());
+    MessageReader blinded(
+        dgk_compare_s1_blind(key.pk, ell, x, e_bits, rng, &s1_powers).take());
+    MessageWriter reply;
+    benchmark::DoNotOptimize(dgk_compare_s2_decide(ctx, blinded, reply));
+    std::swap(x, y);
+  }
+}
+BENCHMARK(BM_DgkCompareDeployment)->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -20,6 +20,12 @@ const Built& context_of(const std::shared_ptr<const Built>& built) {
   return *built;
 }
 
+void require_plaintext(const BigInt& m, const BigInt& u) {
+  if (m.is_negative() || m >= u) {
+    throw std::invalid_argument("DGK plaintext outside [0, u)");
+  }
+}
+
 }  // namespace
 
 DgkPublicKey::DgkPublicKey(BigInt n, BigInt g, BigInt h, BigInt u,
@@ -35,31 +41,29 @@ DgkPublicKey::DgkPublicKey(BigInt n, BigInt g, BigInt h, BigInt u,
                                                       randomizer_bits_)) {}
 
 DgkCiphertext DgkPublicKey::encrypt(const BigInt& m, Rng& rng) const {
-  if (m.is_negative() || m >= u_) {
-    throw std::invalid_argument("DGK plaintext outside [0, u)");
-  }
-  obs::count(obs::Op::kDgkEncrypt);
-  const BigInt r = rng.random_bits(randomizer_bits_);
-  const MontgomeryContext& ctx = context_of(mont_n_);
-  const BigInt gm = ctx.pow(g_, m);
-  const BigInt hr = context_of(h_table_).pow(r);
-  return {ctx.mul_mod(gm, hr)};
+  require_plaintext(m, u_);
+  return encrypt_with_power(m, randomizer_power(rng));
 }
 
 DgkCiphertext DgkPublicKey::encrypt(std::uint64_t m, Rng& rng) const {
   return encrypt(BigInt(m), rng);
 }
 
-BigInt DgkPublicKey::randomizer_power(Rng& rng) const {
-  const BigInt r = rng.random_bits(randomizer_bits_);
+BigInt DgkPublicKey::draw_randomizer(Rng& rng) const {
+  return rng.random_bits(randomizer_bits_);
+}
+
+BigInt DgkPublicKey::randomizer_power(const BigInt& r) const {
   return context_of(h_table_).pow(r);
+}
+
+BigInt DgkPublicKey::randomizer_power(Rng& rng) const {
+  return randomizer_power(draw_randomizer(rng));
 }
 
 DgkCiphertext DgkPublicKey::encrypt_with_power(const BigInt& m,
                                                const BigInt& h_to_r) const {
-  if (m.is_negative() || m >= u_) {
-    throw std::invalid_argument("DGK plaintext outside [0, u)");
-  }
+  require_plaintext(m, u_);
   obs::count(obs::Op::kDgkEncrypt);
   const MontgomeryContext& ctx = context_of(mont_n_);
   const BigInt gm = ctx.pow(g_, m);
@@ -80,19 +84,20 @@ DgkCiphertext DgkPublicKey::negate(const DgkCiphertext& c) const {
   return scalar_mul(c, u_ - BigInt(1));
 }
 
+std::uint64_t DgkPublicKey::draw_unit(Rng& rng) const {
+  return rng.uniform_in(BigInt(1), u_ - BigInt(1)).to_uint64();
+}
+
 DgkCiphertext DgkPublicKey::blind_multiplicative(const DgkCiphertext& c,
                                                  Rng& rng) const {
-  // Uniform unit of Z_u* (u prime, so any value in [1, u) is a unit).  The
-  // blinded plaintext is uniform on Z_u* when c != 0, and stays 0 otherwise.
-  const BigInt unit = rng.uniform_in(BigInt(1), u_ - BigInt(1));
-  return scalar_mul(c, unit);
+  // The blinded plaintext is uniform on Z_u* when c != 0, and stays 0
+  // otherwise.
+  return scalar_mul(c, BigInt(draw_unit(rng)));
 }
 
 DgkCiphertext DgkPublicKey::rerandomize(const DgkCiphertext& c,
                                         Rng& rng) const {
-  const BigInt r = rng.random_bits(randomizer_bits_);
-  const BigInt hr = context_of(h_table_).pow(r);
-  return {context_of(mont_n_).mul_mod(c.value, hr)};
+  return {context_of(mont_n_).mul_mod(c.value, randomizer_power(rng))};
 }
 
 DgkPrivateKey::DgkPrivateKey(DgkPublicKey pk, BigInt p, BigInt vp)

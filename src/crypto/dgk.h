@@ -60,11 +60,15 @@ class DgkPublicKey {
   [[nodiscard]] DgkCiphertext encrypt(const BigInt& m, Rng& rng) const;
   [[nodiscard]] DgkCiphertext encrypt(std::uint64_t m, Rng& rng) const;
 
-  /// The input-independent part of one encryption: h^r mod n with r drawn
-  /// exactly as encrypt() draws it, from the key's comb table.
-  /// Precomputable offline (DESIGN.md §15); encrypt(m, rng) ==
-  /// encrypt_with_power(m, randomizer_power(rng)) bit for bit with
-  /// identical Rng consumption.
+  /// The randomizer exponent r of one encryption: 2 * v_bits + 32 bits
+  /// from `rng`, the only draw encrypt() and rerandomize() make.
+  [[nodiscard]] BigInt draw_randomizer(Rng& rng) const;
+  /// h^r mod n from the key's comb table, for an r from draw_randomizer.
+  [[nodiscard]] BigInt randomizer_power(const BigInt& r) const;
+  /// The input-independent part of one encryption: randomizer_power of a
+  /// fresh draw_randomizer.  Precomputable offline (DESIGN.md §15);
+  /// encrypt(m, rng) == encrypt_with_power(m, randomizer_power(rng)) bit
+  /// for bit with identical Rng consumption.
   [[nodiscard]] BigInt randomizer_power(Rng& rng) const;
   /// The online part: g^m * h_to_r mod n.  The exponent m is tiny in the
   /// comparison protocol (a few bits), so this is a handful of modmuls
@@ -80,8 +84,12 @@ class DgkPublicKey {
   [[nodiscard]] DgkCiphertext scalar_mul(const DgkCiphertext& c,
                                          const BigInt& a) const;
   [[nodiscard]] DgkCiphertext negate(const DgkCiphertext& c) const;
-  /// Multiplicative blinding used by the comparison protocol: multiplies the
-  /// plaintext by a uniform unit of Z_u*, preserving (only) zero-ness.
+  /// A uniform unit of Z_u* (u prime, so any value in [1, u) is one),
+  /// the only draw blind_multiplicative() makes.
+  [[nodiscard]] std::uint64_t draw_unit(Rng& rng) const;
+  /// Multiplicative blinding used by the comparison protocol:
+  /// scalar_mul(c, draw_unit(rng)), which multiplies the plaintext by a
+  /// uniform unit of Z_u*, preserving (only) zero-ness.
   [[nodiscard]] DgkCiphertext blind_multiplicative(const DgkCiphertext& c,
                                                    Rng& rng) const;
   /// Fresh additive rerandomization (same plaintext).

@@ -69,9 +69,16 @@ BigInt PowerStream<PublicKey>::draw_power() {
 }
 
 template <typename PublicKey>
+void PowerStream<PublicKey>::release() {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  released_ += ready_.size();
+  std::deque<BigInt>().swap(ready_);  // clear() may keep the deque's blocks
+}
+
+template <typename PublicKey>
 PrecomputeStats PowerStream<PublicKey>::stats() const {
   const std::lock_guard<std::mutex> lock(mutex_);
-  return {ready_.size(), generated_, hits_, misses_};
+  return {ready_.size(), generated_, hits_, misses_, released_};
 }
 
 template class PowerStream<PaillierPublicKey>;
@@ -99,6 +106,7 @@ PrecomputeStats PrecomputeService::totals() const {
     out.generated += s.generated;
     out.hits += s.hits;
     out.misses += s.misses;
+    out.released += s.released;
   };
   for (const auto& [key, stream] : paillier_) fold(stream->stats());
   for (const auto& [key, stream] : dgk_) fold(stream->stats());

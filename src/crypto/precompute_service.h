@@ -39,12 +39,14 @@ namespace pcl {
 
 /// Counters for one stream (or a service-wide aggregate).  `ready` is the
 /// material generated but not yet consumed; `misses` counts draws served
-/// by inline generation on the online path.
+/// by inline generation on the online path; `released` counts material
+/// dropped unused by release().  generated == hits + ready + released.
 struct PrecomputeStats {
   std::size_t ready = 0;
   std::uint64_t generated = 0;
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
+  std::uint64_t released = 0;
 };
 
 /// Deterministic stream of randomizer powers for one (key, seed) identity:
@@ -67,6 +69,11 @@ class PowerStream {
   [[nodiscard]] auto encrypt(const BigInt& m) {
     return pk_.encrypt_with_power(m, draw_power());
   }
+  /// After the query that drew from the stream has ended: frees the ready
+  /// powers it left undrawn (a ⊥ query's steps 6-9) and counts them as
+  /// released.  The stream keeps its counters and its Rng position, so a
+  /// later draw computes the power after the released ones.
+  void release();
   [[nodiscard]] PrecomputeStats stats() const;
 
  private:
@@ -74,7 +81,7 @@ class PowerStream {
   mutable std::mutex mutex_;
   DeterministicRng rng_;
   std::deque<BigInt> ready_;
-  std::uint64_t generated_ = 0, hits_ = 0, misses_ = 0;
+  std::uint64_t generated_ = 0, hits_ = 0, misses_ = 0, released_ = 0;
 };
 
 using PaillierPowerStream = PowerStream<PaillierPublicKey>;

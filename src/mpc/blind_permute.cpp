@@ -123,8 +123,9 @@ MessageWriter BlindPermuteS1::round_permute(MessageReader& msg,
     // per-label ciphertexts E_pk1[b + u2 ± r1] the unpacked slot would
     // carry — from here on the two modes share a wire format.  u2 is S2's
     // fresh mask, so the plaintexts are blinded shares to us.
-    const std::vector<PaillierCiphertext> piggyback =
-        read_ciphertext_vector(msg, packing_->num_cts);
+    const std::vector<PaillierCiphertext> piggyback = read_ciphertext_vector(
+        msg, own_.pk, packing_->num_cts,
+        "Blind-and-Permute slot 2 (S2's packed aggregate)");
     std::vector<std::int64_t> masked_b =
         decrypt_packed_vector(own_.sk, *packing_, piggyback, packed_addends_);
     for (std::size_t i = 0; i < k_; ++i) masked_b[i] += signed_r1[i];
@@ -139,10 +140,12 @@ MessageWriter BlindPermuteS1::round_permute(MessageReader& msg,
 
 MessageWriter BlindPermuteS1::round_close(MessageReader& msg) {
   // -- Step 5: decrypt, re-encrypt under pk2, strip r3, permute. -------------
-  const std::vector<std::int64_t> blinded =
-      decrypt_vector(own_.sk, read_ciphertext_vector(msg, k_));
-  const std::vector<PaillierCiphertext> enc_neg_r3 =
-      read_ciphertext_vector(msg, k_);
+  const std::vector<std::int64_t> blinded = decrypt_vector(
+      own_.sk, read_ciphertext_vector(
+                   msg, own_.pk, k_,
+                   "Blind-and-Permute slot 4 (S2's blinded sequence)"));
+  const std::vector<PaillierCiphertext> enc_neg_r3 = read_ciphertext_vector(
+      msg, peer_pk_, k_, "Blind-and-Permute slot 4 (S2's encrypted -r3)");
   std::vector<PaillierCiphertext> reenc =
       encrypt_vector(peer_pk_, blinded, rng_, peer_stream_);
   reenc = add_vectors(peer_pk_, reenc, enc_neg_r3);
@@ -155,7 +158,8 @@ MessageWriter BlindPermuteS1::round_close(MessageReader& msg) {
 MessageWriter BlindPermuteS1::restore_mask(MessageReader& msg) {
   obs::count(obs::Op::kRestorationReveal);
   // -- Step 2: undo pi1, add mask r1. ----------------------------------------
-  std::vector<PaillierCiphertext> seq = read_ciphertext_vector(msg, k_);
+  std::vector<PaillierCiphertext> seq = read_ciphertext_vector(
+      msg, peer_pk_, k_, "Restoration slot 1 (S2's one-hot)");
   seq = pi_.apply_inverse(seq);
   restore_r1_ = random_mask_vector(k_, mask_bits_, rng_);
   seq = add_plain_vector(peer_pk_, seq, restore_r1_, rng_, peer_stream_);
@@ -176,8 +180,10 @@ MessageWriter BlindPermuteS1::restore_strip(MessageReader& msg) {
 
 MessageWriter BlindPermuteS1::restore_decrypt(MessageReader& msg) {
   // -- Step 6: decrypt and return the masked one-hot. ------------------------
-  const std::vector<std::int64_t> masked =
-      decrypt_vector(own_.sk, read_ciphertext_vector(msg, k_));
+  const std::vector<std::int64_t> masked = decrypt_vector(
+      own_.sk, read_ciphertext_vector(msg, own_.pk, k_,
+                                      "Restoration slot 5 (S2's masked "
+                                      "one-hot)"));
   MessageWriter reply;
   // pc_declassify: each entry is one-hot bit + r2, with r2 a fresh uniform
   // mask drawn by S2 and unknown to S1's peer; the sum reveals nothing about
@@ -221,13 +227,17 @@ BlindPermuteS2::BlindPermuteS2(const PaillierKeyPair& own,
 MessageWriter BlindPermuteS2::round_permute(
     MessageReader& msg, const std::vector<PaillierCiphertext>& holds) {
   // -- Step 2: decrypt, add r2, permute with pi2, return plaintext. ----------
+  constexpr const char* kSlot1 =
+      "Blind-and-Permute slot 1 (S1's masked aggregate)";
   std::vector<std::int64_t> seq;
   if (packing_ != nullptr) {
-    seq = decrypt_packed_vector(own_.sk, *packing_,
-                                read_ciphertext_vector(msg, packing_->num_cts),
-                                packed_addends_);
+    seq = decrypt_packed_vector(
+        own_.sk, *packing_,
+        read_ciphertext_vector(msg, own_.pk, packing_->num_cts, kSlot1),
+        packed_addends_);
   } else {
-    seq = decrypt_vector(own_.sk, read_ciphertext_vector(msg, k_));
+    seq = decrypt_vector(own_.sk,
+                         read_ciphertext_vector(msg, own_.pk, k_, kSlot1));
   }
   round_r2_ = random_mask_vector(k_, mask_bits_, rng_);
   for (std::size_t i = 0; i < k_; ++i) seq[i] += round_r2_[i];
@@ -253,8 +263,8 @@ MessageWriter BlindPermuteS2::round_blind(
     MessageReader& msg, const std::vector<PaillierCiphertext>& holds,
     BlindPermuteMaskMode mode) {
   // -- Step 4: E_pk1[b ± r1 ± r2], permute by pi2, blind with r3. ------------
-  const std::vector<PaillierCiphertext> enc_r1 =
-      read_ciphertext_vector(msg, k_);
+  const std::vector<PaillierCiphertext> enc_r1 = read_ciphertext_vector(
+      msg, peer_pk_, k_, "Blind-and-Permute slot 3 (S1's encrypted r1)");
   std::vector<PaillierCiphertext> seq;
   const std::vector<std::int64_t> signed_r2 =
       mode == BlindPermuteMaskMode::kOppositeSign ? negated(round_r2_)
@@ -283,7 +293,10 @@ MessageWriter BlindPermuteS2::round_blind(
 
 std::vector<std::int64_t> BlindPermuteS2::round_output(MessageReader& msg) {
   // -- Step 6: decrypt -> pi(b ± r). -----------------------------------------
-  return decrypt_vector(own_.sk, read_ciphertext_vector(msg, k_));
+  return decrypt_vector(
+      own_.sk, read_ciphertext_vector(
+                   msg, own_.pk, k_,
+                   "Blind-and-Permute slot 5 (S1's re-encrypted sequence)"));
 }
 
 MessageWriter BlindPermuteS2::restore_open(std::size_t permuted_index) {
@@ -301,8 +314,10 @@ MessageWriter BlindPermuteS2::restore_open(std::size_t permuted_index) {
 
 MessageWriter BlindPermuteS2::restore_reveal(MessageReader& msg) {
   // -- Step 3: decrypt the masked vector, return it in plaintext. ------------
-  const std::vector<std::int64_t> masked =
-      decrypt_vector(own_.sk, read_ciphertext_vector(msg, k_));
+  const std::vector<std::int64_t> masked = decrypt_vector(
+      own_.sk, read_ciphertext_vector(msg, own_.pk, k_,
+                                      "Restoration slot 2 (S1's masked "
+                                      "one-hot)"));
   MessageWriter reply;
   // pc_declassify: the vector was masked with S1's fresh uniform r1 before
   // it reached S2's key, so the plaintexts S2 returns are blinded shares.
@@ -312,7 +327,8 @@ MessageWriter BlindPermuteS2::restore_reveal(MessageReader& msg) {
 
 MessageWriter BlindPermuteS2::restore_unpermute(MessageReader& msg) {
   // -- Step 5: undo pi2, add mask r2. ----------------------------------------
-  std::vector<PaillierCiphertext> seq = read_ciphertext_vector(msg, k_);
+  std::vector<PaillierCiphertext> seq = read_ciphertext_vector(
+      msg, peer_pk_, k_, "Restoration slot 4 (S1's re-encrypted one-hot)");
   seq = pi_.apply_inverse(seq);
   restore_r2_ = random_mask_vector(k_, mask_bits_, rng_);
   seq = add_plain_vector(peer_pk_, seq, restore_r2_, rng_, peer_stream_);

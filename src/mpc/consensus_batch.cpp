@@ -145,6 +145,31 @@ std::vector<std::unique_ptr<LaneT>> make_server_lanes(
   return lanes;
 }
 
+/// Releases every lane's unused stream powers when a program's run ends,
+/// by return or by throw: a ⊥ lane's steps 6-9 powers would otherwise stay
+/// in the service's streams for their lifetime.  The streams themselves
+/// stay registered, with their counters.
+template <typename LaneT>
+class ReleaseStreamsOnExit {
+ public:
+  explicit ReleaseStreamsOnExit(
+      const std::vector<std::unique_ptr<LaneT>>& lanes)
+      : lanes_(lanes) {}
+  ReleaseStreamsOnExit(const ReleaseStreamsOnExit&) = delete;
+  ReleaseStreamsOnExit& operator=(const ReleaseStreamsOnExit&) = delete;
+  ~ReleaseStreamsOnExit() {
+    for (const auto& lane : lanes_) {
+      const PartyPrecompute& pre = lane->pre;
+      if (pre.powers_pk1 != nullptr) pre.powers_pk1->release();
+      if (pre.powers_pk2 != nullptr) pre.powers_pk2->release();
+      if (pre.dgk_powers != nullptr) pre.dgk_powers->release();
+    }
+  }
+
+ private:
+  const std::vector<std::unique_ptr<LaneT>>& lanes_;
+};
+
 template <typename LaneT>
 std::vector<LaneT*> all_lanes(
     const std::vector<std::unique_ptr<LaneT>>& lanes) {
@@ -194,13 +219,15 @@ void batch_collect(Channel& chan, const PaillierPublicKey& pk,
   const std::size_t width =
       params.packed ? params.packing.num_cts : params.num_classes;
   for (std::size_t u = 0; u < params.num_users; ++u) {
+    const std::string slot = "secure sum (user:" + std::to_string(u) +
+                             "'s shares)";
     std::vector<MessageReader> parts =
         unpack_lanes(set, chan.recv("user:" + std::to_string(u)));
     for_each_lane(set, [&](std::size_t i) {
       const LaneSpan span(set.ctx[i]);
       if (u == 0) obs::count(obs::Op::kSecureSumCollect);
       std::vector<PaillierCiphertext> shares =
-          read_ciphertext_vector(parts[i], width);
+          read_ciphertext_vector(parts[i], pk, width, slot.c_str());
       *aggs[i] = u == 0 ? std::move(shares) : add_vectors(pk, *aggs[i], shares);
     });
   }
@@ -390,6 +417,7 @@ ConsensusS1BatchProgram::~ConsensusS1BatchProgram() = default;
 
 std::vector<std::optional<std::size_t>> ConsensusS1BatchProgram::run(
     Channel& chan) {
+  const ReleaseStreamsOnExit<Lane> release(lanes_);
   const std::size_t k = params_.num_classes;
   const std::size_t n = params_.num_users;
 
@@ -585,6 +613,7 @@ ConsensusS2BatchProgram::~ConsensusS2BatchProgram() = default;
 
 std::vector<std::optional<std::size_t>> ConsensusS2BatchProgram::run(
     Channel& chan) {
+  const ReleaseStreamsOnExit<Lane> release(lanes_);
   const std::size_t k = params_.num_classes;
   const std::size_t n = params_.num_users;
   const DgkCompareContext cmp(dgk_.pk, dgk_.sk, params_.compare_bits);
@@ -783,6 +812,7 @@ ConsensusUserBatchProgram::ConsensusUserBatchProgram(
 ConsensusUserBatchProgram::~ConsensusUserBatchProgram() = default;
 
 void ConsensusUserBatchProgram::run(Channel& chan) {
+  const ReleaseStreamsOnExit<Lane> release(lanes_);
   const std::size_t k = params_.num_classes;
   const PackingLayout* packing = params_.packing_or_null();
 

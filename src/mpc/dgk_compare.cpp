@@ -35,25 +35,43 @@ std::uint64_t to_offset_domain(std::int64_t v, std::size_t ell) {
   return static_cast<std::uint64_t>(v + half);
 }
 
-/// One small-plaintext encryption, from the power bank when one is
-/// attached (the h^r power comes precomputed; only the tiny g^m part runs
-/// online).
-DgkCiphertext encrypt_small(const DgkPublicKey& pk, std::uint64_t m, Rng& rng,
-                            DgkPowerStream* bank) {
-  if (bank != nullptr) return bank->encrypt(m);
-  return pk.encrypt(m, rng);
+/// One encryption's randomness, drawn where the protocol orders it: the
+/// bank's next power when one is attached, else the randomizer exponent r
+/// from `rng` (its h^r is evaluated by encrypt_drawn, off the draw order).
+BigInt draw_randomness(const DgkPublicKey& pk, Rng& rng,
+                       DgkPowerStream* bank) {
+  return bank != nullptr ? bank->draw_power() : pk.draw_randomizer(rng);
 }
 
-/// The bits of e, each DGK-encrypted, batched into one message.
+/// The exponentiation half of one small-plaintext encryption, g^m * h^r
+/// from what draw_randomness drew: with a bank only the tiny g^m part runs
+/// online.
+DgkCiphertext encrypt_drawn(const DgkPublicKey& pk, std::uint64_t m,
+                            const BigInt& drawn, DgkPowerStream* bank) {
+  if (bank != nullptr) return pk.encrypt_with_power(BigInt(m), drawn);
+  return pk.encrypt_with_power(BigInt(m), pk.randomizer_power(drawn));
+}
+
+DgkCiphertext encrypt_small(const DgkPublicKey& pk, std::uint64_t m, Rng& rng,
+                            DgkPowerStream* bank) {
+  return encrypt_drawn(pk, m, draw_randomness(pk, rng, bank), bank);
+}
+
+/// The bits of e, each DGK-encrypted, batched into one message.  The draws
+/// run first, in bit order; the encryptions then fan out
+/// (for_each_element), each turning its bit's slot into E(e_i) in place.
 MessageWriter encrypted_bits_message(const DgkPublicKey& pk, std::uint64_t e,
                                      std::size_t width, Rng& rng,
                                      DgkPowerStream* bank) {
   obs::count(obs::Op::kDgkCompareBit, width);
+  std::vector<BigInt> bits(width);
+  for (BigInt& slot : bits) slot = draw_randomness(pk, rng, bank);
+  for_each_element(pk.n().bit_length(), width, [&](std::size_t i) {
+    bits[i] = encrypt_drawn(pk, (e >> i) & 1u, bits[i], bank).value;
+  });
   MessageWriter msg;
   msg.write_u64(width);
-  for (std::size_t i = 0; i < width; ++i) {
-    msg.write_bigint(encrypt_small(pk, (e >> i) & 1u, rng, bank).value);
-  }
+  for (const BigInt& c : bits) msg.write_bigint(c);
   return msg;
 }
 
@@ -82,40 +100,56 @@ std::vector<DgkCiphertext> read_ciphertext_batch(MessageReader& msg,
   return out;
 }
 
-/// S1's core: the blinded, permuted c-sequence c_i = 1 + d_i - e_i + 3W
-/// (some c_i == 0 iff d < e).
-std::vector<DgkCiphertext> build_blinded_sequence(
-    const DgkPublicKey& pk, std::uint64_t d,
-    const std::vector<DgkCiphertext>& e_bits, Rng& rng,
-    DgkPowerStream* bank) {
+/// S1's core: the blinded, permuted c-sequence c_i = 1 + d_i - e_i + 3W_i
+/// (some c_i == 0 iff d < e), where W_i sums w_j = d_j XOR e_j over the
+/// bits more significant than i.  Slot k of the sequence serves bit
+/// width - 1 - k (MSB to LSB).
+///
+/// Every draw comes first, in the protocol's order: E(1), E(0), then per
+/// slot the bank's power (or r) and the blinding unit, then the
+/// permutation.  The exponentiations fan out (for_each_element) in two
+/// passes; between them only the running product W is sequential.
+MessageWriter blinded_sequence_message(const DgkPublicKey& pk, std::uint64_t d,
+                                       const std::vector<DgkCiphertext>& e_bits,
+                                       Rng& rng, DgkPowerStream* bank) {
   const std::size_t width = e_bits.size();
+  const std::size_t modulus_bits = pk.n().bit_length();
+  const auto d_bit = [&](std::size_t k) { return (d >> (width - 1 - k)) & 1u; };
+  const auto e_bit = [&](std::size_t k) -> const DgkCiphertext& {
+    return e_bits[width - 1 - k];
+  };
   const DgkCiphertext enc_one = encrypt_small(pk, 1, rng, bank);
-
-  // Running homomorphic sum of w_j = d_j XOR e_j over bits more
-  // significant than the current one (we iterate MSB -> LSB).
   DgkCiphertext w_sum = encrypt_small(pk, 0, rng, bank);
-  std::vector<DgkCiphertext> c_seq;
-  c_seq.reserve(width);
-  for (std::size_t idx = width; idx-- > 0;) {
-    const std::uint64_t d_bit = (d >> idx) & 1u;
-    DgkCiphertext c = pk.add(encrypt_small(pk, 1 + d_bit, rng, bank),
-                             pk.negate(e_bits[idx]));
-    c = pk.add(c, pk.scalar_mul(w_sum, BigInt(3)));
-    c_seq.push_back(pk.blind_multiplicative(c, rng));
-    // w_idx = d_idx XOR e_idx = d_idx + e_idx - 2*d_idx*e_idx; with d_idx
-    // known in plaintext this is e_idx when d_idx == 0, else 1 - e_idx.
-    const DgkCiphertext w =
-        d_bit == 0 ? e_bits[idx] : pk.add(enc_one, pk.negate(e_bits[idx]));
-    w_sum = pk.add(w_sum, w);
+  std::vector<DgkCiphertext> c(width);
+  std::vector<std::uint64_t> units(width);
+  for (std::size_t k = 0; k < width; ++k) {
+    c[k].value = draw_randomness(pk, rng, bank);
+    units[k] = pk.draw_unit(rng);
   }
   const Permutation shuffle = Permutation::random(width, rng);
-  return shuffle.apply(c_seq);
-}
 
-MessageWriter ciphertext_batch_message(const std::vector<DgkCiphertext>& cts) {
+  // Pass 1: c_k = E(1 + d_i) * E(e_i)^(u-1), the negation computed once and
+  // also giving w_i = E(1 - e_i) when d_i = 1 (w_i is E(e_i) when d_i = 0).
+  std::vector<DgkCiphertext> w(width);
+  for_each_element(modulus_bits, width, [&](std::size_t k) {
+    const DgkCiphertext neg = pk.negate(e_bit(k));
+    c[k] = pk.add(encrypt_drawn(pk, 1 + d_bit(k), c[k].value, bank), neg);
+    if (d_bit(k) != 0) w[k] = pk.add(enc_one, neg);
+  });
+  // Sequential: w[k] becomes W at slot k, the product over earlier slots.
+  for (std::size_t k = 0; k < width; ++k) {
+    DgkCiphertext next = pk.add(w_sum, d_bit(k) != 0 ? w[k] : e_bit(k));
+    w[k] = std::exchange(w_sum, std::move(next));
+  }
+  // Pass 2: c_k * W^3, blinded by the slot's unit.
+  for_each_element(modulus_bits, width, [&](std::size_t k) {
+    c[k] = pk.scalar_mul(pk.add(c[k], pk.scalar_mul(w[k], BigInt(3))),
+                         BigInt(units[k]));
+  });
+
   MessageWriter msg;
-  msg.write_u64(cts.size());
-  for (const DgkCiphertext& c : cts) msg.write_bigint(c.value);
+  msg.write_u64(width);
+  for (std::size_t k = 0; k < width; ++k) msg.write_bigint(c[shuffle[k]].value);
   return msg;
 }
 
@@ -148,8 +182,7 @@ MessageWriter dgk_compare_s1_blind(const DgkPublicKey& pk, std::size_t ell,
   const std::uint64_t d = to_offset_domain(x, ell);
   const std::vector<DgkCiphertext> bits =
       read_ciphertext_batch(e_bits, pk, ell, "slot 1 (S2's bit ciphertexts)");
-  return ciphertext_batch_message(
-      build_blinded_sequence(pk, d, bits, rng, bank));
+  return blinded_sequence_message(pk, d, bits, rng, bank);
 }
 
 bool dgk_compare_s2_decide(const DgkCompareContext& ctx,

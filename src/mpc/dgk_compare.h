@@ -29,6 +29,11 @@
 // bit encryption are input-independent, so the halves optionally draw them
 // from a DgkPowerStream filled offline.  A null stream keeps the
 // fresh-randomness path bit for bit.
+// Each sending half makes all its Rng and stream draws first, in protocol
+// order, then runs its per-bit exponentiations through for_each_element
+// (mpc/lane_pool.h), which fans them out when the public DGK n has at
+// least kElementFanOutMinBits bits (DESIGN.md §10).  The bytes are the
+// same at every width.
 #pragma once
 
 #include <cstdint>

@@ -127,16 +127,24 @@ void write_ciphertext_vector(MessageWriter& w,
   for (const PaillierCiphertext& c : cts) w.write_bigint(c.value);
 }
 
-std::vector<PaillierCiphertext> read_ciphertext_vector(MessageReader& r,
-                                                       std::size_t count) {
+std::vector<PaillierCiphertext> read_ciphertext_vector(
+    MessageReader& r, const PaillierPublicKey& pk, std::size_t count,
+    const char* slot) {
   std::vector<BigInt> values = r.read_bigint_vector();
   if (values.size() != count) {
-    throw FramingError("ciphertext vector: expected " + std::to_string(count) +
-                       ", got " + std::to_string(values.size()));
+    throw FramingError(std::string(slot) + ": expected " +
+                       std::to_string(count) + " ciphertexts, got " +
+                       std::to_string(values.size()));
   }
   std::vector<PaillierCiphertext> out;
   out.reserve(values.size());
-  for (BigInt& v : values) out.push_back({std::move(v)});
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    if (values[i] < BigInt(1) || values[i] >= pk.n_squared()) {
+      throw FramingError(std::string(slot) + ": ciphertext " +
+                         std::to_string(i) + " outside [1, n^2)");
+    }
+    out.push_back({std::move(values[i])});
+  }
   return out;
 }
 

@@ -81,12 +81,17 @@ namespace pcl {
     std::span<const PaillierCiphertext> cts, std::size_t addend_count);
 
 /// Wire form: a u64 count, then each ciphertext as a BigInt.  The reader
-/// takes the count the public query geometry fixes for the vector (k, or
-/// layout.num_cts packed) and throws FramingError on any other, and on a
-/// count the remaining bytes cannot back before it allocates.
+/// takes the key `pk` the vector is encrypted under, the count the public
+/// query geometry fixes for it (k, or layout.num_cts packed) and the name
+/// of its message slot.  It throws FramingError naming the slot on any
+/// other count, on a count the remaining bytes cannot back (before it
+/// allocates), and, naming the index too, on a ciphertext outside
+/// [1, n²): a slot used only homomorphically would otherwise carry it
+/// into a later step, or to the peer's decryption.
 void write_ciphertext_vector(MessageWriter& w,
                              std::span<const PaillierCiphertext> cts);
 [[nodiscard]] std::vector<PaillierCiphertext> read_ciphertext_vector(
-    MessageReader& r, std::size_t count);
+    MessageReader& r, const PaillierPublicKey& pk, std::size_t count,
+    const char* slot);
 
 }  // namespace pcl

@@ -9,10 +9,13 @@
 // workers per call would dominate the win.
 //
 // A one-lane query (Q = 1) has no lanes to spread, but at deployment widths
-// its decryptions and zero-tests cost milliseconds each and are independent
-// of one another: for_each_element() runs them on the shared pool when the
-// public modulus has at least kElementFanOutMinBits bits.  Below that an
-// element costs microseconds, less than a dispatch, and runs inline.
+// each element of its vector crypto costs milliseconds and is independent
+// of the others: the decryptions, S2's zero-tests, and the exponentiations
+// of each DGK comparison's bit encryptions and blinded sequence, whose Rng
+// and stream draws are made first, in order, on the calling thread.
+// for_each_element() runs them on the shared pool when the public modulus
+// has at least kElementFanOutMinBits bits.  Below that an element costs
+// microseconds, less than a dispatch, and runs inline in index order.
 //
 // Observability: run() snapshots the submitting thread's observer binding
 // (obs::current_observer) and each worker installs it for the duration of a
@@ -89,9 +92,10 @@ class LanePool {
 };
 
 /// Public-modulus width from which one element's crypto outweighs a pool
-/// dispatch: a 1024-bit Paillier decryption costs about 0.7 ms, while an
-/// element at the paper's 64-bit Paillier and 192-bit DGK keys costs a
-/// few microseconds.
+/// dispatch: a 1024-bit Paillier decryption costs about 0.7 ms, and one bit
+/// of a comparison under a 2048-bit DGK n about 0.1 ms on each server (S1's
+/// negation, 3W and blinding; S2's zero-test), while an element at the
+/// paper's 64-bit Paillier and 192-bit DGK keys costs a few microseconds.
 inline constexpr std::size_t kElementFanOutMinBits = 1024;
 
 /// Runs fn(i) for every i in [0, count): on LanePool::shared() when

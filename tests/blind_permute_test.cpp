@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <utility>
 
 #include "mpc/he_util.h"
@@ -265,6 +266,61 @@ TEST_F(BlindPermuteTest, LengthMismatchRejected) {
   EXPECT_THROW((void)servers.run(ea, eb, BlindPermuteMaskMode::kSameSign),
                std::invalid_argument);
   EXPECT_THROW(ServerPair(keys_, 0, 30, rng_, rng_), std::invalid_argument);
+}
+
+// A Paillier ciphertext outside [1, n²) is rejected where it comes off the
+// wire, also in the slots a server only folds homomorphically and never
+// decrypts: S2's slot 3 (S1's encrypted r1) and S1's Restoration slot 1
+// (S2's one-hot).  0 and n² are the two edges.
+
+/// Four ciphertexts under `pk`, element `bad` replaced by `value`.
+MessageReader ciphertexts_with(const PaillierPublicKey& pk, std::size_t bad,
+                               const BigInt& value, Rng& rng) {
+  std::vector<PaillierCiphertext> cts =
+      encrypt_vector(pk, std::vector<std::int64_t>{1, 2, 3, 4}, rng);
+  cts[bad].value = value;
+  MessageWriter w;
+  write_ciphertext_vector(w, cts);
+  return deliver(std::move(w));
+}
+
+template <typename Op>
+void expect_range_error(Op op, const std::string& slot, std::size_t index) {
+  try {
+    op();
+    ADD_FAILURE() << "no FramingError for ciphertext " << index;
+  } catch (const FramingError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(slot), std::string::npos) << what;
+    EXPECT_NE(what.find("ciphertext " + std::to_string(index)),
+              std::string::npos)
+        << what;
+  }
+}
+
+TEST_F(BlindPermuteTest, S2RejectsEncryptedMaskOutsideRange) {
+  const auto [ea, eb] = encrypt_pair({1, 2, 3, 4}, {5, 6, 7, 8});
+  for (const BigInt& bad : {BigInt(0), keys_.s1.pk.n_squared()}) {
+    ServerPair servers(keys_, 4, 30, rng_, rng_);
+    const BlindPermuteMaskMode mode = BlindPermuteMaskMode::kOppositeSign;
+    MessageReader masked = deliver(servers.s1.round_open(ea, mode));
+    MessageReader permuted = deliver(servers.s2.round_permute(masked, eb));
+    std::vector<std::int64_t> s1_seq;
+    (void)servers.s1.round_permute(permuted, s1_seq);
+    MessageReader enc_mask = ciphertexts_with(keys_.s1.pk, 2, bad, rng_);
+    expect_range_error(
+        [&] { (void)servers.s2.round_blind(enc_mask, eb, mode); },
+        "Blind-and-Permute slot 3", 2);
+  }
+}
+
+TEST_F(BlindPermuteTest, S1RejectsRestorationOneHotOutsideRange) {
+  for (const BigInt& bad : {BigInt(0), keys_.s2.pk.n_squared()}) {
+    ServerPair servers(keys_, 4, 30, rng_, rng_);
+    MessageReader onehot = ciphertexts_with(keys_.s2.pk, 3, bad, rng_);
+    expect_range_error([&] { (void)servers.s1.restore_mask(onehot); },
+                       "Restoration slot 1", 3);
+  }
 }
 
 TEST_F(BlindPermuteTest, PermutationIsNontrivialAcrossSessions) {

@@ -492,5 +492,36 @@ TEST(ConsensusFanOut, DeploymentWidthQueryMatchesPaperWidth) {
   }
 }
 
+TEST(ConsensusFanOut, DeploymentWidthTrafficIsIdenticalOnEveryTransport) {
+  // At 1024 bits each comparison draws first and fans its exponentiations
+  // out over the shared LanePool, on S2's bits and S1's blinded sequence
+  // alike.  The in-process, threaded and TCP runs of one seed must still
+  // send the same bytes in every step.
+  ConsensusConfig wide = small_config();
+  wide.num_users = 3;
+  wide.argmax_strategy = ArgmaxStrategy::kTournament;
+  wide.paillier_bits = kElementFanOutMinBits;
+  wide.dgk_params.n_bits = kElementFanOutMinBits + 2;
+  wide.dgk_params.v_bits = 160;
+  DeterministicRng keygen(7);
+  ConsensusProtocol protocol(wide, keygen);
+  const auto votes = one_hot_votes({2, 2, 2}, 4);
+  const std::uint64_t seed = 20200706;
+  const auto in_process =
+      protocol.run_query_seeded(votes, seed, ConsensusTransport::kInProcess);
+  EXPECT_EQ(in_process.label, std::optional<int>(2));
+  const auto reference = protocol.stats().traffic_entries();
+  ASSERT_FALSE(reference.empty());
+  for (const auto transport :
+       {ConsensusTransport::kThreaded, ConsensusTransport::kTcp}) {
+    protocol.stats().clear();
+    EXPECT_EQ(protocol.run_query_seeded(votes, seed, transport).label,
+              in_process.label)
+        << "transport " << static_cast<int>(transport);
+    EXPECT_EQ(protocol.stats().traffic_entries(), reference)
+        << "transport " << static_cast<int>(transport);
+  }
+}
+
 }  // namespace
 }  // namespace pcl

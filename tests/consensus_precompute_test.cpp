@@ -129,9 +129,10 @@ TEST(ConsensusPrecompute, WarmAndColdPooledRunsAreIdentical) {
   }
 
   // The warm-up covered the demand: the warm runs drew every power ready,
-  // and the released query left none over on any of its streams (the ⊥
-  // query drew a prefix of its own).  The cold runs computed the same
-  // draws inline, one miss each.
+  // and the released query left none over on any of its streams.  The ⊥
+  // query drew a prefix of its own, and its programs released the rest
+  // when their runs ended.  The cold runs computed the same draws inline,
+  // one miss each.
   const PrecomputeStats warm_totals = warm_svc.totals();
   EXPECT_EQ(warm_metrics.total(obs::Op::kPoolMiss), 0u);
   EXPECT_EQ(cold_metrics.total(obs::Op::kPoolMiss), warm_totals.hits);
@@ -145,8 +146,10 @@ TEST(ConsensusPrecompute, WarmAndColdPooledRunsAreIdentical) {
   }
   // totals() sums every stream's counters.
   EXPECT_EQ(warm_totals.generated, demand);
-  EXPECT_EQ(warm_totals.hits + warm_totals.ready, demand);
-  EXPECT_GT(warm_totals.ready, 0u);
+  EXPECT_EQ(warm_totals.hits + warm_totals.ready + warm_totals.released,
+            demand);
+  EXPECT_GT(warm_totals.released, 0u);
+  EXPECT_EQ(warm_totals.ready, 0u);
   EXPECT_EQ(warm_totals.misses, 0u);
   const PrecomputeStats cold_totals = cold_svc.totals();
   EXPECT_EQ(cold_totals.generated, 0u);

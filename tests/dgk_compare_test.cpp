@@ -11,6 +11,8 @@
 #include <utility>
 #include <vector>
 
+#include "mpc/lane_pool.h"
+#include "mpc/permutation.h"
 #include "net/party_runner.h"
 
 namespace pcl {
@@ -235,6 +237,134 @@ TEST_F(DgkCompareTest, DecideRejectsBlindedCiphertextEqualToN) {
   expect_framing_error(
       [&] { (void)dgk_compare_s2_decide(ctx, blinded, reply); }, "slot 2", 5);
   EXPECT_EQ(reply.size(), 0u);
+}
+
+// --- Fan-out at deployment widths ------------------------------------------
+// From kElementFanOutMinBits on, both sides draw first and exponentiate on
+// the shared LanePool.  The bytes must be those of the bit-by-bit loop the
+// halves ran before the split, for the same Rng and stream draws.
+
+/// The bit-by-bit S2 slot: each bit drawn and encrypted in turn.
+std::vector<std::uint8_t> serial_s2_bits(const DgkPublicKey& pk,
+                                         std::uint64_t e, std::size_t ell,
+                                         Rng& rng, DgkPowerStream* bank) {
+  MessageWriter msg;
+  msg.write_u64(ell);
+  for (std::size_t i = 0; i < ell; ++i) {
+    const std::uint64_t bit = (e >> i) & 1u;
+    msg.write_bigint(bank != nullptr ? bank->encrypt(BigInt(bit)).value
+                                     : pk.encrypt(bit, rng).value);
+  }
+  return std::move(msg).take();
+}
+
+/// The bit-by-bit S1 slot: per bit, MSB to LSB, encrypt, negate, fold in
+/// 3W, blind, then advance W.
+std::vector<std::uint8_t> serial_s1_blind(const DgkPublicKey& pk,
+                                          std::uint64_t d,
+                                          const std::vector<BigInt>& e_bits,
+                                          Rng& rng, DgkPowerStream* bank) {
+  const auto encrypt = [&](std::uint64_t m) {
+    return bank != nullptr ? bank->encrypt(BigInt(m)) : pk.encrypt(m, rng);
+  };
+  const std::size_t width = e_bits.size();
+  const DgkCiphertext enc_one = encrypt(1);
+  DgkCiphertext w_sum = encrypt(0);
+  std::vector<DgkCiphertext> c_seq;
+  for (std::size_t idx = width; idx-- > 0;) {
+    const std::uint64_t d_bit = (d >> idx) & 1u;
+    const DgkCiphertext e_bit{e_bits[idx]};
+    DgkCiphertext c = pk.add(encrypt(1 + d_bit), pk.negate(e_bit));
+    c = pk.add(c, pk.scalar_mul(w_sum, BigInt(3)));
+    c_seq.push_back(pk.blind_multiplicative(c, rng));
+    w_sum = pk.add(w_sum,
+                   d_bit == 0 ? e_bit : pk.add(enc_one, pk.negate(e_bit)));
+  }
+  const Permutation shuffle = Permutation::random(width, rng);
+  MessageWriter msg;
+  msg.write_u64(width);
+  for (const DgkCiphertext& c : shuffle.apply(c_seq)) msg.write_bigint(c.value);
+  return std::move(msg).take();
+}
+
+/// One DGK key over the fan-out threshold, built once for the suite: two
+/// bits over it, because keygen fixes the lengths of p and q, not of n.
+const DgkKeyPair& wide_key() {
+  static const DgkKeyPair key = [] {
+    DeterministicRng rng(2020);
+    DgkParams params;
+    params.n_bits = kElementFanOutMinBits + 2;
+    params.v_bits = 160;
+    params.plaintext_bound = 160;
+    return generate_dgk_key(params, rng);
+  }();
+  return key;
+}
+
+/// Runs S2's and S1's slots of one 52-bit comparison both ways, from the
+/// same seeds, and expects the same bytes and the same Rng positions after.
+/// With `streams`, each party draws from its own DGK stream, warm for S2
+/// and cold for S1.
+void expect_serial_bytes(std::uint64_t seed, bool streams) {
+  const std::size_t ell = 52;
+  const DgkPublicKey& pk = wide_key().pk;
+  ASSERT_GE(pk.n().bit_length(), kElementFanOutMinBits);
+  const DgkCompareContext ctx(pk, wide_key().sk, ell);
+  DeterministicRng values(seed);
+  const std::int64_t half = std::int64_t{1} << (ell - 1);
+  const std::int64_t x =
+      values.uniform_in(BigInt(-half), BigInt(half - 1)).to_int64();
+  const std::int64_t y =
+      values.uniform_in(BigInt(-half), BigInt(half - 1)).to_int64();
+
+  DeterministicRng s2_rng(derive_party_seed(seed, 1));
+  DeterministicRng s2_ref_rng(derive_party_seed(seed, 1));
+  DgkPowerStream s2_bank(pk, derive_party_seed(seed, 3));
+  DgkPowerStream s2_ref_bank(pk, derive_party_seed(seed, 3));
+  if (streams) {
+    s2_bank.generate(ell);
+    s2_ref_bank.generate(ell);
+  }
+  const std::vector<std::uint8_t> bits =
+      dgk_compare_s2_bits(ctx, y, s2_rng, streams ? &s2_bank : nullptr)
+          .take();
+  EXPECT_EQ(bits, serial_s2_bits(pk, static_cast<std::uint64_t>(y + half),
+                                 ell, s2_ref_rng,
+                                 streams ? &s2_ref_bank : nullptr));
+  EXPECT_EQ(s2_rng.next_u64(), s2_ref_rng.next_u64());
+
+  DeterministicRng s1_rng(derive_party_seed(seed, 0));
+  DeterministicRng s1_ref_rng(derive_party_seed(seed, 0));
+  DgkPowerStream s1_bank(pk, derive_party_seed(seed, 2));
+  DgkPowerStream s1_ref_bank(pk, derive_party_seed(seed, 2));
+  MessageReader e_bits(bits);
+  const std::vector<std::uint8_t> blinded =
+      dgk_compare_s1_blind(pk, ell, x, e_bits, s1_rng,
+                           streams ? &s1_bank : nullptr)
+          .take();
+  MessageReader e_bits_again(bits);
+  EXPECT_EQ(blinded,
+            serial_s1_blind(pk, static_cast<std::uint64_t>(x + half),
+                            e_bits_again.read_bigint_vector(), s1_ref_rng,
+                            streams ? &s1_ref_bank : nullptr));
+  EXPECT_EQ(s1_rng.next_u64(), s1_ref_rng.next_u64());
+  EXPECT_EQ(s1_bank.stats().misses, s1_ref_bank.stats().misses);
+
+  MessageReader blinded_in(blinded);
+  MessageWriter reply;
+  EXPECT_EQ(dgk_compare_s2_decide(ctx, blinded_in, reply), x >= y);
+}
+
+TEST(DgkCompareFanOut, FreshRandomnessMatchesBitByBitLoop) {
+  for (const std::uint64_t seed : {11u, 12u, 13u}) {
+    expect_serial_bytes(seed, false);
+  }
+}
+
+TEST(DgkCompareFanOut, StreamPowersMatchBitByBitLoop) {
+  for (const std::uint64_t seed : {21u, 22u, 23u}) {
+    expect_serial_bytes(seed, true);
+  }
 }
 
 }  // namespace

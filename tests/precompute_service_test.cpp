@@ -132,6 +132,37 @@ TEST_F(PrecomputeServiceTest, WarmColdDgkStreamsAgree) {
   EXPECT_EQ(cold.stats().misses, 6u);
 }
 
+TEST_F(PrecomputeServiceTest, ReleaseDropsReadyPowersAndCountsThem) {
+  // A finished query's leftovers go; the counters stay, and a later draw
+  // continues from the stream's Rng past the released powers.
+  DgkPowerStream stream(dgk_.pk, 9);
+  DgkPowerStream reference(dgk_.pk, 9);
+  stream.generate(5);
+  reference.generate(6);
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_EQ(stream.draw_power(), reference.draw_power());
+  }
+  stream.release();
+  PrecomputeStats stats = stream.stats();
+  EXPECT_EQ(stats.ready, 0u);
+  EXPECT_EQ(stats.released, 3u);
+  EXPECT_EQ(stats.generated, stats.hits + stats.ready + stats.released);
+  for (int i = 0; i < 3; ++i) (void)reference.draw_power();
+  EXPECT_EQ(stream.draw_power(), reference.draw_power());
+  stats = stream.stats();
+  EXPECT_EQ(stats.misses, 1u);
+  stream.release();  // nothing ready: a no-op
+  EXPECT_EQ(stream.stats().released, 3u);
+
+  PrecomputeService service;
+  service.paillier_powers(paillier_.pk, 1).generate(4);
+  service.dgk_powers(dgk_.pk, 2).generate(2);
+  service.paillier_powers(paillier_.pk, 1).release();
+  service.dgk_powers(dgk_.pk, 2).release();
+  EXPECT_EQ(service.totals().released, 6u);
+  EXPECT_EQ(service.totals().ready, 0u);
+}
+
 TEST_F(PrecomputeServiceTest, RegistryRendezvousOnKeyAndSeed) {
   PrecomputeService svc;
   PaillierPowerStream& s1 = svc.paillier_powers(paillier_.pk, 7);

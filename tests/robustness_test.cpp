@@ -3,6 +3,8 @@
 // corruption.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "crypto/dgk.h"
 #include "mpc/blind_permute.h"
 #include "mpc/consensus.h"
@@ -21,23 +23,26 @@ TEST(Robustness, TruncatedCiphertextVectorMessage) {
   w.write_u64(5);  // claims five ciphertexts
   w.write_bigint(key.pk.encrypt(BigInt(1), rng).value);  // delivers one
   MessageReader r(std::move(w).take());
-  EXPECT_THROW((void)read_ciphertext_vector(r, 5), FramingError);
+  EXPECT_THROW((void)read_ciphertext_vector(r, key.pk, 5, "test slot"),
+               FramingError);
 }
 
 TEST(Robustness, CiphertextVectorCountBeyondMessage) {
   // A count of 2^62 is rejected as framing before anything is allocated,
   // and so is a well-formed vector of a length the geometry does not fix.
+  DeterministicRng rng(1);
+  const PaillierKeyPair key = generate_paillier_key(64, rng);
   MessageWriter w;
   w.write_u64(std::uint64_t{1} << 62);
   MessageReader r(std::move(w).take());
-  EXPECT_THROW((void)read_ciphertext_vector(r, 3), FramingError);
-  DeterministicRng rng(1);
-  const PaillierKeyPair key = generate_paillier_key(64, rng);
+  EXPECT_THROW((void)read_ciphertext_vector(r, key.pk, 3, "test slot"),
+               FramingError);
   const std::vector<std::int64_t> values = {1, 2};
   MessageWriter two;
   write_ciphertext_vector(two, encrypt_vector(key.pk, values, rng));
   MessageReader r2(std::move(two).take());
-  EXPECT_THROW((void)read_ciphertext_vector(r2, 3), FramingError);
+  EXPECT_THROW((void)read_ciphertext_vector(r2, key.pk, 3, "test slot"),
+               FramingError);
 }
 
 TEST(Robustness, GarbageBytesAsMessage) {
@@ -125,6 +130,50 @@ TEST(Robustness, SecureSumRejectsSubmissionOfWrongWidth) {
        }},
   };
   EXPECT_THROW((void)run_parties(parties, PartyRunOptions{}), FramingError);
+}
+
+TEST(Robustness, SecureSumRejectsShareCiphertextOutsideRange) {
+  // S1 only multiplies the users' shares into its aggregate, so a share of
+  // 0 or n² would surface later, at S2's decryption.  S1 rejects it as
+  // framing where it comes off the wire.
+  DeterministicRng rng(9);
+  const ServerPaillierKeys keys = generate_server_paillier_keys(64, rng);
+  DgkParams dgk_params;
+  dgk_params.n_bits = 160;
+  dgk_params.v_bits = 30;
+  dgk_params.plaintext_bound = 160;
+  const DgkKeyPair dgk = generate_dgk_key(dgk_params, rng);
+  ConsensusQueryParams params;
+  params.num_classes = 3;
+  params.num_users = 1;
+  params.share_bits = 20;
+  params.compare_bits = 30;
+  for (const BigInt& bad : {BigInt(0), keys.s2.pk.n_squared()}) {
+    ConsensusS1BatchProgram s1(params, keys.s1, keys.s2.pk, dgk.pk, {1});
+    const std::vector<std::int64_t> three = {1, 2, 3};
+    const Party parties[] = {
+        {"S1", [&](Channel& chan) { (void)s1.run(chan); }},
+        {"user:0",
+         [&](Channel& chan) {
+           std::vector<PaillierCiphertext> shares =
+               encrypt_vector(keys.s2.pk, three, rng);
+           shares[1].value = bad;
+           MessageWriter w;
+           write_ciphertext_vector(w, shares);
+           chan.send("S1", std::move(w));
+         }},
+    };
+    try {
+      (void)run_parties(parties, PartyRunOptions{});
+      ADD_FAILURE() << "no FramingError";
+    } catch (const FramingError& e) {
+      EXPECT_NE(std::string(e.what()).find("secure sum (user:0's shares)"),
+                std::string::npos)
+          << e.what();
+      EXPECT_NE(std::string(e.what()).find("ciphertext 1"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(Robustness, ConsensusRejectsVotesOutOfRangeMidBatch) {

@@ -28,7 +28,7 @@ std::vector<PaillierCiphertext> submit(const PaillierPublicKey& pk,
   write_ciphertext_vector(
       w, secure_sum_encrypt_stream(pk, values, rng, nullptr, nullptr));
   MessageReader r(std::move(w).take());
-  return read_ciphertext_vector(r, values.size());
+  return read_ciphertext_vector(r, pk, values.size(), "secure sum");
 }
 
 /// User u encrypts `to_s1[u]` under S2's key and `to_s2[u]` under S1's key

@@ -436,15 +436,17 @@ void write_traffic_json(const Options& opt, const std::string& party,
 
 /// `who`'s service totals: every draw that ran inline is a miss, so a
 /// warm-up that covered the demand leaves none (the warm-pool gates fail
-/// on a nonzero count).
+/// on a nonzero count); `released` counts the powers ⊥ queries left
+/// undrawn.
 void print_precompute_totals(const std::string& who,
                              const pcl::PrecomputeService& precompute) {
   const pcl::PrecomputeStats totals = precompute.totals();
   std::printf("pc_party[%s]: precompute totals: generated %llu, hits %llu, "
-              "misses %llu\n",
+              "misses %llu, released %llu\n",
               who.c_str(), static_cast<unsigned long long>(totals.generated),
               static_cast<unsigned long long>(totals.hits),
-              static_cast<unsigned long long>(totals.misses));
+              static_cast<unsigned long long>(totals.misses),
+              static_cast<unsigned long long>(totals.released));
 }
 
 /// Runs one party program over TCP and writes its artifacts.  `listener`
